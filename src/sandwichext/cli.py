@@ -138,8 +138,7 @@ def _section_price(scenario: Scenario, ext: ExtendedSystem, s: int, t: int,
     except ScenarioError as err:
         raise _Fault(str(err)) from err
     result = price(ext, s, t, X)
-    by_block = [result.value.values[block[0]]
-                for block in scenario.space.blocks(s)]
+    by_block = result.value.values[scenario.space._layout[s].firsts]
     return {"command": "price", "from": s, "to": t, "payoff_name": name,
             "payoff": _vec(X.values), "value_by_block": _vec(by_block),
             "density": _vec(result.density.values),

@@ -20,17 +20,15 @@ exercised by the shipped fixtures.
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import (ExtendedOperator, PenaltyValue, attain,
-                        maximal_extension, minimal_penalty)
+from .extension import (ExtendedOperator, PenaltyValue, _mix_on_blocks,
+                        attain, maximal_extension, minimal_penalty)
 from .operators import (BoundPair, CheckEntry, PolyhedralOperator,
-                        ValidationReport, _block_iter, check_mM1,
-                        check_sandwich, validate_operator)
+                        ValidationReport, check_mM1, check_sandwich,
+                        validate_operator)
 from .spaces import FilteredSpace, LevelError, RandomVariable
 
 VALUE_TOL = 1e-9
@@ -209,15 +207,12 @@ def validate_system(system: OperatorSystem) -> ValidationReport:
 class ExtendedSystem:
     """Per-step maximal extensions plus backward-composed evaluation.
 
-    The penalty ledger memoizes penalties of product densities actually
-    visited, keyed by pair and density bytes; insertion is locked so
-    concurrent pricing of distinct payoffs stays safe.
+    Like :class:`ExtendedOperator`, whose memo caches it fills, an instance
+    should be used from one thread at a time.
     """
 
     system: OperatorSystem
     extensions: dict
-    ledger: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def space(self) -> FilteredSpace:
@@ -235,11 +230,6 @@ class ExtendedSystem:
         for k in range(j - 1, i - 1, -1):
             V = self.step(k).evaluate(V)
         return V
-
-    def _record(self, s: int, t: int, density: RandomVariable,
-                penalty: PenaltyValue):
-        with self._lock:
-            self.ledger[(s, t, density.values.tobytes())] = penalty
 
 
 def extend_system(system: OperatorSystem) -> ExtendedSystem:
@@ -268,19 +258,19 @@ def _cocycle_sum(space: FilteredSpace, level_out: int, step_densities,
     the running product of earlier densities is positive, so an infinite
     penalty on a branch the product never reaches does not poison the block.
     """
-    n = space.n_atoms
-    weight = np.ones(n)
-    acc = np.zeros(n)
+    weight = np.ones(space.n_atoms)
+    acc = np.zeros(space.n_atoms)
     for g_vals, a_vals in zip(step_densities, step_penalties):
-        mask = weight > WEIGHT_FLOOR
-        term = np.zeros(n)
-        term[mask] = weight[mask] * a_vals[mask]
-        acc = acc + term
+        acc = acc + _weighted(weight, a_vals)
         weight = weight * g_vals
-    out = np.empty(len(space.blocks(level_out)))
-    for a, ix, p, pa in _block_iter(space, level_out):
-        v = acc[ix]
-        out[a] = math.inf if np.any(np.isinf(v)) else float(p @ v) / pa
+    return space._layout[level_out].means(acc)
+
+
+def _weighted(weight: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """weight * vals where the weight exceeds WEIGHT_FLOOR, zero elsewhere."""
+    out = np.zeros(weight.size)
+    hot = weight > WEIGHT_FLOOR
+    out[hot] = weight[hot] * vals[hot]
     return out
 
 
@@ -305,11 +295,10 @@ def price(ext: ExtendedSystem, s: int, t: int, X: RandomVariable) -> PriceResult
     f_vals = np.ones(system.space.n_atoms)
     for g in step_g:
         f_vals = f_vals * g
-    density = system.space.rv(f_vals, t)
     penalty = PenaltyValue(system.space, s,
                            _cocycle_sum(system.space, s, step_g, step_a))
-    ext._record(s, t, density, penalty)
-    return PriceResult(value=V, density=density, penalty=penalty)
+    return PriceResult(value=V, density=RandomVariable(f_vals, t),
+                       penalty=penalty)
 
 
 def factor_density(ext: ExtendedSystem, s: int, t: int,
@@ -322,22 +311,13 @@ def factor_density(ext: ExtendedSystem, s: int, t: int,
     """
     system = ext.system
     i, j = system.positions(s, t)
-    space = system.space
-    factors = []
-    prev = _cond_values(space, Q.values, system.grid[i])
-    for k in range(i, j):
-        nxt = _cond_values(space, Q.values, system.grid[k + 1])
-        g = np.where(prev > WEIGHT_FLOOR, nxt / np.maximum(prev, WEIGHT_FLOOR), 1.0)
-        factors.append(space.rv(g, system.grid[k + 1]))
-        prev = nxt
-    return factors
-
-
-def _cond_values(space: FilteredSpace, vals: np.ndarray, level: int) -> np.ndarray:
-    out = np.empty(space.n_atoms)
-    for a, ix, p, pa in _block_iter(space, level):
-        out[ix] = float(p @ vals[ix]) / pa
-    return out
+    levels = system.grid[i:j + 1]
+    layout = system.space._layout
+    # E[Q | level] atomwise for each grid level from s to t
+    conds = [layout[lv].broadcast(layout[lv].means(Q.values)) for lv in levels]
+    return [RandomVariable(
+        np.where(prev > WEIGHT_FLOOR, nxt / np.maximum(prev, WEIGHT_FLOOR), 1.0), lv)
+        for prev, nxt, lv in zip(conds, conds[1:], levels[1:])]
 
 
 def system_penalty(ext: ExtendedSystem, s: int, t: int,
@@ -355,10 +335,8 @@ def system_penalty(ext: ExtendedSystem, s: int, t: int,
     step_a = []
     for k, f in zip(range(i, j), factors):
         step_a.append(minimal_penalty(ext.step(k), f).atomwise())
-    penalty = PenaltyValue(system.space, s,
-                           _cocycle_sum(system.space, s, step_g, step_a))
-    ext._record(s, t, Q, penalty)
-    return penalty
+    return PenaltyValue(system.space, s,
+                        _cocycle_sum(system.space, s, step_g, step_a))
 
 
 # --------------------------------------------------------------------------
@@ -371,23 +349,15 @@ def _harvest_step_densities(ext: ExtendedSystem, k: int, rng,
     system = ext.system
     space = system.space
     t = system.grid[k + 1]
-    out = []
-    for _ in range(n_payoffs):
-        vals = np.empty(space.n_atoms)
-        for block in space.blocks(t):
-            vals[list(block)] = rng.normal(0.0, 1.0)
-        att = attain(ext.step(k), space.rv(vals, t))
-        out.append(att.density.values)
-    return out
+    return np.stack([attain(ext.step(k), _normal_payoff(space, t, rng))
+                     .density.values for _ in range(n_payoffs)])
 
 
-def _mix_on_blocks(space: FilteredSpace, level: int, cands, rng) -> np.ndarray:
-    """Blockwise Dirichlet mixture of candidate densities; stays feasible."""
-    out = np.empty(space.n_atoms)
-    for a, ix, _, _ in _block_iter(space, level):
-        w = rng.dirichlet(np.ones(len(cands)))
-        out[ix] = sum(wi * c[ix] for wi, c in zip(w, cands))
-    return out
+def _normal_payoff(space: FilteredSpace, level: int, rng) -> RandomVariable:
+    """Standard normal value per block of ``level``."""
+    blocks = space._layout[level]
+    return RandomVariable(blocks.broadcast(rng.normal(0.0, 1.0, blocks.probs.size)),
+                          level)
 
 
 def check_cocycle_and_local(ext: ExtendedSystem, r: int, s: int, t: int,
@@ -408,7 +378,7 @@ def check_cocycle_and_local(ext: ExtendedSystem, r: int, s: int, t: int,
     cands = {k: _harvest_step_densities(ext, k, rng) for k in range(i, j)}
 
     def sample():
-        return [_mix_on_blocks(space, system.grid[k], cands[k], rng)
+        return [_mix_on_blocks(space._layout[system.grid[k]], cands[k], rng)
                 for k in range(i, j)]
 
     def penalties(step_g):
@@ -428,18 +398,8 @@ def check_cocycle_and_local(ext: ExtendedSystem, r: int, s: int, t: int,
         weight = np.ones(space.n_atoms)
         for g in step_g[:m - i]:
             weight = weight * g
-        a_st_atoms = np.empty(space.n_atoms)
-        for a, block in enumerate(space.blocks(s)):
-            a_st_atoms[list(block)] = a_st[a]
-        rhs = np.empty(len(space.blocks(r)))
-        for a, ix, p, pa in _block_iter(space, r):
-            w = weight[ix]
-            v = a_st_atoms[ix]
-            hot = w > WEIGHT_FLOOR
-            if np.any(np.isinf(v[hot])):
-                rhs[a] = math.inf
-            else:
-                rhs[a] = a_rs[a] + float(p[hot] @ (w[hot] * v[hot])) / pa
+        a_st_atoms = space._layout[s].broadcast(a_st)
+        rhs = a_rs + space._layout[r].means(_weighted(weight, a_st_atoms))
         both_inf = np.isinf(lhs) & np.isinf(rhs)
         if np.any(np.isinf(lhs) != np.isinf(rhs)):
             inf_mismatch = True
@@ -453,7 +413,7 @@ def check_cocycle_and_local(ext: ExtendedSystem, r: int, s: int, t: int,
         CheckEntry("cocycle_infinite_blocks_agree", not inf_mismatch, ""),
     ]
 
-    n_blocks_r = len(space.blocks(r))
+    n_blocks_r = space._layout[r].probs.size
     q1, q2 = samples[0], samples[1 % len(samples)]
     block0 = list(space.blocks(r)[0])
     spliced = []
@@ -544,10 +504,7 @@ def refine_and_compare(sys_coarse: OperatorSystem, sys_fine: OperatorSystem,
     for (s, t) in sys_coarse.all_pairs:
         worst_up = 0.0
         for _ in range(n_payoffs):
-            vals = np.empty(space.n_atoms)
-            for block in space.blocks(t):
-                vals[list(block)] = rng.normal(0.0, 1.0)
-            X = space.rv(vals, t)
+            X = _normal_payoff(space, t, rng)
             vc = ext_c.evaluate(s, t, X).values
             vf = ext_f.evaluate(s, t, X).values
             worst_up = max(worst_up, float((vf - vc).max()))
@@ -561,19 +518,18 @@ def refine_and_compare(sys_coarse: OperatorSystem, sys_fine: OperatorSystem,
             f"max fine excess {worst_up:.3e} over {n_payoffs} payoffs"))
 
     for (s, t) in sys_coarse.all_pairs:
-        seeds = [price(ext_c, s, t, _rand_rv(space, t, rng)).density.values
-                 for _ in range(max(2, n_densities // 4))]
+        seeds = np.stack([price(ext_c, s, t, _normal_payoff(space, t, rng))
+                          .density.values for _ in range(max(2, n_densities // 4))])
         worst_drop = 0.0
         inf_drop = False
         for _ in range(n_densities):
-            Q = space.rv(_mix_on_blocks(space, s, seeds, rng), t)
+            Q = RandomVariable(_mix_on_blocks(space._layout[s], seeds, rng), t)
             pc = system_penalty(ext_c, s, t, Q).by_block
             pf = system_penalty(ext_f, s, t, Q).by_block
-            for a in range(pc.size):
-                if math.isinf(pc[a]) and not math.isinf(pf[a]):
-                    inf_drop = True
-                elif not math.isinf(pc[a]) and not math.isinf(pf[a]):
-                    worst_drop = max(worst_drop, pc[a] - pf[a])
+            inf_drop |= bool(np.any(np.isinf(pc) & ~np.isinf(pf)))
+            both = ~np.isinf(pc) & ~np.isinf(pf)
+            if np.any(both):
+                worst_drop = max(worst_drop, float((pc[both] - pf[both]).max()))
         entries.append(CheckEntry(
             f"penalties_monotone_{s}_{t}",
             worst_drop <= penalty_tol and not inf_drop,
@@ -586,9 +542,3 @@ def refine_and_compare(sys_coarse: OperatorSystem, sys_fine: OperatorSystem,
     return RefinementReport(ValidationReport(tuple(entries)),
                             max_dec, wit_pair, wit_payoff)
 
-
-def _rand_rv(space: FilteredSpace, level: int, rng) -> RandomVariable:
-    vals = np.empty(space.n_atoms)
-    for block in space.blocks(level):
-        vals[list(block)] = rng.normal(0.0, 1.0)
-    return space.rv(vals, level)

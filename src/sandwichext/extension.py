@@ -39,9 +39,8 @@ import numpy as np
 from .lp import LinearProgram, solve_lp
 from .operators import (BlockPolytope, BoundPair, DensityPolytope, CheckEntry,
                         PolyhedralOperator, PolytopeError, SandwichReport,
-                        ValidationReport, _block_iter, _segment_iter,
-                        check_sandwich)
-from .spaces import FilteredSpace, LevelError, RandomVariable
+                        ValidationReport, check_sandwich)
+from .spaces import FilteredSpace, LevelError, RandomVariable, _Blocks, _Segments
 
 CONJ_TOL = 1e-9
 FACE_TOL = 1e-9
@@ -81,15 +80,12 @@ class PenaltyValue:
         return bool(np.all(np.isfinite(self.by_block)))
 
     def atomwise(self) -> np.ndarray:
-        out = np.empty(self.space.n_atoms)
-        for a, block in enumerate(self.space.blocks(self.level_a)):
-            out[list(block)] = self.by_block[a]
-        return out
+        return self.space._layout[self.level_a].broadcast(self.by_block)
 
     def as_rv(self) -> RandomVariable:
         if not self.finite:
             raise ValueError("penalty is +inf on some block")
-        return self.space.rv(self.atomwise(), self.level_a)
+        return RandomVariable(self.atomwise(), self.level_a)
 
 
 def _check_density(space: FilteredSpace, level_a: int, level_b: int,
@@ -99,11 +95,11 @@ def _check_density(space: FilteredSpace, level_a: int, level_b: int,
             f"density declared at level {f.level}, finer than {level_b}")
     if float(f.values.min()) < -tol:
         raise DensityError(f"density has negative atom {float(f.values.min()):.3e}")
-    for a, ix, p, pa in _block_iter(space, level_a):
-        ev = float(p @ f.values[ix]) / pa
-        if abs(ev - 1.0) > tol:
-            raise DensityError(
-                f"block {a} expectation {ev:.12g} differs from 1")
+    ev = space._layout[level_a].means(f.values)
+    off = np.flatnonzero(np.abs(ev - 1.0) > tol)
+    if off.size:
+        raise DensityError(
+            f"block {off[0]} expectation {ev[off[0]]:.12g} differs from 1")
 
 
 def conjugate(op: PolyhedralOperator, f: RandomVariable,
@@ -117,19 +113,19 @@ def conjugate(op: PolyhedralOperator, f: RandomVariable,
     space = op.space
     if check:
         _check_density(space, op.level_a, op.level_b, f)
-    vals = np.empty(len(space.blocks(op.level_a)))
-    for a, ix, p, pa in _block_iter(space, op.level_a):
+    segments = space._segments(op.level_b, op.level_a)
+    vals = np.empty(len(segments))
+    dens = op._densities()
+    penalties = op._penalties()
+    for a, sg in enumerate(segments):
         bmat = op.domain.block_bases[a]
         d = bmat.shape[1]
-        pw = p / pa
-        obj = np.append(bmat.T @ (pw * f.values[ix]), -1.0)
-        a_ub = []
-        b_ub = []
-        for pc in op.pieces:
-            a_ub.append(np.append(bmat.T @ (pw * pc.density.values[ix]), -1.0))
-            b_ub.append(pc.penalty.values[ix[0]])
+        pw = space.probs[sg.atoms] / sg.prob
+        obj = np.append(bmat.T @ (pw * f.values[sg.atoms]), -1.0)
+        a_ub = np.array([np.append(bmat.T @ (pw * fj[sg.atoms]), -1.0)
+                         for fj in dens])
         res = solve_lp(LinearProgram(
-            c=obj, sense="max", a_ub=np.asarray(a_ub), b_ub=np.asarray(b_ub),
+            c=obj, sense="max", a_ub=a_ub, b_ub=penalties[a],
             bounds=[(-math.inf, math.inf)] * (d + 1)))
         if res.status == "unbounded":
             vals[a] = math.inf
@@ -144,12 +140,12 @@ def conjugate(op: PolyhedralOperator, f: RandomVariable,
 # density polytope construction
 
 
-def _block_rows(bounds: BoundPair, reps: np.ndarray, sp: np.ndarray, pa: float):
+def _block_rows(bounds: BoundPair, sg: _Segments):
     """H-description pieces over z = (f, lam, mu) for one block.
 
-    Density variables are per level_b segment; reps index a representative
-    atom per segment and sp carries segment probabilities.
+    Density variables are per level_b segment of the block.
     """
+    reps, sp, pa = sg.reps, sg.rows.probs, sg.prob
     n = len(reps)
     if bounds.kind == "linear":
         n_lift = 0
@@ -195,10 +191,9 @@ def density_set(bounds: BoundPair, space: FilteredSpace | None = None) -> Densit
     """
     space = space or bounds.space
     blocks = []
-    for a, ix, segs, reps, sp, pa in _segment_iter(
-            space, bounds.level_b, bounds.level_a):
-        n = len(segs)
-        n_lift, a_eq, b_eq, a_ub, b_ub, var_bounds = _block_rows(bounds, reps, sp, pa)
+    for a, sg in enumerate(space._segments(bounds.level_b, bounds.level_a)):
+        n = sg.ids.size
+        n_lift, a_eq, b_eq, a_ub, b_ub, var_bounds = _block_rows(bounds, sg)
         res = solve_lp(LinearProgram(
             c=np.zeros(n + n_lift), sense="min", a_eq=a_eq, b_eq=b_eq,
             a_ub=a_ub, b_ub=b_ub, bounds=var_bounds))
@@ -206,9 +201,11 @@ def density_set(bounds: BoundPair, space: FilteredSpace | None = None) -> Densit
             raise PolytopeError(
                 f"density polytope empty on block {a} of level {bounds.level_a}",
                 level_a=bounds.level_a, block=a)
+        segments = np.split(sg.atoms[sg.rows.order], sg.rows.starts[1:])
         blocks.append(BlockPolytope(
-            atoms=tuple(ix), segments=tuple(tuple(s) for s in segs),
-            seg_probs=sp, n_f=n, n_lift=n_lift,
+            atoms=tuple(sg.atoms.tolist()),
+            segments=tuple(tuple(seg.tolist()) for seg in segments),
+            n_f=n, n_lift=n_lift,
             a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
             var_bounds=tuple(var_bounds), feasible_point=res.x))
     return DensityPolytope(bounds=bounds, blocks=tuple(blocks))
@@ -222,16 +219,10 @@ def density_set(bounds: BoundPair, space: FilteredSpace | None = None) -> Densit
 class _BlockProgram:
     """Constraint template over z = (f, lift, theta) for one block.
 
-    Density variables are per level_b segment of the block; ix lists every
-    atom (for writing block-constant values back), reps one atom per segment.
+    Density variables are per level_b segment of the block (``seg``).
     """
 
-    ix: list[int]
-    segs: list[list[int]]
-    reps: np.ndarray
-    sp: np.ndarray
-    pa: float
-    d: int
+    seg: _Segments
     n: int
     n_lift: int
     n_pieces: int
@@ -241,7 +232,6 @@ class _BlockProgram:
     b_ub: np.ndarray | None
     var_bounds: list[tuple[float, float]]
     penalties: np.ndarray
-    bmat: np.ndarray
 
     @property
     def n_vars(self) -> int:
@@ -249,7 +239,7 @@ class _BlockProgram:
 
     def objective(self, x_reps: np.ndarray) -> np.ndarray:
         c = np.zeros(self.n_vars)
-        c[:self.n] = (self.sp / self.pa) * x_reps
+        c[:self.n] = (self.seg.rows.probs / self.seg.prob) * x_reps
         c[self.n + self.n_lift:] = -self.penalties
         return c
 
@@ -300,10 +290,10 @@ class ExtendedOperator:
         hit = self._eval_cache.get(key)
         if hit is not None:
             return hit
-        vals = np.empty(self.space.n_atoms)
-        for prog in self._programs:
-            vals[prog.ix] = self._solve_block(prog, X.values[prog.reps])[0]
-        out = self.space.rv(vals, self.level_a)
+        by_block = np.array([self._solve_block(prog, X.values[prog.seg.reps])[0]
+                             for prog in self._programs])
+        out = RandomVariable(
+            self.space._layout[self.level_a].broadcast(by_block), self.level_a)
         self._eval_cache[key] = out
         return out
 
@@ -328,17 +318,16 @@ def maximal_extension(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOper
         raise SandwichViolation(report)
     polytope = density_set(bounds)
     ext = ExtendedOperator(base=op, bounds=bounds, polytope=polytope)
-    space = op.space
-    for (a, ix, segs, reps, sp, pa), bp in zip(
-            _segment_iter(space, op.level_b, op.level_a), polytope.blocks):
-        rel = [ix.index(r) for r in reps]
-        bmat = op.domain.block_bases[a][rel, :]       # segment basis values
+    segments = op.space._segments(op.level_b, op.level_a)
+    dens = op._densities()
+    penalties = op._penalties()
+    for a, (sg, bp) in enumerate(zip(segments, polytope.blocks)):
+        bmat = op.domain.block_bases[a][sg.rows.firsts, :]   # segment basis values
         d = bmat.shape[1]
         n = bp.n_f
         nj = len(op.pieces)
         nv = n + bp.n_lift + nj
-        fmat = np.stack([pc.density.values[reps] for pc in op.pieces]).T  # n x J
-        pens = np.array([pc.penalty.values[ix[0]] for pc in op.pieces])
+        fmat = dens[:, sg.reps].T                    # n x J
         # equalities: polytope rows, theta simplex, subspace matching
         eq_rows = [np.concatenate([row, np.zeros(nj)]) for row in bp.a_eq]
         eq_rhs = list(bp.b_eq)
@@ -346,7 +335,7 @@ def maximal_extension(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOper
         theta_row[n + bp.n_lift:] = 1.0
         eq_rows.append(theta_row)
         eq_rhs.append(1.0)
-        wb = bmat.T * sp[None, :]                    # d x n, rows <B_k, sp . >
+        wb = bmat.T * sg.rows.probs[None, :]         # d x n, rows <B_k, sp . >
         match_f = wb
         match_th = -(wb @ fmat)                      # d x J
         for k in range(d):
@@ -374,11 +363,10 @@ def maximal_extension(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOper
             ub_rhs = None
         var_bounds = list(bp.var_bounds) + [(0.0, math.inf)] * nj
         ext._programs.append(_BlockProgram(
-            ix=ix, segs=[list(s) for s in segs], reps=reps, sp=sp, pa=pa,
-            d=d, n=n, n_lift=bp.n_lift, n_pieces=nj,
+            seg=sg, n=n, n_lift=bp.n_lift, n_pieces=nj,
             a_eq=eq_mat, b_eq=eq_vec,
             a_ub=ub_rows, b_ub=ub_rhs, var_bounds=var_bounds,
-            penalties=pens, bmat=bmat))
+            penalties=penalties[a]))
     return ext
 
 
@@ -396,20 +384,20 @@ def attain(ext: ExtendedOperator, X: RandomVariable) -> Attainment:
     if hit is not None:
         return hit
     space = ext.space
-    f_full = np.empty(space.n_atoms)
-    v_full = np.empty(space.n_atoms)
-    pen = np.empty(len(space.blocks(ext.level_a)))
+    fine, coarse = space._layout[ext.level_b], space._layout[ext.level_a]
+    f_seg = np.empty(fine.probs.size)
+    values = np.empty(coarse.probs.size)
+    pen = np.empty(coarse.probs.size)
     for a, prog in enumerate(ext._programs):
-        x_reps = X.values[prog.reps]
+        x_reps = X.values[prog.seg.reps]
         value, z = ext._solve_block(prog, x_reps)
         zc = _center_on_face(prog, x_reps, value, z)
-        for w, seg in enumerate(prog.segs):
-            f_full[seg] = zc[w]
-        v_full[prog.ix] = value
+        values[a] = value
+        f_seg[prog.seg.ids] = zc[:prog.n]
         pen[a] = float(prog.penalties @ zc[prog.n + prog.n_lift:])
     out = Attainment(
-        density=space.rv(f_full, ext.level_b),
-        value=space.rv(v_full, ext.level_a),
+        density=RandomVariable(fine.broadcast(f_seg), ext.level_b),
+        value=RandomVariable(coarse.broadcast(values), ext.level_a),
         penalty=PenaltyValue(space, ext.level_a, pen))
     ext._attain_cache[key] = out
     return out
@@ -507,17 +495,15 @@ def verify_representation(op: PolyhedralOperator, n_payoffs: int = 20,
     pieces are self-representing.
     """
     space = op.space
+    blocks = space._layout[op.level_a]
     rng = np.random.default_rng(seed)
     family = [pc.density for pc in op.pieces]
-    n_pieces = len(op.pieces)
+    dens = op._densities()
     for _ in range(n_densities):
-        mixed = np.empty(space.n_atoms)
-        for a, ix, p, pa in _block_iter(space, op.level_a):
-            w = rng.dirichlet(np.ones(n_pieces))
-            mixed[ix] = sum(wj * pc.density.values[ix]
-                            for wj, pc in zip(w, op.pieces))
-        family.append(space.rv(mixed, op.level_b))
+        family.append(RandomVariable(_mix_on_blocks(blocks, dens, rng), op.level_b))
     penalties = [conjugate(op, f) for f in family]
+    fam = np.stack([f.values for f in family])
+    pens = np.stack([pv.by_block for pv in penalties])
 
     worst_gap = 0.0      # reconstruction error
     worst_over = 0.0     # candidate exceeding the operator
@@ -525,29 +511,20 @@ def verify_representation(op: PolyhedralOperator, n_payoffs: int = 20,
         coeff = rng.normal(0.0, 1.0, op.domain.dim)
         xv = sum(ck * b.values for ck, b in zip(coeff, op.domain.basis))
         X = space.rv(xv, op.level_b)
-        target = op.evaluate(X, check_domain=False)
-        for a, ix, p, pa in _block_iter(space, op.level_a):
-            best = -math.inf
-            for f, pv in zip(family, penalties):
-                if not math.isfinite(pv.by_block[a]):
-                    continue
-                score = float(p @ (f.values[ix] * X.values[ix])) / pa \
-                    - pv.by_block[a]
-                worst_over = max(worst_over, score - target.values[ix[0]])
-                best = max(best, score)
-            worst_gap = max(worst_gap, abs(best - target.values[ix[0]]))
+        target = op.scores(X).max(axis=1)
+        # an infinite penalty scores -inf and drops out of both maxima
+        scores = blocks.means(fam * X.values) - pens
+        worst_over = max(worst_over, float((scores - target).max()))
+        worst_gap = max(worst_gap, float(np.abs(scores.max(axis=0) - target).max()))
 
     # splice: conjugates are local, so mixing two densities blockwise mixes
     # their penalties exactly
     splice_exact = True
     if len(family) >= 2:
         f1, f2 = family[0], family[1]
-        n_blocks = len(space.blocks(op.level_a))
-        pick = rng.integers(0, 2, n_blocks)
-        mixed = np.empty(space.n_atoms)
-        for a, ix, _, _ in _block_iter(space, op.level_a):
-            mixed[ix] = (f1 if pick[a] == 0 else f2).values[ix]
-        pv = conjugate(op, space.rv(mixed, op.level_b))
+        pick = rng.integers(0, 2, blocks.probs.size)
+        mixed = np.where(blocks.broadcast(pick) == 0, f1.values, f2.values)
+        pv = conjugate(op, RandomVariable(mixed, op.level_b))
         expected = np.where(pick == 0, penalties[0].by_block,
                             penalties[1].by_block)
         splice_exact = np.array_equal(pv.by_block, expected)
@@ -561,3 +538,14 @@ def verify_representation(op: PolyhedralOperator, n_payoffs: int = 20,
                    "blockwise density splice matches blockwise penalties"),
     )
     return ValidationReport(entries)
+
+
+def _mix_on_blocks(blocks: _Blocks, candidates: np.ndarray, rng) -> np.ndarray:
+    """Blockwise Dirichlet mixture of stacked candidate densities.
+
+    Unit block expectations and nonnegativity survive a convex mixture, and
+    so does any per-block polytope the candidates share.
+    """
+    weights = blocks.broadcast(rng.dirichlet(np.ones(len(candidates)),
+                                             blocks.probs.size).T)
+    return sum(w * c for w, c in zip(weights, candidates))

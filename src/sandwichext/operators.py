@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lp import LinearProgram, solve_lp
-from .spaces import FilteredSpace, LevelError, RandomVariable, cond_expectation
+from .spaces import FilteredSpace, LevelError, RandomVariable
 from .subspaces import Subspace
 
 VALUE_TOL = 1e-9
@@ -51,33 +51,6 @@ class PolytopeError(ValueError):
         super().__init__(message)
         self.level_a = level_a
         self.block = block
-
-
-def _block_iter(space: FilteredSpace, level_a: int):
-    """Yield (block index, atom list, atom probs, block prob)."""
-    for a, block in enumerate(space.blocks(level_a)):
-        ix = list(block)
-        p = space.probs[ix]
-        yield a, ix, p, float(p.sum())
-
-
-def _segment_iter(space: FilteredSpace, level_b: int, level_a: int):
-    """Yield, per level_a block, its decomposition into level_b blocks.
-
-    Densities and test payoffs for a (level_a, level_b) operator live at
-    level_b, so LP variables are indexed by these segments rather than by
-    finest atoms. Yields (block index, atom list, segments as atom lists,
-    representative atom per segment, segment probs, block prob).
-    """
-    seg_of = {}
-    for seg in space.blocks(level_b):
-        seg_of[seg[0]] = list(seg)
-    for a, block in enumerate(space.blocks(level_a)):
-        ix = list(block)
-        segs = [seg_of[w] for w in ix if w in seg_of]
-        reps = np.array([s[0] for s in segs])
-        sp = np.array([float(space.probs[s].sum()) for s in segs])
-        yield a, ix, segs, reps, sp, float(space.probs[ix].sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,25 +88,27 @@ class PolyhedralOperator:
     def level_b(self) -> int:
         return self.domain.level_b
 
+    def _densities(self) -> np.ndarray:
+        """Piece densities stacked; shape (pieces, atoms)."""
+        return np.stack([pc.density.values for pc in self.pieces])
+
+    def _penalties(self) -> np.ndarray:
+        """Piece penalties per coarse block; shape (blocks, pieces)."""
+        firsts = self.space._layout[self.level_a].firsts
+        return np.stack([pc.penalty.values[firsts] for pc in self.pieces], axis=1)
+
     def scores(self, X: RandomVariable) -> np.ndarray:
         """Per-block piece scores E[f_j X | block] - c_j(block); shape (blocks, pieces)."""
-        space = self.space
-        out = np.empty((len(space.blocks(self.level_a)), len(self.pieces)))
-        for a, ix, p, pa in _block_iter(space, self.level_a):
-            for j, pc in enumerate(self.pieces):
-                ev = float(p @ (pc.density.values[ix] * X.values[ix])) / pa
-                out[a, j] = ev - pc.penalty.values[ix[0]]
-        return out
+        blocks = self.space._layout[self.level_a]
+        return blocks.means(self._densities() * X.values).T - self._penalties()
 
     def evaluate(self, X: RandomVariable, check_domain: bool = True) -> RandomVariable:
         """Best piece score per coarse block."""
         if check_domain and not self.domain.contains(X):
             raise DomainError("payoff is not in the operator's domain")
-        sc = self.scores(X)
-        vals = np.empty(self.space.n_atoms)
-        for a, ix, _, _ in _block_iter(self.space, self.level_a):
-            vals[ix] = sc[a].max()
-        return self.space.rv(vals, self.level_a)
+        blocks = self.space._layout[self.level_a]
+        return RandomVariable(blocks.broadcast(self.scores(X).max(axis=1)),
+                              self.level_a)
 
 
 @dataclass(frozen=True)
@@ -167,26 +142,21 @@ def validate_operator(op: PolyhedralOperator) -> ValidationReport:
     """
     space = op.space
     entries = []
-    worst_neg = min(float(pc.density.values.min()) for pc in op.pieces)
+    dens = op._densities()
+    worst_neg = float(dens.min())
     entries.append(CheckEntry(
         "densities_nonnegative", worst_neg >= -DATA_TOL, f"min density {worst_neg:.3e}"))
-    worst_dev = 0.0
-    for pc in op.pieces:
-        ce = cond_expectation(space, pc.density, op.level_a)
-        worst_dev = max(worst_dev, float(np.abs(ce.values - 1.0).max()))
+    worst_dev = float(np.abs(space._layout[op.level_a].means(dens) - 1.0).max())
     entries.append(CheckEntry(
         "unit_block_expectation", worst_dev <= VALUE_TOL, f"max |E[f|A]-1| {worst_dev:.3e}"))
     pen_min = min(float(pc.penalty.values.min()) for pc in op.pieces)
     entries.append(CheckEntry(
         "penalties_nonnegative", pen_min >= -DATA_TOL, f"min penalty {pen_min:.3e}"))
-    worst_floor = 0.0
-    for a, ix, _, _ in _block_iter(space, op.level_a):
-        floor = min(pc.penalty.values[ix[0]] for pc in op.pieces)
-        worst_floor = max(worst_floor, abs(floor))
+    worst_floor = float(np.abs(op._penalties().min(axis=1)).max())
     entries.append(CheckEntry(
         "zero_penalty_floor", worst_floor <= VALUE_TOL,
         f"max per-block min penalty {worst_floor:.3e}"))
-    one = space.rv(np.ones(space.n_atoms), 0)
+    one = RandomVariable(np.ones(space.n_atoms), 0)
     entries.append(CheckEntry(
         "constants_in_domain", op.domain.contains(one), ""))
     entries.append(CheckEntry(
@@ -246,17 +216,17 @@ class BoundPair:
         # exact per-block test that min-of-kernels <= max-of-kernels on the
         # positive cone of level_b payoffs: minimize the epigraph gap over
         # the segment simplex
-        for a, ix, segs, reps, sp, pa in _segment_iter(
-                self.space, self.level_b, self.level_a):
-            km = np.stack([k.values[reps] for k in self.m_kernels])
-            kM = np.stack([k.values[reps] for k in self.M_kernels])
-            n = len(segs)
+        for a, seg in enumerate(self.space._segments(self.level_b, self.level_a)):
+            km = np.stack([k.values[seg.reps] for k in self.m_kernels])
+            kM = np.stack([k.values[seg.reps] for k in self.M_kernels])
+            n = km.shape[1]
             # vars: (x in simplex, t); min t s.t. t >= <kM_i - km_j, x> for all i,j
             rows = []
             for i in range(kM.shape[0]):
                 for j in range(km.shape[0]):
                     # <kM_i - km_j, x>_p - t <= 0, so t >= the (i, j) gap
-                    rows.append(np.append(sp * (kM[i] - km[j]) / pa, -1.0))
+                    rows.append(np.append(
+                        seg.rows.probs * (kM[i] - km[j]) / seg.prob, -1.0))
             lp = LinearProgram(
                 c=np.append(np.zeros(n), 1.0), sense="min",
                 a_eq=[np.append(np.ones(n), 0.0)], b_eq=[1.0],
@@ -291,20 +261,29 @@ class BoundPair:
             raise BoundsError("M0 is only defined for the linear kind")
         return self.M_kernels[0]
 
-    def _apply(self, X: RandomVariable, kernels, agg) -> RandomVariable:
-        vals = np.empty(self.space.n_atoms)
-        for a, ix, p, pa in _block_iter(self.space, self.level_a):
-            scores = [float(p @ (k.values[ix] * X.values[ix])) / pa for k in kernels]
-            vals[ix] = agg(scores)
-        return self.space.rv(vals, self.level_a)
+    def _apply(self, values: np.ndarray, kernels, agg) -> np.ndarray:
+        """Per-block bound values of a stacked batch of payoffs (rows).
+
+        ``agg`` (``np.min`` or ``np.max``) combines the kernel expectations
+        per level_a block; a linear pair has one kernel, so it is the
+        identity there. The result has one row per payoff.
+        """
+        ks = np.stack([k.values for k in kernels])[:, None, :]
+        return agg(self.space._layout[self.level_a].means(ks * values), axis=0)
+
+    def _bound_rv(self, X: RandomVariable, kernels, agg) -> RandomVariable:
+        blocks = self.space._layout[self.level_a]
+        return RandomVariable(
+            blocks.broadcast(self._apply(X.values[None], kernels, agg)[0]),
+            self.level_a)
 
     def minorant(self, X: RandomVariable) -> RandomVariable:
         """m(X); superlinear on the positive cone."""
-        return self._apply(X, self.m_kernels, min)
+        return self._bound_rv(X, self.m_kernels, np.min)
 
     def majorant(self, X: RandomVariable) -> RandomVariable:
         """M(X); sublinear on the positive cone."""
-        return self._apply(X, self.M_kernels, max)
+        return self._bound_rv(X, self.M_kernels, np.max)
 
     def atom_floor(self) -> np.ndarray:
         """Per-atom lower envelope of the minorant kernels."""
@@ -315,15 +294,12 @@ class BoundPair:
 
 
 def check_nondegenerate(bounds: BoundPair, tol: float = DATA_TOL) -> bool:
-    """True iff E[m(1_w)] > 0 for every finest atom w."""
-    space = bounds.space
-    for w in range(space.n_atoms):
-        ind = np.zeros(space.n_atoms)
-        ind[w] = 1.0
-        ev = bounds.minorant(space.rv(ind, space.last_level))
-        if float(space.probs @ ev.values) <= tol:
-            return False
-    return True
+    """True iff E[m(1_w)] > 0 for every finest atom w.
+
+    m(1_w) vanishes off the block of w and is min_k p_w k(w) / P(block) on
+    it, so E[m(1_w)] = p_w min_k k(w).
+    """
+    return bool(np.all(bounds.space.probs * bounds.atom_floor() > tol))
 
 
 def check_mM1(family: dict, space: FilteredSpace, grid,
@@ -359,21 +335,13 @@ def check_mM1(family: dict, space: FilteredSpace, grid,
     exact = all(family[st].kind == "linear" for st in pairs)
     rng = np.random.default_rng(seed)
 
-    def test_vectors(t: int):
-        vecs = []
-        for block in space.blocks(t):
-            v = np.zeros(space.n_atoms)
-            v[list(block)] = 1.0
-            vecs.append(space.rv(v, t))
+    def test_vectors(t: int) -> np.ndarray:
+        blocks = space._layout[t]
+        per_block = np.eye(blocks.probs.size)
         if not exact:
-            nb = len(space.blocks(t))
-            for _ in range(n_samples):
-                per_block = rng.uniform(0.0, 2.0, nb)
-                v = np.empty(space.n_atoms)
-                for b, block in enumerate(space.blocks(t)):
-                    v[list(block)] = per_block[b]
-                vecs.append(space.rv(v, t))
-        return vecs
+            per_block = np.vstack([
+                per_block, rng.uniform(0.0, 2.0, (n_samples, blocks.probs.size))])
+        return blocks.broadcast(per_block)
 
     worst_m = 0.0
     worst_M = 0.0
@@ -383,13 +351,18 @@ def check_mM1(family: dict, space: FilteredSpace, grid,
             for k in range(j + 1, len(grid)):
                 t = grid[k]
                 b_rs, b_st, b_rt = family[(r, s)], family[(s, t)], family[(r, t)]
-                for X in test_vectors(t):
-                    two_m = b_rs.minorant(b_st.minorant(X))
-                    one_m = b_rt.minorant(X)
-                    worst_m = max(worst_m, float((one_m.values - two_m.values).max()))
-                    two_M = b_rs.majorant(b_st.majorant(X))
-                    one_M = b_rt.majorant(X)
-                    worst_M = max(worst_M, float((two_M.values - one_M.values).max()))
+                xs = test_vectors(t)
+                # per level-r block values; the inner bound goes back onto atoms
+                inner = space._layout[s].broadcast(
+                    b_st._apply(xs, b_st.m_kernels, np.min))
+                two_m = b_rs._apply(inner, b_rs.m_kernels, np.min)
+                one_m = b_rt._apply(xs, b_rt.m_kernels, np.min)
+                worst_m = max(worst_m, float((one_m - two_m).max()))
+                inner = space._layout[s].broadcast(
+                    b_st._apply(xs, b_st.M_kernels, np.max))
+                two_M = b_rs._apply(inner, b_rs.M_kernels, np.max)
+                one_M = b_rt._apply(xs, b_rt.M_kernels, np.max)
+                worst_M = max(worst_M, float((two_M - one_M).max()))
     tag = "exact on block indicators" if exact else f"sampled, {n_samples} draws"
     entries.append(CheckEntry(
         "minorant_weakly_consistent", worst_m <= VALUE_TOL,
@@ -443,16 +416,16 @@ def check_sandwich(op: PolyhedralOperator, bounds: BoundPair) -> SandwichReport:
         if inside:
             return SandwichReport(holds=True, fast_path=True)
 
-    for a, ix, segs, reps, sp, pa in _segment_iter(space, op.level_b, op.level_a):
-        rel = [ix.index(r) for r in reps]
-        bmat = op.domain.block_bases[a][rel, :]      # segment values of the basis
+    penalties = op._penalties()
+    for a, sg in enumerate(space._segments(op.level_b, op.level_a)):
+        bmat = op.domain.block_bases[a][sg.rows.firsts, :]  # segment basis values
         d = bmat.shape[1]
-        n = len(segs)
-        km = np.stack([k.values[reps] for k in bounds.m_kernels])
-        kM = np.stack([k.values[reps] for k in bounds.M_kernels])
-        pw = sp / pa
+        n = sg.ids.size
+        km = np.stack([k.values[sg.reps] for k in bounds.m_kernels])
+        kM = np.stack([k.values[sg.reps] for k in bounds.M_kernels])
+        pw = sg.rows.probs / sg.prob
         for j, pc in enumerate(op.pieces):
-            fj = pc.density.values[reps]
+            fj = pc.density.values[sg.reps]
             # vars: bp(d), bm(d), Y(n), Z(n), tM, um
             nv = 2 * d + 2 * n + 2
             def seg(*parts):
@@ -494,20 +467,16 @@ def check_sandwich(op: PolyhedralOperator, bounds: BoundPair) -> SandwichReport:
             if res.status != "optimal":
                 raise RuntimeError(f"sandwich LP came back {res.status}")
             if res.value < -VALUE_TOL:
-                cj = pc.penalty.values[ix[0]]
-                scale = (cj + 1.0) / (-res.value)
+                scale = (penalties[a, j] + 1.0) / (-res.value)
                 z = res.x
                 beta = (z[:d] - z[d:2 * d]) * scale
-                Yv = np.zeros(space.n_atoms)
-                Zv = np.zeros(space.n_atoms)
-                Xv = np.zeros(space.n_atoms)
-                xb = bmat @ beta
-                for w, seg in enumerate(segs):
-                    Yv[seg] = z[2 * d + w] * scale
-                    Zv[seg] = z[2 * d + n + w] * scale
-                    Xv[seg] = xb[w]
-                lb = op.level_b
-                witness = (space.rv(Xv, lb), space.rv(Zv, lb), space.rv(Yv, lb))
+                # witness values per segment, zero off the block
+                seg_vals = np.zeros((3, space._layout[op.level_b].probs.size))
+                seg_vals[:, sg.ids] = (bmat @ beta,
+                                       z[2 * d + n:2 * d + 2 * n] * scale,
+                                       z[2 * d:2 * d + n] * scale)
+                atom_vals = space._layout[op.level_b].broadcast(seg_vals)
+                witness = tuple(RandomVariable(v, op.level_b) for v in atom_vals)
                 return SandwichReport(holds=False, block=a, piece=j,
                                       gap=float(res.value), witness=witness)
     return SandwichReport(holds=True)
@@ -530,7 +499,6 @@ class BlockPolytope:
 
     atoms: tuple[int, ...]
     segments: tuple[tuple[int, ...], ...]
-    seg_probs: np.ndarray
     n_f: int
     n_lift: int
     a_eq: np.ndarray
@@ -543,10 +511,6 @@ class BlockPolytope:
     @property
     def n_vars(self) -> int:
         return self.n_f + self.n_lift
-
-    @property
-    def reps(self) -> list[int]:
-        return [seg[0] for seg in self.segments]
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,17 +544,13 @@ class DensityPolytope:
         per segment before the test.
         """
         bounds = self.bounds
-        bp = self.blocks[a]
-        ix = list(bp.atoms)
+        sg = self.space._segments(bounds.level_b, bounds.level_a)[a]
+        reps = sg.reps
         fl = np.asarray(f_local, dtype=float)
-        reps = bp.reps
-        rel = [ix.index(r) for r in reps]
-        for w, seg in enumerate(bp.segments):
-            pos = [ix.index(v) for v in seg]
-            if float(fl[pos].max() - fl[pos].min()) > tol:
-                return False
-        fs = fl[rel]
-        sp = bp.seg_probs
+        if np.any(sg.rows.spread(fl) > tol):
+            return False
+        fs = fl[sg.rows.firsts]
+        sp = sg.rows.probs
         if abs(float(sp @ fs) / float(sp.sum()) - 1.0) > tol:
             return False
         if float(fs.min()) < -tol:

@@ -5,6 +5,13 @@ chain of partitions that refine from left to right, the last one being the
 discrete partition. Random variables are vectors over the finest atoms tagged
 with the coarsest partition level at which they are measurable. Conditional
 expectation onto a coarser level is the probability-weighted block average.
+
+Every per-block computation in the package goes through one private
+primitive, :class:`_Blocks`: a partition laid out so that block sums, block
+means, within-block spreads and broadcasts back onto atoms are single numpy
+reductions over a payoff or a stacked batch of payoffs. A space holds one per
+level and, per pair of levels, a cached segment map: the fine blocks
+(segments) inside each coarse block, as a ``_Blocks`` over that block's rows.
 """
 
 from __future__ import annotations
@@ -49,12 +56,66 @@ def _canonical_partition(blocks, n_atoms: int) -> tuple[tuple[int, ...], ...]:
     return tuple(canon)
 
 
-def _refines(fine, coarse) -> bool:
-    # every fine block must sit inside one coarse block
-    for fb in fine:
-        if not any(set(fb).issubset(cb) for cb in coarse):
-            return False
-    return True
+@dataclass(frozen=True, eq=False)
+class _Blocks:
+    """A partition of positions 0..n-1 laid out for per-block reductions.
+
+    ``order`` lists the positions block by block, ascending inside a block,
+    and ``starts`` holds each block's offset in ``order``. Reductions run
+    segment-wise (``reduceat``), never through an indicator-matrix product,
+    so a +inf entry stays confined to its own block. ``values`` may be one
+    vector over the positions or a stacked batch with positions last.
+    """
+
+    index: np.ndarray      # block of each position
+    order: np.ndarray
+    starts: np.ndarray
+    firsts: np.ndarray     # lowest position of every block, its representative
+    weights: np.ndarray    # probability of each position
+    probs: np.ndarray      # probability of each block
+
+    @classmethod
+    def build(cls, index: np.ndarray, weights: np.ndarray) -> "_Blocks":
+        order = np.argsort(index, kind="stable")
+        starts = np.searchsorted(index[order], np.arange(index.max() + 1))
+        arrays = (index, order, starts, order[starts], weights,
+                  np.add.reduceat(weights[order], starts))
+        for arr in arrays:
+            arr.setflags(write=False)
+        return cls(*arrays)
+
+    def sums(self, values) -> np.ndarray:
+        return np.add.reduceat(values[..., self.order], self.starts, axis=-1)
+
+    def means(self, values) -> np.ndarray:
+        """Probability-weighted block averages."""
+        return self.sums(self.weights * values) / self.probs
+
+    def spread(self, values) -> np.ndarray:
+        """Max minus min of the values on every block."""
+        grouped = values[..., self.order]
+        return (np.maximum.reduceat(grouped, self.starts, axis=-1)
+                - np.minimum.reduceat(grouped, self.starts, axis=-1))
+
+    def broadcast(self, by_block) -> np.ndarray:
+        """Per-block values written back onto every position of the block."""
+        return by_block[..., self.index]
+
+
+@dataclass(frozen=True, eq=False)
+class _Segments:
+    """The blocks of a fine level (segments) inside one coarse block.
+
+    ``rows`` partitions the coarse block's atoms (listed ascending in
+    ``atoms``) into its segments, so ``rows.firsts`` are the rows of the
+    segments' representative atoms and ``rows.probs`` their probabilities.
+    """
+
+    atoms: np.ndarray
+    ids: np.ndarray        # fine-level block number of each segment
+    reps: np.ndarray       # representative (lowest) atom of each segment
+    rows: _Blocks
+    prob: float            # probability of the coarse block
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +130,8 @@ class FilteredSpace:
     levels: tuple[tuple[tuple[int, ...], ...], ...]
     time_labels: tuple[float, ...]
     p_norm: float = math.inf
-    _block_index: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _layout: tuple[_Blocks, ...] = field(init=False, repr=False)
+    _segment_maps: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float).copy()
@@ -86,8 +148,15 @@ class FilteredSpace:
         if not self.levels:
             raise SpaceError("at least one partition level is required")
         canon = tuple(_canonical_partition(lv, n) for lv in self.levels)
+        layout = []
+        for lv in canon:
+            idx = np.empty(n, dtype=int)
+            for b, block in enumerate(lv):
+                idx[list(block)] = b
+            layout.append(_Blocks.build(idx, probs))
         for k in range(len(canon) - 1):
-            if not _refines(canon[k + 1], canon[k]):
+            # every fine block must sit inside one coarse block
+            if np.any(layout[k + 1].spread(layout[k].index) != 0):
                 raise SpaceError(f"level {k + 1} does not refine level {k}")
         if canon[-1] != tuple((w,) for w in range(n)):
             raise SpaceError("last level must be the discrete partition")
@@ -102,15 +171,8 @@ class FilteredSpace:
 
         if not (1.0 <= self.p_norm or self.p_norm == math.inf):
             raise SpaceError("p_norm must lie in [1, inf]")
-
-        index = []
-        for lv in canon:
-            idx = np.empty(n, dtype=int)
-            for b, block in enumerate(lv):
-                idx[list(block)] = b
-            idx.setflags(write=False)
-            index.append(idx)
-        object.__setattr__(self, "_block_index", tuple(index))
+        object.__setattr__(self, "_layout", tuple(layout))
+        object.__setattr__(self, "_segment_maps", {})
 
     @property
     def n_atoms(self) -> int:
@@ -133,10 +195,24 @@ class FilteredSpace:
         return self.levels[self.check_level(level)]
 
     def block_of(self, level: int, atom: int) -> int:
-        return int(self._block_index[self.check_level(level)][atom])
+        return int(self._layout[self.check_level(level)].index[atom])
 
     def block_prob(self, level: int, block: int) -> float:
-        return float(self.probs[list(self.blocks(level)[block])].sum())
+        return float(self._layout[self.check_level(level)].probs[block])
+
+    def _segments(self, level_b: int, level_a: int) -> tuple[_Segments, ...]:
+        """Segment map of the level_b blocks inside each level_a block, cached."""
+        key = (level_b, level_a)
+        if key not in self._segment_maps:
+            fine, coarse = self._layout[level_b], self._layout[level_a]
+            segs = []
+            for atoms, prob in zip(np.split(coarse.order, coarse.starts[1:]),
+                                   coarse.probs):
+                ids, local = np.unique(fine.index[atoms], return_inverse=True)
+                segs.append(_Segments(atoms, ids, fine.firsts[ids], _Blocks.build(
+                    local, self.probs[atoms]), float(prob)))
+            self._segment_maps[key] = tuple(segs)
+        return self._segment_maps[key]
 
     def rv(self, values, level: int | None = None) -> "RandomVariable":
         """Build a random variable, checking measurability at ``level``.
@@ -150,12 +226,12 @@ class FilteredSpace:
         if not np.all(np.isfinite(vals)):
             raise MeasurabilityError("values must be finite")
         lv = self.last_level if level is None else self.check_level(level)
-        for block in self.levels[lv]:
-            sub = vals[list(block)]
-            if sub.max() - sub.min() > MEAS_TOL:
-                raise MeasurabilityError(
-                    f"values vary by {sub.max() - sub.min():.3e} on block {block} "
-                    f"of level {lv}")
+        spread = self._layout[lv].spread(vals)
+        bad = np.flatnonzero(spread > MEAS_TOL)
+        if bad.size:
+            raise MeasurabilityError(
+                f"values vary by {spread[bad[0]]:.3e} on block "
+                f"{self.levels[lv][bad[0]]} of level {lv}")
         out = vals.copy()
         out.setflags(write=False)
         return RandomVariable(out, lv)
@@ -201,12 +277,8 @@ def cond_expectation(space: FilteredSpace, X: RandomVariable, level: int) -> Ran
     if lv > X.level:
         raise LevelError(
             f"cannot condition to level {lv} finer than declared level {X.level}")
-    out = np.empty(space.n_atoms)
-    for block in space.levels[lv]:
-        ix = list(block)
-        p = space.probs[ix]
-        out[ix] = float(p @ X.values[ix]) / float(p.sum())
-    return space.rv(out, lv)
+    blocks = space._layout[lv]
+    return RandomVariable(blocks.broadcast(blocks.means(X.values)), lv)
 
 
 def indicator(space: FilteredSpace, atoms, level: int) -> RandomVariable:
@@ -215,14 +287,14 @@ def indicator(space: FilteredSpace, atoms, level: int) -> RandomVariable:
     target = set(int(w) for w in atoms)
     if any(w < 0 or w >= space.n_atoms for w in target):
         raise MeasurabilityError("atom index out of range")
-    for block in space.levels[lv]:
-        bs = set(block)
-        if bs & target and not bs <= target:
-            raise MeasurabilityError(
-                f"set {sorted(target)} splits block {block} of level {lv}")
     vals = np.zeros(space.n_atoms)
     vals[sorted(target)] = 1.0
-    return space.rv(vals, lv)
+    split = np.flatnonzero(space._layout[lv].spread(vals))
+    if split.size:
+        raise MeasurabilityError(
+            f"set {sorted(target)} splits block {space.levels[lv][split[0]]} "
+            f"of level {lv}")
+    return RandomVariable(vals, lv)
 
 
 def pointwise_max(xs: list[RandomVariable]) -> RandomVariable:

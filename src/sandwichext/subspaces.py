@@ -4,7 +4,9 @@ The spans handled here contain the constants and are closed under
 multiplication by indicators of the blocks of a chosen coarse level. Any such
 span decomposes as a direct sum of its restrictions to those blocks, so we
 store one probability-weighted orthonormal basis per block and assemble the
-global basis from the pieces.
+global basis from the pieces. Blocks are disjoint, so coordinates and
+projections for every block at once are products with the zero-extended
+global basis matrix.
 """
 
 from __future__ import annotations
@@ -34,16 +36,21 @@ class Subspace:
     level_a: int
     block_bases: tuple[np.ndarray, ...]
     _basis_rvs: tuple[RandomVariable, ...] = field(init=False, repr=False)
+    _matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rvs = []
-        for a, block in enumerate(self.space.blocks(self.level_a)):
-            mat = self.block_bases[a]
-            for k in range(mat.shape[1]):
-                full = np.zeros(self.space.n_atoms)
-                full[list(block)] = mat[:, k]
-                rvs.append(self.space.rv(full, self.level_b))
-        object.__setattr__(self, "_basis_rvs", tuple(rvs))
+        # the level_a layout's order lists the atoms block by block, in the
+        # row order of each block's local basis
+        order = self.space._layout[self.level_a].order
+        matrix = np.zeros((self.space.n_atoms, self.dim))
+        row = col = 0
+        for mat in self.block_bases:
+            matrix[order[row:row + mat.shape[0]], col:col + mat.shape[1]] = mat
+            row += mat.shape[0]
+            col += mat.shape[1]
+        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "_basis_rvs", tuple(
+            self.space.rv(v, self.level_b) for v in matrix.T))
 
     @property
     def dim(self) -> int:
@@ -65,25 +72,21 @@ class Subspace:
         return mat @ coeffs
 
     def contains(self, X: RandomVariable, tol: float = MEMBER_TOL) -> bool:
-        """Membership test: weighted residual norm below ``tol``."""
+        """Membership test: weighted residual norm below ``tol`` relative to X.
+
+        The bound is ``tol`` times the weighted L2 norm of X, floored at 1,
+        so scaling a payoff does not change the verdict.
+        """
         if X.level > self.level_b:
             return False
-        sq = 0.0
-        for a, block in enumerate(self.space.blocks(self.level_a)):
-            ix = list(block)
-            local = X.values[ix]
-            resid = local - self.project_block(a, local)
-            sq += float(self.space.probs[ix] @ resid**2)
-        return np.sqrt(sq) < tol
+        probs = self.space.probs
+        resid = X.values - self._matrix @ self.coefficients(X)
+        scale = max(1.0, float(np.sqrt(probs @ X.values**2)))
+        return float(np.sqrt(probs @ resid**2)) < tol * scale
 
     def coefficients(self, X: RandomVariable) -> np.ndarray:
         """Coordinates of X in the global basis (no membership check)."""
-        out = []
-        for a, block in enumerate(self.space.blocks(self.level_a)):
-            ix = list(block)
-            w = self.space.probs[ix]
-            out.append(self.block_bases[a].T @ (w * X.values[ix]))
-        return np.concatenate(out) if out else np.zeros(0)
+        return self._matrix.T @ (self.space.probs * X.values)
 
 
 def span_closure(space: FilteredSpace, level_b: int, level_a: int,
@@ -122,9 +125,8 @@ def span_closure(space: FilteredSpace, level_b: int, level_a: int,
 def full_space(space: FilteredSpace, level_b: int, level_a: int) -> Subspace:
     """The whole of the level_b measurable payoffs as a Subspace."""
     # block indicators of level_b span exactly that space
-    gens = []
-    for block in space.blocks(level_b):
-        vals = np.zeros(space.n_atoms)
-        vals[list(block)] = 1.0
-        gens.append(space.rv(vals, level_b))
-    return span_closure(space, level_b, level_a, gens)
+    lb = space.check_level(level_b)
+    blocks = space._layout[lb]
+    gens = [RandomVariable(v, lb)
+            for v in blocks.broadcast(np.eye(blocks.probs.size))]
+    return span_closure(space, lb, level_a, gens)

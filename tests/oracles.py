@@ -250,3 +250,45 @@ def restricted_cocycle_penalty(q_vals) -> float:
     return alpha01_restricted(b_u) \
         + 0.5 * b_u * alpha12_restricted(a_first, 0) \
         + 0.5 * b_d * alpha12_restricted(c_first, 1)
+
+
+# --------------------------------------------------------------------------
+# per-block aggregation by plain loops over the partition's blocks
+
+
+def loop_block_means(probs, blocks, values) -> np.ndarray:
+    """Probability-weighted average of values over each block, atom by atom."""
+    out = []
+    for block in blocks:
+        num = 0.0
+        den = 0.0
+        for w in block:
+            num += probs[w] * values[w]
+            den += probs[w]
+        out.append(num / den)
+    return np.array(out)
+
+
+def loop_block_spread(blocks, values) -> np.ndarray:
+    """Largest minus smallest value on each block."""
+    return np.array([max(values[w] for w in block) - min(values[w] for w in block)
+                     for block in blocks])
+
+
+def loop_segments(probs, fine_blocks, coarse_blocks) -> list:
+    """Per coarse block: (atoms, [(fine block number, representative atom,
+    probability, rows of the segment's atoms inside the coarse block)]).
+
+    Segments are listed by their lowest atom, rows ascending.
+    """
+    out = []
+    for block in coarse_blocks:
+        atoms = sorted(block)
+        segs = []
+        for b, fine in enumerate(fine_blocks):
+            if set(fine) <= set(atoms):
+                rows = sorted(atoms.index(w) for w in fine)
+                segs.append((b, min(fine), sum(probs[w] for w in fine), rows))
+        segs.sort(key=lambda seg: seg[1])
+        out.append((atoms, segs))
+    return out

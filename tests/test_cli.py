@@ -44,6 +44,19 @@ def test_report_passes_on_every_fixture(name, capsys):
     assert "result: pass" in captured.out
 
 
+@pytest.mark.parametrize("name", FIXTURES)
+def test_report_matches_golden_bytes(name, tmp_path, monkeypatch, capsys):
+    # tests/golden holds each fixture's report written with SANDWICH_SEED=0;
+    # a refactor that keeps the numbers keeps every byte
+    monkeypatch.setenv("SANDWICH_SEED", "0")
+    out = tmp_path / "report.json"
+    assert main(["report", "--input", str(fixture_path(name)),
+                 "--output", str(out)]) == 0
+    capsys.readouterr()
+    golden = ROOT / "tests" / "golden" / name.replace(".json", ".report.json")
+    assert out.read_bytes() == golden.read_bytes()
+
+
 @pytest.mark.parametrize("name", ["fix_b.json", "fix_refine.json"])
 def test_report_bytes_are_reproducible(name, tmp_path, capsys):
     path = str(fixture_path(name))

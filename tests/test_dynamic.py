@@ -166,16 +166,6 @@ def test_evaluate_composes_steps(restricted_system):
         ext.evaluate(2, 0, space.rv(np.ones(4), level=2))
 
 
-def test_price_ledger_records_visits(restricted_system):
-    ext = extend_system(restricted_system)
-    space = restricted_system.space
-    assert not ext.ledger
-    res = price(ext, 0, 2, space.rv([1.0, 0.0, 0.0, 0.0]))
-    key = (0, 2, res.density.values.tobytes())
-    assert key in ext.ledger
-    assert ext.ledger[key].by_block[0] == res.penalty.by_block[0]
-
-
 def test_factor_density_reconstructs_and_normalizes(restricted_system):
     ext = extend_system(restricted_system)
     space = restricted_system.space

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import loop_block_means, loop_block_spread, loop_segments
 from sandwichext import (
     FilteredSpace,
     LevelError,
@@ -15,6 +18,7 @@ from sandwichext import (
 )
 
 TOL = 1e-12
+MEAS_TOL = 1e-12
 
 
 def three_level():
@@ -139,3 +143,118 @@ def test_norms():
     sp2 = FilteredSpace(space.probs, space.levels, space.time_labels, p_norm=2.0)
     assert sp2.norm(sp2.rv(x.values)) == pytest.approx(
         math.sqrt(0.1 * 4.0 + 0.9), abs=TOL)
+
+
+# --------------------------------------------------------------------------
+# the level primitive against plain per-block loops
+
+
+@st.composite
+def partition_chains(draw):
+    """A random space: levels group atoms by growing prefixes of random labels."""
+    n = draw(st.integers(1, 12))
+    n_coarse = draw(st.integers(1, 3))
+    labels = [draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+              for _ in range(n_coarse)]
+    levels = []
+    for k in range(1, n_coarse + 1):
+        groups = {}
+        for w in range(n):
+            groups.setdefault(tuple(lab[w] for lab in labels[:k]), []).append(w)
+        if not levels or len(groups) > len(levels[-1]):
+            levels.append(list(groups.values()))
+    if not levels or len(levels[-1]) < n:
+        levels.append([[w] for w in range(n)])
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    space = FilteredSpace(raw / raw.sum(), levels, list(range(len(levels))))
+    values = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    return space, values
+
+
+@settings(max_examples=80, deadline=None)
+@given(partition_chains())
+def test_block_means_and_spread_match_loops(case):
+    space, values = case
+    batch = np.stack([values, values**2, -values])
+    for k in range(space.n_levels):
+        blocks = space._layout[k]
+        want = loop_block_means(space.probs, space.blocks(k), values)
+        np.testing.assert_allclose(blocks.means(values), want,
+                                   rtol=1e-12, atol=1e-12 * np.abs(values).max())
+        np.testing.assert_allclose(
+            blocks.means(batch),
+            [loop_block_means(space.probs, space.blocks(k), v) for v in batch],
+            rtol=1e-12, atol=1e-12 * np.abs(batch).max())
+        np.testing.assert_array_equal(
+            blocks.spread(values), loop_block_spread(space.blocks(k), values))
+        np.testing.assert_allclose(
+            blocks.probs, loop_block_means(space.probs, space.blocks(k),
+                                           np.ones(space.n_atoms))
+            * [sum(space.probs[w] for w in b) for b in space.blocks(k)],
+            rtol=1e-12)
+        by_block = np.arange(len(space.blocks(k)), dtype=float)
+        for b, block in enumerate(space.blocks(k)):
+            assert all(blocks.broadcast(by_block)[w] == b for w in block)
+
+
+@settings(max_examples=80, deadline=None)
+@given(partition_chains())
+def test_segment_maps_match_loops(case):
+    space, _ = case
+    for a in range(space.n_levels):
+        for b in range(a, space.n_levels):
+            segments = space._segments(b, a)
+            want = loop_segments(space.probs, space.blocks(b), space.blocks(a))
+            assert len(segments) == len(want)
+            for sg, (atoms, segs) in zip(segments, want):
+                assert sg.atoms.tolist() == atoms
+                assert sg.ids.tolist() == [seg[0] for seg in segs]
+                assert sg.reps.tolist() == [seg[1] for seg in segs]
+                np.testing.assert_allclose(sg.rows.probs, [seg[2] for seg in segs],
+                                           rtol=1e-12)
+                assert sg.prob == pytest.approx(sum(space.probs[w] for w in atoms),
+                                                rel=1e-12)
+                for s, seg in enumerate(segs):
+                    assert sorted(np.flatnonzero(sg.rows.index == s)) == seg[3]
+                    assert sg.rows.firsts[s] == seg[3][0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(partition_chains(), st.data())
+def test_infinite_entry_stays_in_its_block(case, data):
+    space, values = case
+    hot = data.draw(st.integers(0, space.n_atoms - 1))
+    values = values.copy()
+    values[hot] = math.inf
+    for k in range(space.n_levels):
+        means = space._layout[k].means(values)
+        want = loop_block_means(space.probs, space.blocks(k), values)
+        hot_block = space.block_of(k, hot)
+        assert means[hot_block] == math.inf
+        rest = np.arange(means.size) != hot_block
+        rest_atoms = space._layout[k].index != hot_block
+        assert np.all(np.isfinite(means[rest]))
+        scale = np.abs(values[rest_atoms]).max(initial=1.0)
+        np.testing.assert_allclose(means[rest], want[rest], rtol=1e-12,
+                                   atol=1e-12 * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(partition_chains(), st.data())
+def test_rv_rejects_spread_not_distance_from_first_atom(case, data):
+    space, _ = case
+    wide = [(k, block) for k in range(space.n_levels)
+            for block in space.blocks(k) if len(block) >= 3]
+    if not wide:
+        return
+    k, block = data.draw(st.sampled_from(wide))
+    # every atom is within MEAS_TOL of the block's first atom, but the
+    # block's max - min is 1.5 MEAS_TOL
+    values = np.zeros(space.n_atoms)
+    values[block[1]] = 0.75 * MEAS_TOL
+    values[block[2]] = -0.75 * MEAS_TOL
+    assert np.all(np.abs(values[list(block)] - values[block[0]]) <= MEAS_TOL)
+    with pytest.raises(MeasurabilityError):
+        space.rv(values, k)
+    values[block[2]] = 0.0
+    assert space.rv(values, k).level == k

@@ -4,6 +4,8 @@ import pytest
 from sandwichext import (
     FilteredSpace,
     LevelError,
+    Piece,
+    PolyhedralOperator,
     full_space,
     indicator,
     span_closure,
@@ -80,3 +82,20 @@ def test_generator_level_guard():
         span_closure(space, 1, 0, [space.rv([1.0, 2.0, 3.0, 4.0])])
     with pytest.raises(LevelError):
         span_closure(space, 0, 1, [])
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12])
+def test_membership_does_not_depend_on_payoff_scale(scale):
+    space = binom()
+    g = space.rv([1.0, -1.0, 0.0, 0.0])
+    sub = span_closure(space, 2, 0, [g])
+    member = space.rv(scale * g.values)
+    assert sub.contains(member)
+    op = PolyhedralOperator(sub, (
+        Piece(space.rv(np.ones(4)), space.rv(np.zeros(4), level=0)),
+        Piece(space.rv([1.5, 0.5, 1.0, 1.0]), space.rv(np.zeros(4), level=0)),
+    ))
+    # max(E[X], E[f X]) = max(0, scale / 4)
+    np.testing.assert_allclose(op.evaluate(member).values, scale / 4.0, rtol=1e-12)
+    if scale >= 1.0:
+        assert not sub.contains(space.rv(scale * np.array([0.0, 0.0, 1.0, 0.0])))
