@@ -26,7 +26,7 @@ import numpy as np
 
 from .extension import (ExtendedOperator, PenaltyValue, _mix_on_blocks,
                         attain, maximal_extension, minimal_penalty)
-from .operators import (BoundPair, CheckEntry, PolyhedralOperator,
+from .operators import (BoundPair, CheckEntry, DomainError, PolyhedralOperator,
                         ValidationReport, check_mM1, check_sandwich,
                         validate_operator)
 from .spaces import FilteredSpace, LevelError, RandomVariable
@@ -166,14 +166,11 @@ def validate_system(system: OperatorSystem) -> ValidationReport:
             worst_dev = 0.0
             skipped = 0
             for X in long_op.domain.basis:
-                if not inner.domain.contains(X):
+                try:
+                    two = outer.evaluate(inner.evaluate(X))
+                except DomainError:
                     skipped += 1
                     continue
-                mid = inner.evaluate(X)
-                if not outer.domain.contains(mid):
-                    skipped += 1
-                    continue
-                two = outer.evaluate(mid)
                 one = long_op.evaluate(X)
                 worst_dev = max(worst_dev,
                                 float(np.abs(two.values - one.values).max()))
@@ -190,10 +187,12 @@ def validate_system(system: OperatorSystem) -> ValidationReport:
         worst_dev = 0.0
         skipped = 0
         for X in op.domain.basis:
-            if not full.domain.contains(X):
+            try:
+                whole = full.evaluate(X)
+            except DomainError:
                 skipped += 1
                 continue
-            dev = np.abs(full.evaluate(X).values - op.evaluate(X).values)
+            dev = np.abs(whole.values - op.evaluate(X).values)
             worst_dev = max(worst_dev, float(dev.max()))
         entries.append(CheckEntry(
             f"restriction_{s}_{t}", worst_dev <= VALUE_TOL,
@@ -207,12 +206,14 @@ def validate_system(system: OperatorSystem) -> ValidationReport:
 class ExtendedSystem:
     """Per-step maximal extensions plus backward-composed evaluation.
 
-    Like :class:`ExtendedOperator`, whose memo caches it fills, an instance
-    should be used from one thread at a time.
+    ``report`` is the passing validation the system was extended under.
+    Like :class:`ExtendedOperator`, whose evaluation memo it fills, an
+    instance should be used from one thread at a time.
     """
 
     system: OperatorSystem
     extensions: dict
+    report: ValidationReport
 
     @property
     def space(self) -> FilteredSpace:
@@ -239,7 +240,7 @@ def extend_system(system: OperatorSystem) -> ExtendedSystem:
     exts = {pair: maximal_extension(system.one_step_ops[pair],
                                     system.bounds[pair])
             for pair in system.adjacent_pairs}
-    return ExtendedSystem(system=system, extensions=exts)
+    return ExtendedSystem(system=system, extensions=exts, report=report)
 
 
 @dataclass(frozen=True, eq=False)

@@ -192,21 +192,16 @@ def density_set(bounds: BoundPair, space: FilteredSpace | None = None) -> Densit
     space = space or bounds.space
     blocks = []
     for a, sg in enumerate(space._segments(bounds.level_b, bounds.level_a)):
-        n = sg.ids.size
         n_lift, a_eq, b_eq, a_ub, b_ub, var_bounds = _block_rows(bounds, sg)
         res = solve_lp(LinearProgram(
-            c=np.zeros(n + n_lift), sense="min", a_eq=a_eq, b_eq=b_eq,
+            c=np.zeros(sg.ids.size + n_lift), sense="min", a_eq=a_eq, b_eq=b_eq,
             a_ub=a_ub, b_ub=b_ub, bounds=var_bounds))
         if res.status != "optimal":
             raise PolytopeError(
                 f"density polytope empty on block {a} of level {bounds.level_a}",
                 level_a=bounds.level_a, block=a)
-        segments = np.split(sg.atoms[sg.rows.order], sg.rows.starts[1:])
         blocks.append(BlockPolytope(
-            atoms=tuple(sg.atoms.tolist()),
-            segments=tuple(tuple(seg.tolist()) for seg in segments),
-            n_f=n, n_lift=n_lift,
-            a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+            seg=sg, n_lift=n_lift, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
             var_bounds=tuple(var_bounds), feasible_point=res.x))
     return DensityPolytope(bounds=bounds, blocks=tuple(blocks))
 
@@ -219,12 +214,10 @@ def density_set(bounds: BoundPair, space: FilteredSpace | None = None) -> Densit
 class _BlockProgram:
     """Constraint template over z = (f, lift, theta) for one block.
 
-    Density variables are per level_b segment of the block (``seg``).
+    The (f, lift) part is the block's density polytope ``poly``.
     """
 
-    seg: _Segments
-    n: int
-    n_lift: int
+    poly: BlockPolytope
     n_pieces: int
     a_eq: np.ndarray
     b_eq: np.ndarray
@@ -235,12 +228,13 @@ class _BlockProgram:
 
     @property
     def n_vars(self) -> int:
-        return self.n + self.n_lift + self.n_pieces
+        return self.poly.n_vars + self.n_pieces
 
     def objective(self, x_reps: np.ndarray) -> np.ndarray:
+        seg = self.poly.seg
         c = np.zeros(self.n_vars)
-        c[:self.n] = (self.seg.rows.probs / self.seg.prob) * x_reps
-        c[self.n + self.n_lift:] = -self.penalties
+        c[:self.poly.n_f] = (seg.rows.probs / seg.prob) * x_reps
+        c[self.poly.n_vars:] = -self.penalties
         return c
 
 
@@ -256,9 +250,10 @@ class ExtendedOperator:
     """The maximal extension of ``base`` dominated by ``bounds``.
 
     Callable on every fine-level payoff; restriction to the original domain
-    reproduces the base operator. Evaluation and attainment results are
-    memoized per payoff vector; instances are not safe for concurrent
-    mutation and should be used from one thread at a time.
+    reproduces the base operator. Evaluation results are memoized per payoff
+    vector, without a bound; attainment is recomputed on every call.
+    Instances are not safe for concurrent mutation and should be used from
+    one thread at a time.
     """
 
     base: PolyhedralOperator
@@ -266,7 +261,6 @@ class ExtendedOperator:
     polytope: DensityPolytope
     _programs: list[_BlockProgram] = field(default_factory=list, repr=False)
     _eval_cache: dict = field(default_factory=dict, repr=False)
-    _attain_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def space(self) -> FilteredSpace:
@@ -280,17 +274,14 @@ class ExtendedOperator:
     def level_b(self) -> int:
         return self.base.level_b
 
-    def _key(self, X: RandomVariable) -> bytes:
-        return X.values.tobytes()
-
     def evaluate(self, X: RandomVariable) -> RandomVariable:
         if X.level > self.level_b:
             raise LevelError("payoff finer than the extension level")
-        key = self._key(X)
+        key = X.values.tobytes()
         hit = self._eval_cache.get(key)
         if hit is not None:
             return hit
-        by_block = np.array([self._solve_block(prog, X.values[prog.seg.reps])[0]
+        by_block = np.array([self._solve_block(prog, X.values[prog.poly.seg.reps])[0]
                              for prog in self._programs])
         out = RandomVariable(
             self.space._layout[self.level_a].broadcast(by_block), self.level_a)
@@ -318,10 +309,10 @@ def maximal_extension(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOper
         raise SandwichViolation(report)
     polytope = density_set(bounds)
     ext = ExtendedOperator(base=op, bounds=bounds, polytope=polytope)
-    segments = op.space._segments(op.level_b, op.level_a)
     dens = op._densities()
     penalties = op._penalties()
-    for a, (sg, bp) in enumerate(zip(segments, polytope.blocks)):
+    for a, bp in enumerate(polytope.blocks):
+        sg = bp.seg
         bmat = op.domain.block_bases[a][sg.rows.firsts, :]   # segment basis values
         d = bmat.shape[1]
         n = bp.n_f
@@ -363,7 +354,7 @@ def maximal_extension(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOper
             ub_rhs = None
         var_bounds = list(bp.var_bounds) + [(0.0, math.inf)] * nj
         ext._programs.append(_BlockProgram(
-            seg=sg, n=n, n_lift=bp.n_lift, n_pieces=nj,
+            poly=bp, n_pieces=nj,
             a_eq=eq_mat, b_eq=eq_vec,
             a_ub=ub_rows, b_ub=ub_rhs, var_bounds=var_bounds,
             penalties=penalties[a]))
@@ -379,28 +370,23 @@ def attain(ext: ExtendedOperator, X: RandomVariable) -> Attainment:
     """
     if X.level > ext.level_b:
         raise LevelError("payoff finer than the extension level")
-    key = ext._key(X)
-    hit = ext._attain_cache.get(key)
-    if hit is not None:
-        return hit
     space = ext.space
     fine, coarse = space._layout[ext.level_b], space._layout[ext.level_a]
     f_seg = np.empty(fine.probs.size)
     values = np.empty(coarse.probs.size)
     pen = np.empty(coarse.probs.size)
     for a, prog in enumerate(ext._programs):
-        x_reps = X.values[prog.seg.reps]
+        poly = prog.poly
+        x_reps = X.values[poly.seg.reps]
         value, z = ext._solve_block(prog, x_reps)
         zc = _center_on_face(prog, x_reps, value, z)
         values[a] = value
-        f_seg[prog.seg.ids] = zc[:prog.n]
-        pen[a] = float(prog.penalties @ zc[prog.n + prog.n_lift:])
-    out = Attainment(
+        f_seg[poly.seg.ids] = zc[:poly.n_f]
+        pen[a] = float(prog.penalties @ zc[poly.n_vars:])
+    return Attainment(
         density=RandomVariable(fine.broadcast(f_seg), ext.level_b),
         value=RandomVariable(coarse.broadcast(values), ext.level_a),
         penalty=PenaltyValue(space, ext.level_a, pen))
-    ext._attain_cache[key] = out
-    return out
 
 
 def _center_on_face(prog: _BlockProgram, x_reps: np.ndarray, value: float,
@@ -417,7 +403,7 @@ def _center_on_face(prog: _BlockProgram, x_reps: np.ndarray, value: float,
     # slack descriptors: (row over z, rhs, sense) meaning row.z <= rhs,
     # slack = rhs - row.z; the bound-box slacks are expressed as rows here
     slats = []
-    for i in range(prog.n):
+    for i in range(prog.poly.n_f):
         lo, hi = prog.var_bounds[i]
         e = np.zeros(nv)
         e[i] = 1.0
@@ -478,8 +464,8 @@ def minimal_penalty(ext: ExtendedOperator, f: RandomVariable,
     _check_density(space, ext.level_a, ext.base.level_b, f)
     base = conjugate(ext.base, f, check=False)
     vals = np.array(base.by_block)
-    for a, bp in enumerate(ext.polytope.blocks):
-        if not ext.polytope.contains_on_block(a, f.values[list(bp.atoms)], tol):
+    for a, member in enumerate(ext.polytope.block_members(f, tol)):
+        if not member:
             vals[a] = math.inf
     return PenaltyValue(space, ext.level_a, vals)
 

@@ -23,12 +23,12 @@ scales into an explicit witness triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lp import LinearProgram, solve_lp
-from .spaces import FilteredSpace, LevelError, RandomVariable
+from .spaces import FilteredSpace, LevelError, RandomVariable, _Segments
 from .subspaces import Subspace
 
 VALUE_TOL = 1e-9
@@ -102,9 +102,9 @@ class PolyhedralOperator:
         blocks = self.space._layout[self.level_a]
         return blocks.means(self._densities() * X.values).T - self._penalties()
 
-    def evaluate(self, X: RandomVariable, check_domain: bool = True) -> RandomVariable:
+    def evaluate(self, X: RandomVariable) -> RandomVariable:
         """Best piece score per coarse block."""
-        if check_domain and not self.domain.contains(X):
+        if not self.domain.contains(X):
             raise DomainError("payoff is not in the operator's domain")
         blocks = self.space._layout[self.level_a]
         return RandomVariable(blocks.broadcast(self.scores(X).max(axis=1)),
@@ -178,7 +178,7 @@ class BoundPair:
     of kernel expectations E[k X | A].
 
     Regularity (continuity along monotone sequences) is automatic on a finite
-    space and recorded as the constant ``regular``.
+    space.
     """
 
     space: FilteredSpace
@@ -187,7 +187,6 @@ class BoundPair:
     kind: str
     m_kernels: tuple[RandomVariable, ...]
     M_kernels: tuple[RandomVariable, ...]
-    regular: bool = field(default=True, init=False)
 
     def __post_init__(self):
         self.space.check_level(self.level_b)
@@ -288,9 +287,6 @@ class BoundPair:
     def atom_floor(self) -> np.ndarray:
         """Per-atom lower envelope of the minorant kernels."""
         return np.min(np.stack([k.values for k in self.m_kernels]), axis=0)
-
-    def atom_ceil(self) -> np.ndarray:
-        return np.max(np.stack([k.values for k in self.M_kernels]), axis=0)
 
 
 def check_nondegenerate(bounds: BoundPair, tol: float = DATA_TOL) -> bool:
@@ -483,23 +479,24 @@ def check_sandwich(op: PolyhedralOperator, bounds: BoundPair) -> SandwichReport:
 
 
 # --------------------------------------------------------------------------
-# density polytope (built by the extension module, used across the package)
+# density polytope (rows written once by ``extension._block_rows``; membership
+# here and the extension's block programs both read them)
 
 
 @dataclass(frozen=True, eq=False)
 class BlockPolytope:
     """H-description of the feasible densities on one coarse block.
 
-    Density variables are indexed by the level_b segments of the block (one
+    Density variables are indexed by the level_b segments of ``seg`` (one
     value per segment, since densities are level_b measurable); z = (f, lam,
     mu) where lam and mu are simplex multipliers for the minorant and
     majorant kernel hulls (absent for the linear kind, where the kernels
-    bound f directly through the box).
+    bound f directly through the box). Row 0 of ``a_eq`` is the unit-mean
+    budget over f, the other rows the multiplier simplices; each row of
+    ``a_ub`` has a single +-1 entry among the f columns.
     """
 
-    atoms: tuple[int, ...]
-    segments: tuple[tuple[int, ...], ...]
-    n_f: int
+    seg: _Segments
     n_lift: int
     a_eq: np.ndarray
     b_eq: np.ndarray
@@ -507,6 +504,10 @@ class BlockPolytope:
     b_ub: np.ndarray | None
     var_bounds: tuple[tuple[float, float], ...]
     feasible_point: np.ndarray
+
+    @property
+    def n_f(self) -> int:
+        return self.seg.ids.size
 
     @property
     def n_vars(self) -> int:
@@ -541,54 +542,35 @@ class DensityPolytope:
         """Membership of local density values (atom-indexed) in one block.
 
         The values must be level_b measurable; they are reduced to one value
-        per segment before the test.
+        per segment, checked against the budget and the box, and, when the
+        block has lifted multipliers, against the stored kernel rows by a
+        feasibility LP in the multipliers with f moved to the right-hand side.
         """
-        bounds = self.bounds
-        sg = self.space._segments(bounds.level_b, bounds.level_a)[a]
-        reps = sg.reps
+        bp = self.blocks[a]
+        rows = bp.seg.rows
         fl = np.asarray(f_local, dtype=float)
-        if np.any(sg.rows.spread(fl) > tol):
+        if np.any(rows.spread(fl) > tol):
             return False
-        fs = fl[sg.rows.firsts]
-        sp = sg.rows.probs
-        if abs(float(sp @ fs) / float(sp.sum()) - 1.0) > tol:
+        fs = fl[rows.firsts]
+        if abs(float(rows.probs @ fs) / float(rows.probs.sum()) - 1.0) > tol:
             return False
-        if float(fs.min()) < -tol:
+        lo, hi = np.array(bp.var_bounds[:bp.n_f]).T
+        if float((fs - lo).min()) < -tol or float((hi - fs).min()) < -tol:
             return False
-        if bounds.kind == "linear":
-            if float((fs - bounds.m0.values[reps]).min()) < -tol:
-                return False
-            if float((bounds.M0.values[reps] - fs).min()) < -tol:
-                return False
+        if not bp.n_lift:
             return True
-        # small feasibility LP in the lifted multipliers
-        km = np.stack([k.values[reps] for k in bounds.m_kernels]).T
-        kM = np.stack([k.values[reps] for k in bounds.M_kernels]).T
-        nm, nM = km.shape[1], kM.shape[1]
-        a_eq = np.zeros((2, nm + nM))
-        a_eq[0, :nm] = 1.0
-        a_eq[1, nm:] = 1.0
-        a_ub = []
-        b_ub = []
-        for i in range(len(reps)):
-            row = np.zeros(nm + nM)
-            row[:nm] = km[i]
-            a_ub.append(row)
-            b_ub.append(fs[i] + tol)
-            row = np.zeros(nm + nM)
-            row[nm:] = -kM[i]
-            a_ub.append(row)
-            b_ub.append(-fs[i] + tol)
+        n = bp.n_f
         res = solve_lp(LinearProgram(
-            c=np.zeros(nm + nM), sense="min",
-            a_eq=a_eq, b_eq=np.ones(2),
-            a_ub=np.asarray(a_ub), b_ub=np.asarray(b_ub)))
+            c=np.zeros(bp.n_lift), sense="min",
+            a_eq=bp.a_eq[1:, n:], b_eq=bp.b_eq[1:], a_ub=bp.a_ub[:, n:],
+            b_ub=bp.b_ub - bp.a_ub[:, :n] @ fs + tol))
         return res.status == "optimal"
+
+    def block_members(self, f: RandomVariable, tol: float = 1e-9):
+        """Membership verdict of every block in turn, computed lazily."""
+        return (self.contains_on_block(a, f.values[bp.seg.atoms], tol)
+                for a, bp in enumerate(self.blocks))
 
     def contains_density(self, f: RandomVariable, tol: float = 1e-9) -> bool:
         """Membership of a density in every block polytope."""
-        if f.level > self.bounds.level_b:
-            return False
-        return all(
-            self.contains_on_block(a, f.values[list(bp.atoms)], tol)
-            for a, bp in enumerate(self.blocks))
+        return f.level <= self.bounds.level_b and all(self.block_members(f, tol))

@@ -292,3 +292,43 @@ def loop_segments(probs, fine_blocks, coarse_blocks) -> list:
         segs.sort(key=lambda seg: seg[1])
         out.append((atoms, segs))
     return out
+
+
+# --------------------------------------------------------------------------
+# density polytope membership from the kernels
+
+
+def scipy_density_margin(segment_atoms, m_kernels, M_kernels, f_values) -> float:
+    """Largest uniform slack of a density inside one block's kernel envelope.
+
+    ``segment_atoms`` lists the atoms of each segment of the block; kernels
+    and the density are atom arrays, read at each segment's first atom. The
+    envelope asks for simplex weights lam, mu with
+    sum_k lam_k m_k <= f <= sum_k mu_k M_k and f >= 0 on every segment.
+    The result is the largest t for which some (lam, mu) meets every one of
+    these rows with slack t, so it is positive inside the envelope and
+    negative outside; the unit-mean budget is left to the caller.
+    """
+    firsts = [seg[0] for seg in segment_atoms]
+    km = np.array([[k[w] for k in m_kernels] for w in firsts])
+    kM = np.array([[k[w] for k in M_kernels] for w in firsts])
+    fs = np.array([f_values[w] for w in firsts])
+    nm, nM = km.shape[1], kM.shape[1]
+    # variables (lam, mu, t); maximize t
+    rows = []
+    rhs = []
+    for i in range(len(firsts)):
+        rows.append(np.concatenate([km[i], np.zeros(nM), [1.0]]))
+        rhs.append(fs[i])                       # lam.km + t <= f
+        rows.append(np.concatenate([np.zeros(nm), -kM[i], [1.0]]))
+        rhs.append(-fs[i])                      # f + t <= mu.kM
+    a_eq = np.zeros((2, nm + nM + 1))
+    a_eq[0, :nm] = 1.0
+    a_eq[1, nm:nm + nM] = 1.0
+    res = optimize.linprog(
+        c=np.concatenate([np.zeros(nm + nM), [-1.0]]),
+        A_ub=np.array(rows), b_ub=np.array(rhs), A_eq=a_eq, b_eq=[1.0, 1.0],
+        bounds=[(0, None)] * (nm + nM) + [(None, None)], method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"membership oracle LP status {res.status}")
+    return min(-float(res.fun), float(fs.min()))

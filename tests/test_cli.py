@@ -176,6 +176,41 @@ def test_failing_axiom_exits_1_with_fail_rows(tmp_path, capsys):
     assert "result: FAIL" in captured.out
 
 
+def test_report_validates_the_declared_system_once(monkeypatch, capsys):
+    calls = []
+    real = sandwichext.validate_system
+
+    def counted(system):
+        calls.append(system)
+        return real(system)
+
+    monkeypatch.setattr("sandwichext.dynamic.validate_system", counted)
+    monkeypatch.setattr("sandwichext.cli.validate_system", counted)
+    # fix_a has no refine task, so nothing else extends a system
+    assert main(["report", "--input", str(fixture_path("fix_a.json"))]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_failing_validation_report_keeps_operator_rows(tmp_path, capsys):
+    doc = load_doc("fix_a.json")
+    doc["operators"][0]["pieces"][0]["density"] = -1.0
+    path = write_doc(tmp_path, doc)
+    rc, validated = run_to_json(["validate", "--input", path], tmp_path, "v.json")
+    assert rc == 1
+    rc, reported = run_to_json(["report", "--input", path], tmp_path, "r.json")
+    capsys.readouterr()
+    assert rc == 1 and reported["passed"] is False
+    [section] = reported["sections"]
+    assert section["passed"] is False
+    assert section["note"] == "system validation failed; dependent sections skipped"
+    # the same op_* and system rows the validate command prints
+    assert section["entries"] == validated["sections"][0]["entries"]
+    rows = {e["name"]: e["passed"] for e in section["entries"]}
+    assert rows["op_0_1.densities_nonnegative"] is False
+    assert rows["operator_axioms_0_1"] is False
+
+
 def test_sandwich_violation_reports_witness(tmp_path, capsys):
     doc = load_doc("fix_a.json")
     doc["bounds"][0]["M0"] = 1.2  # the tilted piece peaks at 1.5

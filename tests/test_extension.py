@@ -219,5 +219,4 @@ def test_polytope_feasible_points_are_members(two_atom, three_atom):
         poly = density_set(bundle.bounds)
         for a, bp in enumerate(poly.blocks):
             assert poly.contains_on_block(
-                a, np.repeat(bp.feasible_point[:bp.n_f],
-                             [len(s) for s in bp.segments]))
+                a, bp.seg.rows.broadcast(bp.feasible_point[:bp.n_f]))

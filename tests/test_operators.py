@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import scipy_density_margin
 from sandwichext import (
     BoundPair,
     BoundsError,
@@ -251,6 +254,81 @@ def test_density_polytope_membership_by_segments():
     assert poly.contains_density(space.rv([1.5, 1.5, 0.5, 0.5], level=1))
     # finer-level payoffs are rejected outright
     assert not poly.contains_density(space.rv([1.2, 0.8, 1.0, 1.0]))
+
+
+@st.composite
+def envelope_cases(draw, kind):
+    """Random blocks, segments, kernels around a density, and a test density.
+
+    Minorant kernels are the centre density g scaled per segment by factors
+    in [0.5, 0.95], majorant kernels by factors in [1.05, 1.5], so g is an
+    interior member; the test density moves g by up to +-80% of its value
+    along a zero-mean direction, which makes it a member or not.
+    """
+    n = draw(st.integers(3, 10))
+    coarse = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    fine = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    segments, blocks = {}, {}
+    for w in range(n):
+        segments.setdefault((coarse[w], fine[w]), []).append(w)
+        blocks.setdefault(coarse[w], []).append(w)
+    levels = [list(blocks.values())]
+    if len(segments) > len(blocks):
+        levels.append(list(segments.values()))
+    level_b = len(levels) - 1
+    if len(levels[-1]) < n:
+        levels.append([[w] for w in range(n)])
+    seg_of = np.empty(n, dtype=int)
+    for i, seg in enumerate(levels[level_b]):
+        seg_of[seg] = i
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.uniform(0.05, 1.0, n)
+    probs /= probs.sum()
+    space = FilteredSpace(probs, levels, list(range(len(levels))))
+
+    def per_segment(lo, hi):
+        return rng.uniform(lo, hi, len(levels[level_b]))[seg_of]
+
+    def block_means(values):
+        out = np.empty(n)
+        for block in blocks.values():
+            out[block] = probs[block] @ values[block] / probs[block].sum()
+        return out
+
+    g = per_segment(0.2, 2.0)
+    g = g / block_means(g)
+    nm, nM = (1, 1) if kind == "linear" else (draw(st.integers(1, 3)),
+                                              draw(st.integers(1, 3)))
+    km = [g * per_segment(0.5, 0.95) for _ in range(nm)]
+    kM = [g * per_segment(1.05, 1.5) for _ in range(nM)]
+    d = g * per_segment(-0.8, 0.8)
+    f = g + rng.uniform(0.0, 1.0) * (d - g * block_means(d))
+
+    def rvs(kernels):
+        return [space.rv(k, level_b) for k in kernels]
+
+    bounds = (BoundPair.linear(space, level_b, 0, *rvs(km + kM))
+              if kind == "linear" else
+              BoundPair.polyhedral(space, level_b, 0, rvs(km), rvs(kM)))
+    return space, bounds, km, kM, g, f
+
+
+@pytest.mark.parametrize("kind", ["linear", "polyhedral"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_density_polytope_membership_matches_kernel_oracle(kind, data):
+    space, bounds, km, kM, g, f = data.draw(envelope_cases(kind))
+    poly = density_set(bounds)
+    fine = space.blocks(bounds.level_b)
+    for a, block in enumerate(space.blocks(0)):
+        segments = [seg for seg in fine if seg[0] in block]
+        atoms = list(block)
+        assert scipy_density_margin(segments, km, kM, g) > 1e-6
+        assert poly.contains_on_block(a, g[atoms])
+        margin = scipy_density_margin(segments, km, kM, f)
+        # verdicts within the solver tolerance of the boundary may differ
+        assume(abs(margin) > 1e-6)
+        assert poly.contains_on_block(a, f[atoms]) == (margin > 0)
 
 
 def test_empty_polytope_names_block_and_level():
