@@ -185,7 +185,8 @@ def _check_cocycle(scenario: Scenario, ext: ExtendedSystem, seed: int) -> list:
     return entries
 
 
-def _check_refine(scenario: Scenario, seed: int, tol, coarse_grid) -> dict:
+def _check_refine(scenario: Scenario, seed: int, tol, coarse_grid,
+                  ext_factory) -> dict:
     grid = scenario.system.grid
     if coarse_grid is None:
         coarse_grid = [grid[0], grid[-1]]
@@ -194,9 +195,11 @@ def _check_refine(scenario: Scenario, seed: int, tol, coarse_grid) -> dict:
     except ScenarioError as err:
         raise _Fault(str(err)) from err
     vtol = tol if tol else 1e-8
+    fine_ext = ext_factory()
     try:
         rr = refine_and_compare(sys_coarse, scenario.system, seed=seed,
-                                value_tol=vtol, penalty_tol=vtol)
+                                value_tol=vtol, penalty_tol=vtol,
+                                fine_ext=fine_ext)
     except SystemValidationError as err:
         raise _ValidationStop(err.report) from err
     except PolytopeError as err:
@@ -220,7 +223,7 @@ def _check_refine(scenario: Scenario, seed: int, tol, coarse_grid) -> dict:
 def _section_check(scenario: Scenario, suite: str, seed: int, tol,
                    coarse_grid, ext_factory) -> dict:
     if suite == "refine":
-        return _check_refine(scenario, seed, tol, coarse_grid)
+        return _check_refine(scenario, seed, tol, coarse_grid, ext_factory)
     if suite == "representation":
         entries = _check_representation(scenario, seed, tol)
     elif suite == "sandwich":

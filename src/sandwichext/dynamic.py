@@ -207,8 +207,10 @@ class ExtendedSystem:
     """Per-step maximal extensions plus backward-composed evaluation.
 
     ``report`` is the passing validation the system was extended under.
-    Like :class:`ExtendedOperator`, whose evaluation memo it fills, an
-    instance should be used from one thread at a time.
+    Evaluation and pricing go through the step :class:`ExtendedOperator`
+    objects, which keep mutable state: a bounded evaluation memo and each
+    block program's warm-start basis. Use an instance from one thread at a
+    time.
     """
 
     system: OperatorSystem
@@ -472,13 +474,16 @@ def _same_bounds(a: BoundPair, b: BoundPair) -> bool:
 def refine_and_compare(sys_coarse: OperatorSystem, sys_fine: OperatorSystem,
                        n_payoffs: int = 100, n_densities: int = 20,
                        seed: int = 0, value_tol: float = 1e-8,
-                       penalty_tol: float = 1e-8) -> RefinementReport:
+                       penalty_tol: float = 1e-8, *,
+                       fine_ext: ExtendedSystem | None = None) -> RefinementReport:
     """Composed values fall and penalties rise when the grid refines.
 
     Requires the fine grid to contain the coarse one and the two systems to
     agree on every pair declared by both. Values are compared on random
     payoffs per shared pair; penalties on densities harvested from the
     coarse system's own pricing, factorized into the fine grid.
+    ``fine_ext``, an extension of ``sys_fine`` the caller already holds, is
+    used instead of extending (and so validating) ``sys_fine`` again.
     """
     space = sys_coarse.space
     if not (np.array_equal(space.probs, sys_fine.space.probs)
@@ -495,8 +500,10 @@ def refine_and_compare(sys_coarse: OperatorSystem, sys_fine: OperatorSystem,
         if not _same_bounds(sys_coarse.bounds[pair], sys_fine.bounds[pair]):
             raise ValueError(f"bounds for shared pair {pair} differ")
 
+    if fine_ext is not None and fine_ext.system is not sys_fine:
+        raise ValueError("fine_ext does not extend sys_fine")
     ext_c = extend_system(sys_coarse)
-    ext_f = extend_system(sys_fine)
+    ext_f = fine_ext if fine_ext is not None else extend_system(sys_fine)
     rng = np.random.default_rng(seed)
     entries = []
     max_dec = 0.0

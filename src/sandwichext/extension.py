@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import LinearProgram, solve_lp
+from .lp import Basis, LinearProgram, solve_lp
 from .operators import (BlockPolytope, BoundPair, DensityPolytope, CheckEntry,
                         PolyhedralOperator, PolytopeError, SandwichReport,
                         ValidationReport, check_sandwich)
@@ -46,6 +46,7 @@ CONJ_TOL = 1e-9
 FACE_TOL = 1e-9
 PIN_TOL = 1e-9
 EQ_RANK_TOL = 1e-10
+EVAL_MEMO_SIZE = 4096   # payoffs memoized per ExtendedOperator
 
 
 class DensityError(ValueError):
@@ -214,7 +215,9 @@ def density_set(bounds: BoundPair, space: FilteredSpace | None = None) -> Densit
 class _BlockProgram:
     """Constraint template over z = (f, lift, theta) for one block.
 
-    The (f, lift) part is the block's density polytope ``poly``.
+    The (f, lift) part is the block's density polytope ``poly``. Only the
+    objective changes from payoff to payoff, so ``basis``, the last optimal
+    basis, is a feasible start for the next solve.
     """
 
     poly: BlockPolytope
@@ -225,6 +228,7 @@ class _BlockProgram:
     b_ub: np.ndarray | None
     var_bounds: list[tuple[float, float]]
     penalties: np.ndarray
+    basis: Basis | None = None
 
     @property
     def n_vars(self) -> int:
@@ -236,6 +240,12 @@ class _BlockProgram:
         c[:self.poly.n_f] = (seg.rows.probs / seg.prob) * x_reps
         c[self.poly.n_vars:] = -self.penalties
         return c
+
+    def program(self, x_reps: np.ndarray) -> LinearProgram:
+        return LinearProgram(
+            c=self.objective(x_reps), sense="max", a_eq=self.a_eq,
+            b_eq=self.b_eq, a_ub=self.a_ub, b_ub=self.b_ub,
+            bounds=self.var_bounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,9 +261,10 @@ class ExtendedOperator:
 
     Callable on every fine-level payoff; restriction to the original domain
     reproduces the base operator. Evaluation results are memoized per payoff
-    vector, without a bound; attainment is recomputed on every call.
-    Instances are not safe for concurrent mutation and should be used from
-    one thread at a time.
+    vector in a least-recently-used memo of ``EVAL_MEMO_SIZE`` entries;
+    attainment is recomputed on every call. Every solve also updates its
+    block program's warm-start basis, so even a read mutates the instance:
+    use it from one thread at a time.
     """
 
     base: PolyhedralOperator
@@ -278,27 +289,28 @@ class ExtendedOperator:
         if X.level > self.level_b:
             raise LevelError("payoff finer than the extension level")
         key = X.values.tobytes()
-        hit = self._eval_cache.get(key)
+        hit = self._eval_cache.pop(key, None)
         if hit is not None:
+            self._eval_cache[key] = hit      # dicts keep insertion order: newest last
             return hit
         by_block = np.array([self._solve_block(prog, X.values[prog.poly.seg.reps])[0]
                              for prog in self._programs])
         out = RandomVariable(
             self.space._layout[self.level_a].broadcast(by_block), self.level_a)
         self._eval_cache[key] = out
+        if len(self._eval_cache) > EVAL_MEMO_SIZE:
+            del self._eval_cache[next(iter(self._eval_cache))]
         return out
 
     __call__ = evaluate
 
     def _solve_block(self, prog: _BlockProgram, x_reps: np.ndarray):
-        res = solve_lp(LinearProgram(
-            c=prog.objective(x_reps), sense="max",
-            a_eq=prog.a_eq, b_eq=prog.b_eq, a_ub=prog.a_ub, b_ub=prog.b_ub,
-            bounds=prog.var_bounds))
+        res = solve_lp(prog.program(x_reps), start=prog.basis)
         if res.status != "optimal":
             raise RuntimeError(
                 f"extension block program came back {res.status}; the sandwich "
                 "precondition should rule this out")
+        prog.basis = res.basis
         return res.value, res.x
 
 
@@ -415,7 +427,7 @@ def _center_on_face(prog: _BlockProgram, x_reps: np.ndarray, value: float,
         for row, rhs in zip(prog.a_ub, prog.b_ub):
             slats.append((row, rhs))
 
-    def face_lp(extra_obj, t_rows):
+    def face_lp(extra_obj, t_rows, start=None):
         # variables (z, t); face rows keep z optimal, t_rows couple t
         n_all = nv + 1
         a_eq = np.hstack([prog.a_eq, np.zeros((prog.a_eq.shape[0], 1))])
@@ -431,15 +443,18 @@ def _center_on_face(prog: _BlockProgram, x_reps: np.ndarray, value: float,
         bounds = list(prog.var_bounds) + [(0.0, math.inf)]
         res = solve_lp(LinearProgram(
             c=np.asarray(extra_obj), sense="max", a_eq=a_eq, b_eq=prog.b_eq,
-            a_ub=np.asarray(a_ub), b_ub=np.asarray(b_ub), bounds=bounds))
+            a_ub=np.asarray(a_ub), b_ub=np.asarray(b_ub), bounds=bounds),
+            start=start)
         if res.status != "optimal":
             raise RuntimeError(f"centering LP came back {res.status}")
         return res
 
     free = []
+    basis = None        # the slack LPs share their rows: each starts warm
     for row, rhs in slats:
         c = np.append(-row, 0.0)     # maximize slack = rhs - row.z
-        res = face_lp(c, [])
+        res = face_lp(c, [], basis)
+        basis = res.basis
         if res.value + rhs >= FACE_TOL:
             free.append((row, rhs))
     if not free:

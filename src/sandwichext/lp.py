@@ -1,10 +1,21 @@
 """Dense linear programming kernel and the box-budget support function.
 
 The solver is a two-phase primal simplex on the standard form min c.u,
-A u = b, u >= 0, with Bland's least-index pivoting rule, so it cannot cycle
-and is fully deterministic. Problems in this package are tiny (tens of
-variables), so the basis system is re-solved from scratch at every pivot;
-there is no tableau drift to manage.
+A u = b, u >= 0, with Bland's least-index pivoting rule, so it cannot cycle.
+Problems in this package are tiny (tens of variables), so every pivot inverts
+the basis matrix afresh, once, and reuses the inverse for the basic
+solution, the duals and the entering column; there is no tableau drift to
+manage.
+
+An optimal result carries its final basis. Passing it back as ``start`` to
+a program with the same constraints (typically another objective) skips
+phase 1, which is most of the pivots when the same constraints are solved
+again and again. A start that is not a feasible basis of the new program is
+ignored, so a stale basis costs time but never changes an answer.
+
+Determinism: the same sequence of calls gives the same bytes. A warm start
+may end on a different vertex of a non-unique optimum than a cold solve,
+with the same optimal value.
 
 Status is a strict trichotomy. Optimal results carry the dual objective
 reconstructed from the final basis, unbounded results carry an improving ray
@@ -20,16 +31,19 @@ solver-free twin of the same LP and the pair is cross-checked in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 FEAS_TOL = 1e-9
 COST_TOL = 1e-9
 PIVOT_TOL = 1e-11
+DROP_TOL = 1e-8         # a row whose entries off the basis all lie within this is redundant
 MAX_ITER = 1_000_000
 
 _INF = math.inf
+
+Basis = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class LpError(Exception):
@@ -89,289 +103,244 @@ class LinearProgram:
     def n_vars(self) -> int:
         return self.c.size
 
+    def _rows(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) of the ``"eq"`` or ``"ub"`` rows, empty when there are none."""
+        a = getattr(self, f"a_{kind}")
+        if a is None:
+            return np.zeros((0, self.n_vars)), np.zeros(0)
+        return a, getattr(self, f"b_{kind}")
+
 
 @dataclass(frozen=True)
 class LpResult:
+    """Outcome of ``solve_lp``.
+
+    ``iterations`` counts the simplex passes this call made, phase 1 only
+    when it ran. An optimal result's ``basis`` is the pair (kept
+    standard-form rows, basic columns) that ``solve_lp`` accepts as
+    ``start``; it is None for any other status.
+    """
+
     status: str                       # "optimal" | "unbounded" | "infeasible"
     value: float
     x: np.ndarray | None = None
     dual_objective: float | None = None
     certificate: dict | None = None
     iterations: int = 0
+    basis: Basis | None = None
 
 
 def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
-             start_iter: int = 0):
-    """Bland-rule primal simplex from a feasible basis. Returns
-    (status, basis, x_basic, y, iterations); status 'optimal' or 'unbounded'
-    (with entering column j and direction d attached for rays)."""
-    m, n = a.shape
+             start_iter: int = 0, binv: np.ndarray | None = None):
+    """Bland-rule primal simplex from a feasible basis, whose inverse may be
+    given. Returns (status, basis, x_basic, y, iterations); status 'optimal'
+    or 'unbounded' (with entering column j and direction d attached for
+    rays)."""
     it = start_iter
+    basis = np.array(basis, dtype=np.intp)     # a list index is converted on every use
     while True:
         if it > MAX_ITER:
             raise LpError("simplex iteration cap exceeded")
         it += 1
-        bmat = a[:, basis]
-        xb = np.linalg.solve(bmat, b)
-        y = np.linalg.solve(bmat.T, c[basis])
-        reduced = c - a.T @ y
-        entering = -1
-        for j in range(n):
-            if j in basis:
-                continue
-            if reduced[j] < -COST_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal", basis, xb, y, it, None, None
-        d = np.linalg.solve(bmat, a[:, entering])
-        ratios = []
-        for i in range(m):
-            if d[i] > PIVOT_TOL:
-                ratios.append((xb[i] / d[i], basis[i], i))
+        if binv is None:
+            binv = np.linalg.inv(a[:, basis])
+        xb = binv @ b
+        y = c[basis] @ binv
+        reduced = c - y @ a
+        reduced[basis] = 0.0
+        entering = int((reduced < -COST_TOL).argmax())
+        if reduced[entering] >= -COST_TOL:
+            return "optimal", basis.tolist(), xb, y, it, None, None
+        d = binv @ a[:, entering]
+        # a few rows: the ratio test runs on Python floats
+        ratios = [(x / di, bi, i) for i, (x, di, bi) in enumerate(
+            zip(xb.tolist(), d.tolist(), basis.tolist())) if di > PIVOT_TOL]
         if not ratios:
-            return "unbounded", basis, xb, y, it, entering, d
-        theta = min(r[0] for r in ratios)
+            return "unbounded", basis.tolist(), xb, y, it, entering, d
+        theta = min(ratios)[0]
         # Bland: among minimal ratios leave the smallest basic variable index
-        leave_row = min((bi, i) for t, bi, i in ratios if t <= theta + PIVOT_TOL)[1]
-        basis[leave_row] = entering
+        basis[min(r[1:] for r in ratios if r[0] <= theta + PIVOT_TOL)[1]] = entering
+        binv = None
 
 
-def solve_lp(lp: LinearProgram) -> LpResult:
-    """Solve a small dense LP with exact status certificates."""
+def _warm_basis(amat: np.ndarray, bvec: np.ndarray, start):
+    """(rows, basis, B^-1) from ``start`` if it is a feasible basis of A u = b.
+
+    The indices must fit, the basis matrix must be nonsingular, the basic
+    solution nonnegative and every row, dropped ones included, must hold at
+    it. A dropped row must also be a combination of the kept rows, so that it
+    keeps holding while phase 2 moves. Anything else gives None.
+    """
+    m, n = amat.shape
+    try:
+        rows, basis = ([int(i) for i in s] for s in start)
+    except (TypeError, ValueError):
+        return None
+    if len(rows) != len(basis) or rows != sorted(set(rows)) \
+            or len(set(basis)) != len(basis) or (rows and not 0 <= rows[0] <= rows[-1] < m) \
+            or not all(0 <= j < n for j in basis):
+        return None
+    kept = amat[rows]
+    try:
+        binv = np.linalg.inv(kept[:, basis])
+    except np.linalg.LinAlgError:
+        return None
+    u = np.zeros(n)
+    u[basis] = binv @ bvec[rows]
+    # written so that NaN fails every test
+    if not (u.min(initial=0.0) >= -FEAS_TOL
+            and np.abs(amat @ u - bvec).max(initial=0.0) <= FEAS_TOL):
+        return None
+    if len(rows) < m:
+        dropped = np.delete(amat, rows, axis=0)
+        if not np.abs(dropped - dropped[:, basis] @ binv @ kept).max() <= DROP_TOL:
+            return None
+    return rows, basis, binv
+
+
+def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
+    """Solve a small dense LP with exact status certificates.
+
+    ``start`` is the ``basis`` of an earlier optimal result. When it is a
+    feasible basis of this program (see ``_warm_basis``) phase 2 starts from
+    it and phase 1 is skipped; otherwise phase 1 runs as if it were None.
+    """
     n = lp.n_vars
     sgn = 1.0 if lp.sense == "min" else -1.0
-    c_orig = lp.c
+    lo, hi = np.array(lp.bounds, dtype=float).reshape(n, 2).T
+    a_eq, b_eq = lp._rows("eq")
+    a_ub, b_ub = lp._rows("ub")
 
-    # --- substitution to u >= 0 -------------------------------------------
-    # per original variable: (kind, u-index or (u+, u-), shift)
-    cols: list[np.ndarray] = []     # u-columns expressed over original vars
-    var_map = []
-    bound_rows = []                 # (u_index, cap, orig_var) for two-sided vars
-    u_cost = []
-    for j, (lo, hi) in enumerate(lp.bounds):
-        # reversed finite bounds yield a negative-capacity row; phase 1
-        # certifies the resulting infeasibility like any other
-        e = np.zeros(n)
-        e[j] = 1.0
-        if lo > -_INF:
-            var_map.append(("lo", len(cols), lo))
-            u_cost.append(sgn * c_orig[j])
-            cols.append(e)
-            if hi < _INF:
-                bound_rows.append((len(cols) - 1, hi - lo, j))
-        elif hi < _INF:
-            var_map.append(("hi", len(cols), hi))
-            u_cost.append(-sgn * c_orig[j])
-            cols.append(-e)
-        else:
-            var_map.append(("free", (len(cols), len(cols) + 1), 0.0))
-            u_cost.append(sgn * c_orig[j])
-            u_cost.append(-sgn * c_orig[j])
-            cols.append(e)
-            cols.append(-e)
-    umat = np.column_stack(cols) if cols else np.zeros((n, 0))
-    # x = shift + signed u contributions
-    shift = np.zeros(n)
-    for j, (kind, pos, s) in enumerate(var_map):
-        shift[j] = s
+    # --- substitution x = shift + umat @ u with u >= 0 ---------------------
+    # x_j = lo_j + u with a finite lower bound, hi_j - u with only an upper
+    # one, u+ - u- when free. A finite upper bound on the first kind becomes
+    # a row u + slack = hi_j - lo_j; reversed bounds give a negative capacity,
+    # which phase 1 certifies infeasible like any other row.
+    has_lo, has_hi = lo > -_INF, hi < _INF
+    free = ~(has_lo | has_hi)
+    var = np.repeat(np.arange(n), 1 + free)          # original variable per u
+    sign = np.where(has_hi & ~has_lo, -1.0, 1.0)[var]
+    sign[1:][var[1:] == var[:-1]] = -1.0              # the u- of a free variable
+    n_u = var.size
+    umat = np.zeros((n, n_u))
+    umat[var, np.arange(n_u)] = sign
+    shift = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    boxed = np.flatnonzero(has_lo & has_hi)
 
-    n_u = umat.shape[1]
+    # --- rows: equalities, inequalities, bounds; slacks on the last two ----
+    m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
+    m = m_eq + m_ub + boxed.size
+    n_s = n_u + m - m_eq
+    amat = np.zeros((m, n_s))
+    amat[:m_eq, :n_u] = a_eq @ umat
+    amat[m_eq:m_eq + m_ub, :n_u] = a_ub @ umat
+    amat[np.arange(m_eq + m_ub, m), np.searchsorted(var, boxed)] = 1.0
+    amat[m_eq:, n_u:] = np.eye(m - m_eq)
+    bvec = np.concatenate([b_eq - a_eq @ shift, b_ub - a_ub @ shift,
+                           hi[boxed] - lo[boxed]])
+    flips = np.where(bvec < 0, -1.0, 1.0)
+    amat *= flips[:, None]
+    bvec *= flips
+    cost = np.concatenate([sgn * lp.c[var] * sign, np.zeros(n_s - n_u)])
+    const = float(sgn * (lp.c @ shift))
 
-    # --- rows --------------------------------------------------------------
-    rows = []
-    rhs = []
-    row_tag = []                    # ("eq", i) | ("ub", i) | ("bnd", var)
-    if lp.a_eq is not None:
-        for i in range(lp.a_eq.shape[0]):
-            rows.append(lp.a_eq[i] @ umat)
-            rhs.append(lp.b_eq[i] - lp.a_eq[i] @ shift)
-            row_tag.append(("eq", i))
-    n_slack = 0
-    slack_for_row = {}
-    if lp.a_ub is not None:
-        for i in range(lp.a_ub.shape[0]):
-            rows.append(lp.a_ub[i] @ umat)
-            rhs.append(lp.b_ub[i] - lp.a_ub[i] @ shift)
-            row_tag.append(("ub", i))
-            slack_for_row[len(rows) - 1] = n_slack
-            n_slack += 1
-    for u_idx, cap, j in bound_rows:
-        r = np.zeros(n_u)
-        r[u_idx] = 1.0
-        rows.append(r)
-        rhs.append(cap)
-        row_tag.append(("bnd", j))
-        slack_for_row[len(rows) - 1] = n_slack
-        n_slack += 1
-
-    m = len(rows)
-    amat = np.zeros((m, n_u + n_slack))
-    bvec = np.zeros(m)
-    for i in range(m):
-        amat[i, :n_u] = rows[i]
-        bvec[i] = rhs[i]
-        if i in slack_for_row:
-            amat[i, n_u + slack_for_row[i]] = 1.0
-    flips = np.ones(m)
-    for i in range(m):
-        if bvec[i] < 0:
-            amat[i] *= -1.0
-            bvec[i] *= -1.0
-            flips[i] = -1.0
-
-    cost = np.concatenate([np.asarray(u_cost), np.zeros(n_slack)])
-    const = float(sgn * (c_orig @ shift))
-
-    def to_x(u: np.ndarray) -> np.ndarray:
-        x = shift.copy()
-        for j, (kind, pos, s) in enumerate(var_map):
-            if kind == "lo":
-                x[j] = s + u[pos]
-            elif kind == "hi":
-                x[j] = s - u[pos]
-            else:
-                x[j] = u[pos[0]] - u[pos[1]]
-        return x
-
-    # --- phase 1 -----------------------------------------------------------
+    # --- phase 1, unless the start is a feasible basis ---------------------
     iters = 0
-    if m > 0:
+    binv = None
+    warm = None if start is None else _warm_basis(amat, bvec, start)
+    if warm is not None:
+        rows, basis, binv = warm
+    else:
         a1 = np.hstack([amat, np.eye(m)])
-        c1 = np.concatenate([np.zeros(n_u + n_slack), np.ones(m)])
-        basis = list(range(n_u + n_slack, n_u + n_slack + m))
-        status, basis, xb, y, iters, _, _ = _simplex(a1, bvec, c1, basis)
+        c1 = np.concatenate([np.zeros(n_s), np.ones(m)])
+        status, basis, xb, y, iters, _, _ = _simplex(
+            a1, bvec, c1, list(range(n_s, n_s + m)))
         if status != "optimal":              # phase 1 is always bounded below
             raise LpError("phase 1 reported unbounded")
         if float(c1[basis] @ xb) > FEAS_TOL:
-            cert = _farkas_certificate(lp, y, flips, row_tag)
+            cert = _farkas_certificate(lp, y, flips, m_eq, boxed)
             return LpResult("infeasible", math.nan, None, None, cert, iters)
         # Drive artificials out or drop redundant rows. The phase-1 objective
         # above already certifies feasibility, yet an ill-conditioned basis
         # can park artificial pairs at small nonzero levels of opposite sign,
         # so every remaining artificial is handled here, not just the ones at
         # numerical zero; re-solving from the cleaned basis restores accuracy.
-        keep = list(range(m))
+        keep = np.ones(m, dtype=bool)
         for i in range(m):
-            if basis[i] >= n_u + n_slack:
-                bi = a1[:, [bb for bb in basis]]
-                binv_row = np.linalg.solve(bi.T, np.eye(m)[i])
-                row_in_cols = binv_row @ amat
-                pivot_col = -1
-                for j in range(n_u + n_slack):
-                    if j not in basis and abs(row_in_cols[j]) > 1e-8:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    basis[i] = pivot_col
+            if basis[i] >= n_s:
+                row = np.linalg.solve(a1[:, basis].T, np.eye(m)[i]) @ amat
+                row[[bi for bi in basis if bi < n_s]] = 0.0
+                cand = np.flatnonzero(np.abs(row) > DROP_TOL)
+                if cand.size:
+                    basis[i] = int(cand[0])
                 else:
-                    keep[i] = -1
-        if any(k < 0 for k in keep):
-            sel = [i for i in range(m) if keep[i] >= 0]
-            amat = amat[sel]
-            bvec = bvec[sel]
-            flips = flips[sel]
-            row_tag = [row_tag[i] for i in sel]
-            basis = [basis[i] for i in sel]
-            m = len(sel)
-        if any(bi >= n_u + n_slack for bi in basis):
-            raise LpError("artificial variable stuck in basis")
-    else:
-        basis = []
+                    keep[i] = False
+        rows = np.flatnonzero(keep).tolist()
+        basis = [basis[i] for i in rows]
 
     # --- phase 2 -----------------------------------------------------------
+    b2 = bvec[rows]
     status, basis, xb, y, iters, enter, d = _simplex(
-        amat, bvec, cost, basis, iters)
-    u = np.zeros(n_u + n_slack)
-    for i, bi in enumerate(basis):
-        u[bi] = xb[i]
-    x_here = to_x(u[:n_u])
+        amat[rows], b2, cost, basis, iters, binv)
+    u = np.zeros(n_s)
+    u[basis] = xb
+    x_here = shift + umat @ u[:n_u]
     if status == "unbounded":
-        ray_u = np.zeros(n_u + n_slack)
+        ray_u = np.zeros(n_s)
         ray_u[enter] = 1.0
-        for i, bi in enumerate(basis):
-            ray_u[bi] = -d[i]
-        ray = to_x(ray_u[:n_u]) - shift
+        ray_u[basis] = -d
         value = -_INF if lp.sense == "min" else _INF
-        cert = {"kind": "ray", "ray": ray, "from_point": x_here}
+        cert = {"kind": "ray", "ray": umat @ ray_u[:n_u], "from_point": x_here}
         return LpResult("unbounded", value, None, None, cert, iters)
 
     # loud failure beats a silently corrupted answer: a basis bad enough to
     # break feasibility at this scale of problem is a bug, not an outcome
-    resid = 0.0
-    if lp.a_eq is not None:
-        resid = max(resid, float(np.abs(lp.a_eq @ x_here - lp.b_eq).max()))
-    if lp.a_ub is not None:
-        resid = max(resid, float(np.maximum(lp.a_ub @ x_here - lp.b_ub, 0.0).max()))
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if lo > -_INF:
-            resid = max(resid, lo - x_here[j])
-        if hi < _INF:
-            resid = max(resid, x_here[j] - hi)
+    resid = max(np.abs(a_eq @ x_here - b_eq).max(initial=0.0),
+                (a_ub @ x_here - b_ub).max(initial=0.0),
+                (lo - x_here).max(), (x_here - hi).max(), 0.0)
     if resid > 1e-6:
         raise LpError(f"optimal basis fails feasibility re-check ({resid:.3e})")
 
-    value = float(c_orig @ x_here)
-    dual_objective = float(sgn * (y @ bvec + const)) if m > 0 else float(sgn * const)
-    return LpResult("optimal", value, x_here, dual_objective, None, iters)
+    value = float(lp.c @ x_here)
+    dual_objective = float(sgn * (y @ b2 + const))
+    return LpResult("optimal", value, x_here, dual_objective, None, iters,
+                    (tuple(rows), tuple(basis)))
 
 
 def _farkas_certificate(lp: LinearProgram, y_std: np.ndarray, flips: np.ndarray,
-                        row_tag: list) -> dict:
+                        m_eq: int, boxed: np.ndarray) -> dict:
     """Aggregate phase-1 duals into an original-space infeasibility witness.
 
     The certificate is the functional phi(x) = y_eq.A_eq x + y_ub.A_ub x
     + sum_j y_bnd[j] x_j with y_ub, y_bnd >= 0, whose maximum of the
     right-hand sides is strictly below the minimum of phi over the bound box.
     Verified numerically here; on failure the raw multipliers are returned.
+    The standard-form rows are the equalities, the inequalities, then one
+    bound row per ``boxed`` variable.
     """
     n = lp.n_vars
-    m_eq = lp.a_eq.shape[0] if lp.a_eq is not None else 0
-    m_ub = lp.a_ub.shape[0] if lp.a_ub is not None else 0
-    y_eq = np.zeros(m_eq)
-    y_ub = np.zeros(m_ub)
+    lo, hi = np.array(lp.bounds, dtype=float).reshape(n, 2).T
+    a_eq, b_eq = lp._rows("eq")
+    a_ub, b_ub = lp._rows("ub")
+    y_rows = -flips * y_std
+    m_ub = a_ub.shape[0]
     y_bnd = np.zeros(n)
-    for k, tag in enumerate(row_tag):
-        val = -flips[k] * y_std[k]
-        if tag[0] == "eq":
-            y_eq[tag[1]] = val
-        elif tag[0] == "ub":
-            y_ub[tag[1]] = val
-        else:
-            y_bnd[tag[1]] = val
+    y_bnd[boxed] = y_rows[m_eq + m_ub:]
     for sign in (1.0, -1.0):
-        ye, yu, yb = sign * y_eq, sign * y_ub, sign * y_bnd
+        ye, yu, yb = (sign * y_rows[:m_eq], sign * y_rows[m_eq:m_eq + m_ub],
+                      sign * y_bnd)
         if np.any(yu < -1e-12) or np.any(yb < -1e-12):
             continue
         yu = np.maximum(yu, 0.0)
         yb = np.maximum(yb, 0.0)
-        a = np.zeros(n)
-        if m_eq:
-            a += ye @ lp.a_eq
-        if m_ub:
-            a += yu @ lp.a_ub
-        a += yb
-        beta = 0.0
-        if m_eq:
-            beta += float(ye @ lp.b_eq)
-        if m_ub:
-            beta += float(yu @ lp.b_ub)
-        beta += sum(yb[j] * lp.bounds[j][1] for j in range(n) if yb[j] > 0)
-        box_min = 0.0
-        ok = True
-        for j in range(n):
-            lo, hi = lp.bounds[j]
-            if a[j] > 1e-12:
-                if lo == -_INF:
-                    ok = False
-                    break
-                box_min += a[j] * lo
-            elif a[j] < -1e-12:
-                if hi == _INF:
-                    ok = False
-                    break
-                box_min += a[j] * hi
-        if ok and box_min > beta + 1e-10:
+        a = ye @ a_eq + yu @ a_ub + yb
+        on = yb > 0
+        beta = float(ye @ b_eq + yu @ b_ub + yb[on] @ hi[on])
+        pos, neg = a > 1e-12, a < -1e-12
+        if np.any(lo[pos] == -_INF) or np.any(hi[neg] == _INF):
+            continue
+        box_min = float(a[pos] @ lo[pos] + a[neg] @ hi[neg])
+        if box_min > beta + 1e-10:
             return {"kind": "farkas", "y_eq": ye, "y_ub": yu, "y_bounds": yb,
                     "gap": box_min - beta}
     return {"kind": "farkas_raw", "y": y_std.copy()}

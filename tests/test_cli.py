@@ -176,7 +176,7 @@ def test_failing_axiom_exits_1_with_fail_rows(tmp_path, capsys):
     assert "result: FAIL" in captured.out
 
 
-def test_report_validates_the_declared_system_once(monkeypatch, capsys):
+def _count_validations(monkeypatch) -> list:
     calls = []
     real = sandwichext.validate_system
 
@@ -186,10 +186,24 @@ def test_report_validates_the_declared_system_once(monkeypatch, capsys):
 
     monkeypatch.setattr("sandwichext.dynamic.validate_system", counted)
     monkeypatch.setattr("sandwichext.cli.validate_system", counted)
+    return calls
+
+
+def test_report_validates_the_declared_system_once(monkeypatch, capsys):
+    calls = _count_validations(monkeypatch)
     # fix_a has no refine task, so nothing else extends a system
     assert main(["report", "--input", str(fixture_path("fix_a.json"))]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_refine_report_reuses_the_report_extension(monkeypatch, capsys):
+    calls = _count_validations(monkeypatch)
+    assert main(["report", "--input", str(fixture_path("fix_refine.json"))]) == 0
+    capsys.readouterr()
+    # the declared system once, the refine task's coarse subsystem once
+    assert len(calls) == 2
+    assert calls[1] is not calls[0]
 
 
 def test_failing_validation_report_keeps_operator_rows(tmp_path, capsys):

@@ -244,6 +244,10 @@ def test_refinement_shrinks_values_frozen_case():
     assert vf == pytest.approx(0.5625, abs=TOL)
     rep = refine_and_compare(coarse, fine, n_payoffs=40, n_densities=10, seed=1)
     assert rep.passed, [e.name for e in rep.report.failures()]
+    # an extension the caller holds gives the same report
+    again = refine_and_compare(coarse, fine, n_payoffs=40, n_densities=10,
+                               seed=1, fine_ext=extend_system(fine))
+    assert again.report == rep.report
     assert rep.max_decrease > 1e-6
     assert rep.witness_pair == (0, 2)
     by_name = {e.name: e for e in rep.report.entries}
@@ -282,3 +286,6 @@ def test_refinement_input_guards():
         {(0, 2): box(space, 0, 2, 0.25, 4.0)})
     with pytest.raises(ValueError, match="shared pair"):
         refine_and_compare(tight, fine, n_payoffs=2, n_densities=2)
+    with pytest.raises(ValueError, match="does not extend"):
+        refine_and_compare(coarse, fine, n_payoffs=2, n_densities=2,
+                           fine_ext=extend_system(coarse))

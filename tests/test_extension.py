@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
+import sandwichext.extension
+from conftest import enclosing_bounds, fixture_path, random_polyhedral
 from sandwichext import (
     BoundPair,
     DensityError,
@@ -15,8 +19,11 @@ from sandwichext import (
     attain,
     conjugate,
     density_set,
+    extend_system,
+    load_scenario,
     maximal_extension,
     minimal_penalty,
+    solve_lp,
     span_closure,
     verify_representation,
 )
@@ -220,3 +227,100 @@ def test_polytope_feasible_points_are_members(two_atom, three_atom):
         for a, bp in enumerate(poly.blocks):
             assert poly.contains_on_block(
                 a, bp.seg.rows.broadcast(bp.feasible_point[:bp.n_f]))
+
+
+def test_evaluation_memo_is_a_bounded_lru(three_atom, monkeypatch):
+    monkeypatch.setattr(sandwichext.extension, "EVAL_MEMO_SIZE", 3)
+    ext = maximal_extension(three_atom.op, three_atom.bounds)
+    space = three_atom.space
+    xs = [space.rv([float(k), -1.0, 0.5 * k]) for k in range(6)]
+    first = [ext.evaluate(x) for x in xs[:3]]
+    assert ext.evaluate(xs[0]) is first[0]          # a hit refreshes xs[0]
+    ext.evaluate(xs[3])
+    assert list(ext._eval_cache) == [xs[k].values.tobytes() for k in (2, 0, 3)]
+    for x in xs[4:]:
+        ext.evaluate(x)
+        assert len(ext._eval_cache) == 3
+    # evicted payoffs are solved again, to the same bytes
+    for x, out in zip(xs[:3], first):
+        assert ext.evaluate(x).values.tobytes() == out.values.tobytes()
+
+
+@pytest.mark.parametrize("name", ["fix_a.json", "fix_b.json", "fix_c_linear.json",
+                                  "fix_c_restricted.json", "fix_refine.json"])
+def test_stored_basis_restarts_each_block_program_in_one_pass(name):
+    system = load_scenario(fixture_path(name)).system
+    ext = extend_system(system)
+    rng = np.random.default_rng(SEED + 2)
+    for k, (s, t) in enumerate(system.adjacent_pairs):
+        step = ext.step(k)
+        vals = np.empty(system.space.n_atoms)
+        for block in system.space.blocks(t):
+            vals[list(block)] = rng.normal()
+        X = system.space.rv(vals, t)
+        attain(step, X)
+        step.evaluate(system.space.rv(X.values + 1.0, t))
+        for prog in step._programs:
+            x_reps = X.values[prog.poly.seg.reps] + 1.0
+            res = solve_lp(prog.program(x_reps), start=prog.basis)
+            assert res.iterations == 1
+            assert res.basis == prog.basis
+
+
+@st.composite
+def small_extensions(draw):
+    """A one-step operator from the atoms to 1-2 blocks of 2-3 atoms, its
+    enclosing linear bounds and a pool of payoffs."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=2))
+    n = sum(sizes)
+    probs = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    probs /= probs.sum()
+    probs[-1] = 1.0 - probs[:-1].sum()
+    cuts = np.cumsum(sizes)[:-1]
+    space = FilteredSpace(
+        probs, [[list(range(n))],
+                [b.tolist() for b in np.split(np.arange(n), cuts)],
+                [[i] for i in range(n)]], [0, 1, 2])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gens = [space.rv(rng.normal(size=n)) for _ in range(draw(st.integers(0, 1)))]
+    op = random_polyhedral(space, 2, 1, rng, domain=span_closure(space, 2, 1, gens))
+    # enclosing_bounds floors the lower bound at 1e-2
+    assume(min(pc.density.values.min() for pc in op.pieces) > 0.02)
+    bounds = enclosing_bounds(space, 2, 1, op, slack=(
+        draw(st.floats(0.3, 0.95)), draw(st.floats(1.05, 2.0))))
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    payoffs = [space.rv(rng.normal(size=n) * scale) for _ in range(4)]
+    return op, bounds, payoffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=small_extensions(),
+       history=st.lists(st.tuples(st.booleans(), st.integers(0, 3)), max_size=10))
+def test_warm_extension_matches_a_fresh_one_and_the_oracles(case, history):
+    op, bounds, payoffs = case
+    ext = maximal_extension(op, bounds)
+    for use_attain, i in history:
+        if use_attain:
+            attain(ext, payoffs[i])
+        else:
+            ext.evaluate(payoffs[i])
+    for X in payoffs:
+        scale = max(1.0, float(np.abs(X.values).max()))
+        value = ext.evaluate(X).values
+        cold = maximal_extension(op, bounds).evaluate(X).values
+        np.testing.assert_allclose(value, cold, rtol=0.0, atol=1e-9 * scale)
+        att = attain(ext, X)
+        np.testing.assert_allclose(att.value.values, value, rtol=0.0,
+                                   atol=1e-9 * scale)
+        # independent routes: vertex enumeration and scipy's conjugate
+        np.testing.assert_allclose(value, oracles.vertex_dual_max(op, bounds, X),
+                                   rtol=0.0, atol=VALUE_TOL * scale)
+        f = att.density.values
+        np.testing.assert_allclose(att.penalty.by_block,
+                                   oracles.scipy_conjugate(op, f), rtol=0.0,
+                                   atol=VALUE_TOL * scale)
+        for a, block in enumerate(op.space.blocks(1)):
+            ix = list(block)
+            p = op.space.probs[ix]
+            priced = p @ (f[ix] * X.values[ix]) / p.sum() - att.penalty.by_block[a]
+            assert abs(priced - value[ix[0]]) <= 1e-8 * scale

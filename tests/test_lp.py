@@ -165,3 +165,141 @@ def test_result_is_plain_data():
     assert isinstance(res, LpResult)
     assert res.status == "optimal" and res.value == 0.0
     assert res.certificate is None
+
+
+def _random_program(rng):
+    """A feasible program with boxed, one-sided and free variables.
+
+    A planted point keeps it feasible; free variables make some unbounded.
+    """
+    n = int(rng.integers(2, 6))
+    m_eq = int(rng.integers(1, 3))
+    m_ub = int(rng.integers(0, 3))
+    x0 = rng.uniform(0.0, 1.0, size=n)
+    kinds = rng.integers(0, 4, size=n)
+    bounds = tuple(((0.0, 2.0), (0.0, math.inf), (-math.inf, 1.5),
+                    (-math.inf, math.inf))[k] for k in kinds)
+    a_eq = rng.normal(size=(m_eq, n))
+    a_ub = rng.normal(size=(m_ub, n))
+    b_ub = a_ub @ x0 + rng.uniform(0.0, 0.5, size=m_ub)
+    return dict(c=rng.normal(size=n), a_eq=a_eq, b_eq=a_eq @ x0,
+                a_ub=a_ub if m_ub else None, b_ub=b_ub if m_ub else None,
+                bounds=bounds)
+
+
+def _same_result(a, b):
+    assert (a.status, a.iterations, a.basis) == (b.status, b.iterations, b.basis)
+    assert np.array_equal(a.value, b.value, equal_nan=True)
+    assert a.dual_objective == b.dual_objective
+    if a.x is None:
+        assert b.x is None
+    else:
+        assert a.x.tobytes() == b.x.tobytes()
+
+
+def test_warm_start_from_another_objective_matches_cold():
+    rng = np.random.default_rng(SEED + 2)
+    statuses = set()
+    for _ in range(80):
+        spec = _random_program(rng)
+        first = solve_lp(LinearProgram(**spec))
+        if first.status != "optimal":
+            continue
+        spec["c"] = rng.normal(size=spec["c"].size)
+        lp = LinearProgram(**spec)
+        cold = solve_lp(lp)
+        warm = solve_lp(lp, start=first.basis)
+        statuses.add(cold.status)
+        assert warm.status == cold.status
+        if cold.status == "optimal":
+            assert abs(warm.value - cold.value) < DUAL_TOL
+            assert abs(warm.dual_objective - cold.dual_objective) < DUAL_TOL
+            assert abs(warm.value - warm.dual_objective) < DUAL_TOL
+            # the final basis restarts its own program in a single pass
+            again = solve_lp(lp, start=warm.basis)
+            assert again.iterations == 1 and again.basis == warm.basis
+            assert again.value == warm.value
+    assert statuses == {"optimal", "unbounded"}
+
+
+def test_invalid_starts_give_the_cold_result():
+    rng = np.random.default_rng(SEED + 3)
+    for _ in range(30):
+        spec = _random_program(rng)
+        lp = LinearProgram(**spec)
+        cold = solve_lp(lp)
+        if cold.status != "optimal" or len(cold.basis[1]) < 2:
+            continue
+        rows, cols = cold.basis
+        bad = [
+            (rows, cols[:-1]),                          # wrong length
+            (rows[:-1], cols[:-1]),                     # drops a needed row
+            (rows, (10_000,) + cols[1:]),               # column out of range
+            ((-1,) + rows[1:], cols),                   # row out of range
+            (rows, (cols[1],) + cols[1:]),              # repeated column
+            (rows[::-1], cols),                         # rows out of order
+            "not a basis",
+        ]
+        for start in bad:
+            _same_result(solve_lp(lp, start=start), cold)
+
+
+def test_singular_and_infeasible_starts_give_the_cold_result():
+    # x0 free: its standard-form columns u+ and u- are opposite, so a basis
+    # holding both is singular
+    lp = LinearProgram(c=[1.0, 1.0, 1.0], a_eq=[[1.0, 2.0, 0.0], [1.0, 0.0, 1.0]],
+                       b_eq=[1.0, 1.0],
+                       bounds=((-math.inf, math.inf), (0.0, math.inf), (0.0, math.inf)))
+    cold = solve_lp(lp)
+    assert cold.status == "optimal"
+    _same_result(solve_lp(lp, start=((0, 1), (0, 1))), cold)
+    # min x0 + x1 over x0 - x1 = 1 ends on the basis {x0}; with the
+    # right-hand side -1 that basis puts x0 at -1
+    first = solve_lp(LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[1.0]))
+    assert first.basis == ((0,), (0,))
+    moved = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[-1.0])
+    cold = solve_lp(moved)
+    _same_result(solve_lp(moved, start=first.basis), cold)
+    np.testing.assert_allclose(cold.x, [0.0, 1.0], atol=1e-12)
+    # an infeasible program stays infeasible from any start
+    empty = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[3.0],
+                          bounds=((0.0, 1.0), (0.0, 1.0)))
+    _same_result(solve_lp(empty, start=((0, 1, 2), (0, 1, 2))), solve_lp(empty))
+
+
+def test_warm_start_sequences_repeat_bytes():
+    def run():
+        rng = np.random.default_rng(SEED + 4)
+        out = []
+        spec = _random_program(rng)
+        while solve_lp(LinearProgram(**spec)).status != "optimal":
+            spec = _random_program(rng)
+        start = None
+        for _ in range(12):
+            spec["c"] = rng.normal(size=spec["c"].size)
+            res = solve_lp(LinearProgram(**spec), start=start)
+            start = res.basis if res.status == "optimal" else start
+            out.append(res)
+        return out
+
+    for a, b in zip(run(), run(), strict=True):
+        _same_result(a, b)
+
+
+def test_start_that_dropped_a_row_the_new_program_needs():
+    # phase 1 drops one of two proportional rows; in the second program that
+    # row is independent, holds at the start's vertex, yet bounds the optimum
+    first = solve_lp(LinearProgram(c=[-1.0, 0.0], a_eq=[[1.0, 1.0], [2.0, 2.0]],
+                                   b_eq=[1.0, 2.0]))
+    assert len(first.basis[0]) == 1
+    lp = LinearProgram(c=[0.0, -1.0], a_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[1.0, 1.0])
+    cold = solve_lp(lp)
+    assert cold.status == "optimal"
+    np.testing.assert_allclose(cold.x, [1.0, 0.0], atol=1e-12)
+    _same_result(solve_lp(lp, start=first.basis), cold)
+    # the same two rows with a right-hand side that breaks the dropped one
+    clash = LinearProgram(c=[-1.0, 0.0], a_eq=[[1.0, 1.0], [2.0, 2.0]],
+                          b_eq=[1.0, 3.0])
+    cold = solve_lp(clash)
+    assert cold.status == "infeasible"
+    _same_result(solve_lp(clash, start=first.basis), cold)
