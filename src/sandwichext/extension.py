@@ -23,10 +23,14 @@ The tests cross-check the value against a solver-free grid minimization of
 the inf-convolution and a brute-force dual enumeration before trusting it.
 
 Attainment selects, among the optimal (f, theta), a deterministic point of
-the optimal face: every density-side slack is first tested for being an
-implicit equality on the face, then the minimum of the remaining slacks is
-maximized. When the minorant is non-degenerate the polytope itself keeps
-every feasible density strictly positive, so the attained density is too.
+the optimal face. By complementary slackness the face is the feasible set
+with every constraint held tight whose reduced cost in the block solve is
+positive, so the payoff enters it only through which those are. When its
+equalities fix every variable the face is the solve's vertex; otherwise one
+LP finds the density-side slacks that are implicit equalities and a second
+maximizes the minimum of the others. When the minorant is non-degenerate the
+polytope keeps every feasible density strictly positive, and so the attained
+density too.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import Basis, LinearProgram, solve_lp
+from .lp import Basis, LinearProgram, LpResult, solve_lp
 from .operators import (BlockPolytope, BoundPair, DensityPolytope, CheckEntry,
                         PolyhedralOperator, PolytopeError, SandwichReport,
                         ValidationReport, check_sandwich)
@@ -44,7 +48,6 @@ from .spaces import FilteredSpace, LevelError, RandomVariable, _Blocks, _Segment
 
 CONJ_TOL = 1e-9
 FACE_TOL = 1e-9
-PIN_TOL = 1e-9
 EQ_RANK_TOL = 1e-10
 EVAL_MEMO_SIZE = 4096   # payoffs memoized per ExtendedOperator
 
@@ -234,16 +237,13 @@ class _BlockProgram:
     def n_vars(self) -> int:
         return self.poly.n_vars + self.n_pieces
 
-    def objective(self, x_reps: np.ndarray) -> np.ndarray:
+    def program(self, x_reps: np.ndarray) -> LinearProgram:
         seg = self.poly.seg
         c = np.zeros(self.n_vars)
         c[:self.poly.n_f] = (seg.rows.probs / seg.prob) * x_reps
         c[self.poly.n_vars:] = -self.penalties
-        return c
-
-    def program(self, x_reps: np.ndarray) -> LinearProgram:
         return LinearProgram(
-            c=self.objective(x_reps), sense="max", a_eq=self.a_eq,
+            c=c, sense="max", a_eq=self.a_eq,
             b_eq=self.b_eq, a_ub=self.a_ub, b_ub=self.b_ub,
             bounds=self.var_bounds)
 
@@ -293,7 +293,7 @@ class ExtendedOperator:
         if hit is not None:
             self._eval_cache[key] = hit      # dicts keep insertion order: newest last
             return hit
-        by_block = np.array([self._solve_block(prog, X.values[prog.poly.seg.reps])[0]
+        by_block = np.array([self._solve_block(prog, X.values[prog.poly.seg.reps]).value
                              for prog in self._programs])
         out = RandomVariable(
             self.space._layout[self.level_a].broadcast(by_block), self.level_a)
@@ -304,14 +304,14 @@ class ExtendedOperator:
 
     __call__ = evaluate
 
-    def _solve_block(self, prog: _BlockProgram, x_reps: np.ndarray):
+    def _solve_block(self, prog: _BlockProgram, x_reps: np.ndarray) -> LpResult:
         res = solve_lp(prog.program(x_reps), start=prog.basis)
         if res.status != "optimal":
             raise RuntimeError(
                 f"extension block program came back {res.status}; the sandwich "
                 "precondition should rule this out")
         prog.basis = res.basis
-        return res.value, res.x
+        return res
 
 
 def maximal_extension(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOperator:
@@ -389,81 +389,77 @@ def attain(ext: ExtendedOperator, X: RandomVariable) -> Attainment:
     pen = np.empty(coarse.probs.size)
     for a, prog in enumerate(ext._programs):
         poly = prog.poly
-        x_reps = X.values[poly.seg.reps]
-        value, z = ext._solve_block(prog, x_reps)
-        zc = _center_on_face(prog, x_reps, value, z)
-        values[a] = value
-        f_seg[poly.seg.ids] = zc[:poly.n_f]
-        pen[a] = float(prog.penalties @ zc[poly.n_vars:])
+        res = ext._solve_block(prog, X.values[poly.seg.reps])
+        z = _center_on_face(prog, res, a)
+        values[a] = res.value
+        f_seg[poly.seg.ids] = z[:poly.n_f]
+        pen[a] = float(prog.penalties @ z[poly.n_vars:])
     return Attainment(
         density=RandomVariable(fine.broadcast(f_seg), ext.level_b),
         value=RandomVariable(coarse.broadcast(values), ext.level_a),
         penalty=PenaltyValue(space, ext.level_a, pen))
 
 
-def _center_on_face(prog: _BlockProgram, x_reps: np.ndarray, value: float,
-                    z_opt: np.ndarray) -> np.ndarray:
-    """Deterministic relative-interior point of the density side of the face.
+def _center_on_face(prog: _BlockProgram, res: LpResult, block: int) -> np.ndarray:
+    """Deterministic relative-interior point of the density side of the
+    optimal face of block ``block``, whose solve gave ``res``.
 
-    The face is the optimal set pinned by objective >= value - PIN_TOL. Each
-    density-side slack is maximized once to find the implicit equalities;
-    the minimum of the free slacks is then maximized. Runs on an augmented
-    variable vector (z, t).
+    The face holds every constraint ``res.tight`` marks with equality: those
+    variables at their bounds, those ``a_ub`` rows as equalities. It is
+    written z = z0 + N w, N a null-space basis of the equalities over the
+    other variables; without N it is the point z0 and no LP runs. Otherwise
+    one LP (Freund, Roundy & Todd, 1985) finds which density-side slacks are
+    implicit equalities, judged relative to each slack row's scale, and a
+    second maximizes the minimum of the others.
     """
-    nv = prog.n_vars
-    obj = prog.objective(x_reps)
-    # slack descriptors: (row over z, rhs, sense) meaning row.z <= rhs,
-    # slack = rhs - row.z; the bound-box slacks are expressed as rows here
-    slats = []
-    for i in range(prog.poly.n_f):
-        lo, hi = prog.var_bounds[i]
-        e = np.zeros(nv)
-        e[i] = 1.0
-        if lo > -math.inf:
-            slats.append((-e, -lo))
-        if hi < math.inf:
-            slats.append((e, hi))
-    if prog.a_ub is not None:
-        for row, rhs in zip(prog.a_ub, prog.b_ub):
-            slats.append((row, rhs))
+    nv, n_f = prog.n_vars, prog.poly.n_f
+    lo, hi = np.array(prog.var_bounds).T
+    a_ub = np.zeros((0, nv)) if prog.a_ub is None else prog.a_ub
+    b_ub = np.zeros(0) if prog.b_ub is None else prog.b_ub
+    rows, at_lo, at_hi = np.split(res.tight, [b_ub.size, b_ub.size + nv])
+    z0 = np.where(at_lo, lo, np.where(at_hi, hi, res.x))
+    free = ~(at_lo | at_hi)
+    _, sv, vt = np.linalg.svd(np.vstack([prog.a_eq, a_ub[rows]])[:, free])
+    rank = int((sv > EQ_RANK_TOL * max(1.0, sv.max(initial=0.0))).sum())
+    null = np.zeros((nv, vt.shape[0] - rank))
+    null[free] = vt[rank:].T
+    # the face's inequalities g.z <= h: the free variables' bounds and the
+    # loose rows; all but the bounds of lifted and theta variables are
+    # density-side slacks
+    has_lo, has_hi = free & (lo > -math.inf), free & (hi < math.inf)
+    g = np.vstack([-np.eye(nv)[has_lo], np.eye(nv)[has_hi], a_ub[~rows]])
+    h = np.concatenate([-lo[has_lo], hi[has_hi], b_ub[~rows]])
+    side = np.r_[np.flatnonzero(has_lo) < n_f, np.flatnonzero(has_hi) < n_f,
+                 np.ones(int((~rows).sum()), bool)]
+    k = null.shape[1]
+    if k == 0 or not side.any():
+        return z0
+    gw = g @ null
+    slack = np.maximum(h - g @ z0, 0.0)
 
-    def face_lp(extra_obj, t_rows, start=None):
-        # variables (z, t); face rows keep z optimal, t_rows couple t
-        n_all = nv + 1
-        a_eq = np.hstack([prog.a_eq, np.zeros((prog.a_eq.shape[0], 1))])
-        a_ub = [np.append(-obj, 0.0)]
-        b_ub = [-(value - PIN_TOL)]
-        if prog.a_ub is not None:
-            for row, rhs in zip(prog.a_ub, prog.b_ub):
-                a_ub.append(np.append(row, 0.0))
-                b_ub.append(rhs)
-        for row, rhs, use_t in t_rows:
-            a_ub.append(np.append(row, use_t))
-            b_ub.append(rhs)
-        bounds = list(prog.var_bounds) + [(0.0, math.inf)]
-        res = solve_lp(LinearProgram(
-            c=np.asarray(extra_obj), sense="max", a_eq=a_eq, b_eq=prog.b_eq,
-            a_ub=np.asarray(a_ub), b_ub=np.asarray(b_ub), bounds=bounds),
-            start=start)
-        if res.status != "optimal":
-            raise RuntimeError(f"centering LP came back {res.status}")
-        return res
+    def solve(c, a, b, bounds):
+        out = solve_lp(LinearProgram(c=c, sense="max", a_ub=a, b_ub=b, bounds=bounds))
+        if out.status != "optimal":
+            raise RuntimeError(f"centering LP on block {block} came back {out.status}")
+        return out.x
 
-    free = []
-    basis = None        # the slack LPs share their rows: each starts warm
-    for row, rhs in slats:
-        c = np.append(-row, 0.0)     # maximize slack = rhs - row.z
-        res = face_lp(c, [], basis)
-        basis = res.basis
-        if res.value + rhs >= FACE_TOL:
-            free.append((row, rhs))
-    if not free:
-        return z_opt
-    t_rows = [(row, rhs, 1.0) for row, rhs in free]   # row.z + t <= rhs
-    c = np.zeros(nv + 1)
-    c[-1] = 1.0
-    res = face_lp(c, t_rows)
-    return res.x[:nv]
+    # max sum t over 0 <= t <= 1 and g N w + t <= alpha * slack, alpha >= 1:
+    # scaling by alpha lifts every slack that can be positive on the face to
+    # 1 at once, so t is 1 exactly off the implicit equalities
+    p = int(side.sum())
+    pick = np.eye(g.shape[0])[:, side]
+    free_w = [(-math.inf, math.inf)] * k
+    t = solve(np.r_[np.zeros(k + 1), np.ones(p)],
+              np.hstack([gw, -slack[:, None], pick]), np.zeros(g.shape[0]),
+              free_w + [(1.0, math.inf)] + [(0.0, 1.0)] * p)[k + 1:]
+    loose = t > FACE_TOL * np.abs(g[side]).max(axis=1)
+    if not loose.any():
+        return z0
+    # max tau over g N w <= slack, with tau added on the loose rows
+    w = solve(np.r_[np.zeros(k), 1.0],
+              np.hstack([gw, pick[:, loose].sum(axis=1, keepdims=True)]), slack,
+              free_w + [(0.0, math.inf)])[:k]
+    return z0 + null @ w
 
 
 def minimal_penalty(ext: ExtendedOperator, f: RandomVariable,

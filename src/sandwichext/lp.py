@@ -17,10 +17,10 @@ Determinism: the same sequence of calls gives the same bytes. A warm start
 may end on a different vertex of a non-unique optimum than a cold solve,
 with the same optimal value.
 
-Status is a strict trichotomy. Optimal results carry the dual objective
-reconstructed from the final basis, unbounded results carry an improving ray
-in the original variables, infeasible results carry a Farkas-style aggregated
-certificate that is verified numerically before being returned.
+Status is a strict trichotomy. Optimal results carry the dual objective and
+the always-tight constraints from the final basis, unbounded results an
+improving ray in the original variables, infeasible results a Farkas-style
+aggregated certificate that is verified numerically before being returned.
 
 ``support_function`` maximizes E[f W | block] over the density polytope
 {m0 <= f <= M0, E[f | block] = 1} by the continuous-knapsack greedy: atoms
@@ -31,7 +31,7 @@ solver-free twin of the same LP and the pair is cross-checked in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class LinearProgram:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
+        if c.ndim != 1 or c.size == 0 or not math.isfinite(np.abs(c).max()):
             raise LpError("objective must be a finite vector")
         object.__setattr__(self, "c", c)
         if self.sense not in ("min", "max"):
@@ -118,7 +118,9 @@ class LpResult:
     ``iterations`` counts the simplex passes this call made, phase 1 only
     when it ran. An optimal result's ``basis`` is the pair (kept
     standard-form rows, basic columns) that ``solve_lp`` accepts as
-    ``start``; it is None for any other status.
+    ``start``; it is None for any other status. ``tight`` marks, per
+    ``a_ub`` row, lower bound and upper bound, what every optimum holds with
+    equality: the standard-form column is priced above the tolerance.
     """
 
     status: str                       # "optimal" | "unbounded" | "infeasible"
@@ -128,14 +130,28 @@ class LpResult:
     certificate: dict | None = None
     iterations: int = 0
     basis: Basis | None = None
+    _priced: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def tight(self) -> np.ndarray | None:
+        if self._priced is None:
+            return None
+        d, tol, m_ub, n, var, sign, boxed = self._priced     # mapped only when read
+        on = d > tol
+        tight = np.zeros(m_ub + 2 * n, dtype=bool)
+        tight[:m_ub] = on[var.size:var.size + m_ub]
+        tight[m_ub + var + n * (sign < 0)] = on[:var.size]
+        tight[m_ub + n + boxed] |= on[var.size + m_ub:]
+        return tight
 
 
 def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
-             start_iter: int = 0, binv: np.ndarray | None = None):
+             start_iter: int = 0, binv: np.ndarray | None = None,
+             tol: float = COST_TOL):
     """Bland-rule primal simplex from a feasible basis, whose inverse may be
-    given. Returns (status, basis, x_basic, y, iterations); status 'optimal'
-    or 'unbounded' (with entering column j and direction d attached for
-    rays)."""
+    given; reduced costs count as negative below -tol. Returns (status,
+    basis, x_basic, y, iterations, j, d): 'optimal' with d the reduced
+    costs, or 'unbounded' with entering column j and direction d for rays."""
     it = start_iter
     basis = np.array(basis, dtype=np.intp)     # a list index is converted on every use
     while True:
@@ -148,9 +164,9 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
         y = c[basis] @ binv
         reduced = c - y @ a
         reduced[basis] = 0.0
-        entering = int((reduced < -COST_TOL).argmax())
-        if reduced[entering] >= -COST_TOL:
-            return "optimal", basis.tolist(), xb, y, it, None, None
+        entering = int((reduced < -tol).argmax())
+        if reduced[entering] >= -tol:
+            return "optimal", basis.tolist(), xb, y, it, None, reduced
         d = binv @ a[:, entering]
         # a few rows: the ratio test runs on Python floats
         ratios = [(x / di, bi, i) for i, (x, di, bi) in enumerate(
@@ -278,10 +294,11 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
         rows = np.flatnonzero(keep).tolist()
         basis = [basis[i] for i in rows]
 
-    # --- phase 2 -----------------------------------------------------------
+    # --- phase 2, with a cost tolerance that grows with the objective -------
     b2 = bvec[rows]
+    tol = COST_TOL * max(1.0, max(map(abs, lp.c.tolist())))   # floats: a short vector
     status, basis, xb, y, iters, enter, d = _simplex(
-        amat[rows], b2, cost, basis, iters, binv)
+        amat[rows], b2, cost, basis, iters, binv, tol)
     u = np.zeros(n_s)
     u[basis] = xb
     x_here = shift + umat @ u[:n_u]
@@ -304,7 +321,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
     value = float(lp.c @ x_here)
     dual_objective = float(sgn * (y @ b2 + const))
     return LpResult("optimal", value, x_here, dual_objective, None, iters,
-                    (tuple(rows), tuple(basis)))
+                    (tuple(rows), tuple(basis)), (d, tol, m_ub, n, var, sign, boxed))
 
 
 def _farkas_certificate(lp: LinearProgram, y_std: np.ndarray, flips: np.ndarray,

@@ -1,10 +1,15 @@
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import binomial_space
+import sandwichext
+from conftest import ROOT, binomial_space
 from sandwichext import (
     BoundPair,
     FilteredSpace,
@@ -29,6 +34,9 @@ from sandwichext import (
 
 TOL = 1e-9
 SEED = 7
+
+sys.path.append(str(ROOT / "bench"))
+import treegen  # noqa: E402  (the benchmark's b-ary tree generator)
 
 
 def unit_op(space, s, t):
@@ -289,3 +297,30 @@ def test_refinement_input_guards():
     with pytest.raises(ValueError, match="does not extend"):
         refine_and_compare(coarse, fine, n_payoffs=2, n_densities=2,
                            fine_ext=extend_system(coarse))
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_system(b, T, kind, seed):
+    _, system, _ = treegen.accepted_system(sandwichext, treegen.Shape(b, T, kind), seed)
+    return system, extend_system(system)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]),
+       kind=st.sampled_from(["linear", "polyhedral"]), seed=st.integers(0, 3),
+       scale=st.sampled_from([1e-9, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12]),
+       payoff_seed=st.integers(0, 2**32 - 1))
+def test_price_identity_holds_at_every_payoff_scale(shape, kind, seed, scale, payoff_seed):
+    # b-ary trees from the benchmark's generator, payoffs from 1e-9 to 1e12:
+    # value = E[f X | F_0] - penalty, and price agrees with evaluate
+    b, T = shape
+    system, ext = _tree_system(b, T, kind, seed)
+    space = system.space
+    X = space.rv(np.random.default_rng(payoff_seed).normal(size=space.n_atoms) * scale, T)
+    tol = 1e-7 * max(1.0, float(np.abs(X.values).max()))
+    res = price(ext, 0, T, X)
+    priced = cond_expectation(space, space.rv(res.density.values * X.values, T), 0)
+    np.testing.assert_allclose(priced.values - res.penalty.atomwise(),
+                               res.value.values, rtol=0, atol=tol)
+    np.testing.assert_allclose(res.value.values, ext.evaluate(0, T, X).values,
+                               rtol=0, atol=tol)

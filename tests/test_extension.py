@@ -17,6 +17,7 @@ from sandwichext import (
     PolyhedralOperator,
     SandwichViolation,
     attain,
+    cond_expectation,
     conjugate,
     density_set,
     extend_system,
@@ -30,6 +31,10 @@ from sandwichext import (
 
 TOL = 1e-9
 VALUE_TOL = 1e-7
+# two vertices the simplex accepts as optimal may differ in value by its
+# reduced-cost tolerance, 1e-9 * max(1, |c|), times |z|_1 (a few units
+# here); this binds when the payoff is far below the penalties
+SOLVE_TOL = 1e-8
 SEED = 90210
 
 
@@ -267,6 +272,51 @@ def test_stored_basis_restarts_each_block_program_in_one_pass(name):
             assert res.basis == prog.basis
 
 
+def _count_lps(monkeypatch):
+    """Rebind the extension's LP entry point to count its calls."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(sandwichext.extension, "solve_lp", counting)
+    return calls
+
+
+def test_quickstart_attains_the_exact_density_with_one_lp(three_atom, monkeypatch):
+    # f = (t, 3 - 2t, t) is optimal only at t = 1.25, where f_1 sits on its
+    # lower bound 0.5: the face is a point, read off the block solve
+    ext = maximal_extension(three_atom.op, three_atom.bounds)
+    calls = _count_lps(monkeypatch)
+    att = attain(ext, three_atom.space.rv([1.0, 0.0, 0.0]))
+    np.testing.assert_allclose(att.density.values, [1.25, 0.5, 1.25], rtol=0, atol=1e-12)
+    assert len(calls) == 1
+    # a zero payoff makes the whole segment optimal: two centering LPs put
+    # t = 1 (slacks t - 0.5 and 2.5 - 2t level at 0.5)
+    del calls[:]
+    att = attain(ext, three_atom.space.rv([0.0, 0.0, 0.0]))
+    np.testing.assert_allclose(att.density.values, [1.0, 1.0, 1.0], rtol=0, atol=1e-12)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("name", ["fix_a.json", "fix_b.json", "fix_c_linear.json",
+                                  "fix_c_restricted.json", "fix_refine.json"])
+def test_attain_takes_at_most_three_lps_per_block(name, monkeypatch):
+    system = load_scenario(fixture_path(name)).system
+    ext = extend_system(system)
+    rng = np.random.default_rng(SEED + 3)
+    calls = _count_lps(monkeypatch)
+    for k, (_, t) in enumerate(system.adjacent_pairs):
+        step = ext.step(k)
+        n_blocks = len(step.polytope.blocks)
+        for vals in [np.zeros(system.space.n_atoms),
+                     *rng.normal(size=(4, system.space.n_atoms))]:
+            del calls[:]
+            attain(step, cond_expectation(system.space, system.space.rv(vals), t))
+            assert n_blocks <= len(calls) <= 3 * n_blocks
+
+
 @st.composite
 def small_extensions(draw):
     """A one-step operator from the atoms to 1-2 blocks of 2-3 atoms, its
@@ -288,7 +338,7 @@ def small_extensions(draw):
     assume(min(pc.density.values.min() for pc in op.pieces) > 0.02)
     bounds = enclosing_bounds(space, 2, 1, op, slack=(
         draw(st.floats(0.3, 0.95)), draw(st.floats(1.05, 2.0))))
-    scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    scale = draw(st.sampled_from([1e-9, 0.1, 1.0, 10.0, 1e12]))
     payoffs = [space.rv(rng.normal(size=n) * scale) for _ in range(4)]
     return op, bounds, payoffs
 
@@ -308,10 +358,10 @@ def test_warm_extension_matches_a_fresh_one_and_the_oracles(case, history):
         scale = max(1.0, float(np.abs(X.values).max()))
         value = ext.evaluate(X).values
         cold = maximal_extension(op, bounds).evaluate(X).values
-        np.testing.assert_allclose(value, cold, rtol=0.0, atol=1e-9 * scale)
+        np.testing.assert_allclose(value, cold, rtol=0.0, atol=SOLVE_TOL * scale)
         att = attain(ext, X)
         np.testing.assert_allclose(att.value.values, value, rtol=0.0,
-                                   atol=1e-9 * scale)
+                                   atol=SOLVE_TOL * scale)
         # independent routes: vertex enumeration and scipy's conjugate
         np.testing.assert_allclose(value, oracles.vertex_dual_max(op, bounds, X),
                                    rtol=0.0, atol=VALUE_TOL * scale)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sandwichext import LinearProgram, LpResult, solve_lp, support_function
+import sandwichext.lp
 from sandwichext.lp import InfeasibleRegionError, LpError
 
 VALUE_TOL = 1e-10
@@ -303,3 +304,92 @@ def test_start_that_dropped_a_row_the_new_program_needs():
     cold = solve_lp(clash)
     assert cold.status == "infeasible"
     _same_result(solve_lp(clash, start=first.basis), cold)
+
+
+def test_objective_scale_keeps_status_and_value_in_few_passes(monkeypatch):
+    # reduced costs scale with c, so a fixed absolute test lets rounding in
+    # them pass for improving columns at 1e9 and beyond; a spin would hit
+    # the (lowered) iteration cap
+    monkeypatch.setattr(sandwichext.lp, "MAX_ITER", 500)
+    rng = np.random.default_rng(SEED + 5)
+    checked = 0
+    for _ in range(40):
+        spec = _random_program(rng)
+        first = solve_lp(LinearProgram(**spec))
+        if first.status != "optimal":
+            continue
+        c = rng.normal(size=spec["c"].size)
+        base = solve_lp(LinearProgram(**{**spec, "c": c}))
+        for scale in (1e9, 1e12):
+            lp = LinearProgram(**{**spec, "c": c * scale})
+            for res in (solve_lp(lp), solve_lp(lp, start=first.basis)):
+                assert res.status == base.status
+                if base.status == "optimal":
+                    assert res.value == pytest.approx(base.value * scale, rel=1e-9,
+                                                      abs=1e-9 * scale)
+                    assert res.iterations <= 50
+                    checked += 1
+    assert checked >= 40
+
+
+def _face_programs(rng):
+    """Random programs whose optimal face is often more than a vertex: the
+    objective is a row normal, a bound direction, or has repeated entries."""
+    while True:
+        spec = _random_program(rng)
+        n = spec["c"].size
+        kind = int(rng.integers(0, 3))
+        if kind == 0 and spec["a_ub"] is not None:
+            spec["c"] = -spec["a_ub"][0] + spec["a_eq"].T @ rng.normal(size=len(spec["b_eq"]))
+        elif kind == 1:
+            spec["c"] = np.eye(n)[int(rng.integers(0, n))] * rng.choice([-1.0, 1.0])
+        else:
+            spec["c"] = rng.integers(-1, 2, size=n).astype(float)
+        spec["sense"] = str(rng.choice(["min", "max"]))
+        yield spec
+
+
+def test_always_tight_marks_hold_at_scipy_optimum_and_fix_the_value():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(SEED + 6)
+    marked = faces = 0
+    programs = _face_programs(rng)
+    while faces < 60:
+        spec = next(programs)
+        res = solve_lp(LinearProgram(**spec))
+        if res.status != "optimal":
+            continue
+        faces += 1
+        a_ub = np.zeros((0, spec["c"].size)) if spec["a_ub"] is None else spec["a_ub"]
+        b_ub = np.zeros(0) if spec["b_ub"] is None else spec["b_ub"]
+        lo, hi = np.array(spec["bounds"]).T
+        m_ub, n = b_ub.size, lo.size
+        rows, at_lo, at_hi = np.split(res.tight, [m_ub, m_ub + n])
+        assert not (at_lo & (lo == -math.inf)).any()
+        assert not (at_hi & (hi == math.inf)).any()
+        marked += int(res.tight.sum())
+        sgn = 1.0 if spec["sense"] == "min" else -1.0
+        sci_bounds = [(None if l == -math.inf else l, None if h == math.inf else h)
+                      for l, h in zip(lo, hi)]
+        ref = optimize.linprog(sgn * spec["c"], A_ub=a_ub if m_ub else None,
+                               b_ub=b_ub if m_ub else None, A_eq=spec["a_eq"],
+                               b_eq=spec["b_eq"], bounds=sci_bounds, method="highs")
+        assert ref.status == 0
+        x = ref.x
+        np.testing.assert_allclose(a_ub[rows] @ x, b_ub[rows], atol=1e-7)
+        np.testing.assert_allclose(x[at_lo], lo[at_lo], atol=1e-7)
+        np.testing.assert_allclose(x[at_hi], hi[at_hi], atol=1e-7)
+        # over the face the marks describe, the objective is constant
+        face_bounds = [(l, l) if m else (h, h) if M else bnd
+                       for bnd, l, h, m, M in zip(sci_bounds, lo, hi, at_lo, at_hi)]
+        keep = ~rows
+        for direction in (1.0, -1.0):
+            ext = optimize.linprog(
+                direction * spec["c"], A_ub=a_ub[keep] if keep.any() else None,
+                b_ub=b_ub[keep] if keep.any() else None,
+                A_eq=np.vstack([spec["a_eq"], a_ub[rows]]),
+                b_eq=np.concatenate([spec["b_eq"], b_ub[rows]]),
+                bounds=face_bounds, method="highs")
+            assert ext.status == 0
+            assert direction * ext.fun == pytest.approx(res.value, abs=1e-7)
+    assert marked > 0
