@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FEAS_TOL = 1e-9
-COST_TOL = 1e-9
+COST_TOL = 1e-11        # times max(1, |c|max), see _simplex
 PIVOT_TOL = 1e-11
 DROP_TOL = 1e-8         # a row whose entries off the basis all lie within this is redundant
 MAX_ITER = 1_000_000
@@ -136,8 +136,7 @@ class LpResult:
     def tight(self) -> np.ndarray | None:
         if self._priced is None:
             return None
-        d, tol, m_ub, n, var, sign, boxed = self._priced     # mapped only when read
-        on = d > tol
+        on, m_ub, n, var, sign, boxed = self._priced     # mapped only when read
         tight = np.zeros(m_ub + 2 * n, dtype=bool)
         tight[:m_ub] = on[var.size:var.size + m_ub]
         tight[m_ub + var + n * (sign < 0)] = on[:var.size]
@@ -146,12 +145,14 @@ class LpResult:
 
 
 def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
-             start_iter: int = 0, binv: np.ndarray | None = None,
-             tol: float = COST_TOL):
+             start_iter: int = 0, binv: np.ndarray | None = None):
     """Bland-rule primal simplex from a feasible basis, whose inverse may be
-    given; reduced costs count as negative below -tol. Returns (status,
-    basis, x_basic, y, iterations, j, d): 'optimal' with d the reduced
-    costs, or 'unbounded' with entering column j and direction d for rays."""
+    given; a reduced cost counts as nonzero beyond tol = COST_TOL * max(1,
+    |c|max), so an accepted vertex is within tol * |u*|_1 of the optimum
+    u*. Returns (status, basis, x_basic, y, iterations, j, d):
+    'optimal' with d flagging the reduced costs above tol, or 'unbounded'
+    with entering column j and direction d for rays."""
+    tol = COST_TOL * max(1.0, max(map(abs, c.tolist())))   # floats: a short vector
     it = start_iter
     basis = np.array(basis, dtype=np.intp)     # a list index is converted on every use
     while True:
@@ -166,7 +167,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
         reduced[basis] = 0.0
         entering = int((reduced < -tol).argmax())
         if reduced[entering] >= -tol:
-            return "optimal", basis.tolist(), xb, y, it, None, reduced
+            return "optimal", basis.tolist(), xb, y, it, None, reduced > tol
         d = binv @ a[:, entering]
         # a few rows: the ratio test runs on Python floats
         ratios = [(x / di, bi, i) for i, (x, di, bi) in enumerate(
@@ -294,11 +295,10 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
         rows = np.flatnonzero(keep).tolist()
         basis = [basis[i] for i in rows]
 
-    # --- phase 2, with a cost tolerance that grows with the objective -------
+    # --- phase 2 -----------------------------------------------------------
     b2 = bvec[rows]
-    tol = COST_TOL * max(1.0, max(map(abs, lp.c.tolist())))   # floats: a short vector
     status, basis, xb, y, iters, enter, d = _simplex(
-        amat[rows], b2, cost, basis, iters, binv, tol)
+        amat[rows], b2, cost, basis, iters, binv)
     u = np.zeros(n_s)
     u[basis] = xb
     x_here = shift + umat @ u[:n_u]
@@ -321,7 +321,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
     value = float(lp.c @ x_here)
     dual_objective = float(sgn * (y @ b2 + const))
     return LpResult("optimal", value, x_here, dual_objective, None, iters,
-                    (tuple(rows), tuple(basis)), (d, tol, m_ub, n, var, sign, boxed))
+                    (tuple(rows), tuple(basis)), (d, m_ub, n, var, sign, boxed))
 
 
 def _farkas_certificate(lp: LinearProgram, y_std: np.ndarray, flips: np.ndarray,

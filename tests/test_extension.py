@@ -31,10 +31,6 @@ from sandwichext import (
 
 TOL = 1e-9
 VALUE_TOL = 1e-7
-# two vertices the simplex accepts as optimal may differ in value by its
-# reduced-cost tolerance, 1e-9 * max(1, |c|), times |z|_1 (a few units
-# here); this binds when the payoff is far below the penalties
-SOLVE_TOL = 1e-8
 SEED = 90210
 
 
@@ -358,10 +354,10 @@ def test_warm_extension_matches_a_fresh_one_and_the_oracles(case, history):
         scale = max(1.0, float(np.abs(X.values).max()))
         value = ext.evaluate(X).values
         cold = maximal_extension(op, bounds).evaluate(X).values
-        np.testing.assert_allclose(value, cold, rtol=0.0, atol=SOLVE_TOL * scale)
+        np.testing.assert_allclose(value, cold, rtol=0.0, atol=1e-9 * scale)
         att = attain(ext, X)
         np.testing.assert_allclose(att.value.values, value, rtol=0.0,
-                                   atol=SOLVE_TOL * scale)
+                                   atol=1e-9 * scale)
         # independent routes: vertex enumeration and scipy's conjugate
         np.testing.assert_allclose(value, oracles.vertex_dual_max(op, bounds, X),
                                    rtol=0.0, atol=VALUE_TOL * scale)
