@@ -147,11 +147,10 @@ class LpResult:
 def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
              start_iter: int = 0, binv: np.ndarray | None = None):
     """Bland-rule primal simplex from a feasible basis, whose inverse may be
-    given; a reduced cost counts as nonzero beyond tol = COST_TOL * max(1,
-    |c|max), so an accepted vertex is within tol * |u*|_1 of the optimum
-    u*. Returns (status, basis, x_basic, y, iterations, j, d):
-    'optimal' with d flagging the reduced costs above tol, or 'unbounded'
-    with entering column j and direction d for rays."""
+    given. Reduced costs count beyond tol = COST_TOL * max(1, |c|max), so an
+    accepted vertex is within tol * |u*|_1 of an optimum u*. Returns (status,
+    basis, x_basic, y, iterations, j, d): 'optimal' with d flagging reduced
+    costs above tol, 'unbounded' with entering j and direction d for rays."""
     tol = COST_TOL * max(1.0, max(map(abs, c.tolist())))   # floats: a short vector
     it = start_iter
     basis = np.array(basis, dtype=np.intp)     # a list index is converted on every use
