@@ -216,36 +216,24 @@ def density_set(bounds: BoundPair, space: FilteredSpace | None = None) -> Densit
 
 @dataclass(eq=False)
 class _BlockProgram:
-    """Constraint template over z = (f, lift, theta) for one block.
+    """One block's program over z = (f, lift, theta), built once.
 
-    The (f, lift) part is the block's density polytope ``poly``. Only the
-    objective changes from payoff to payoff, so ``basis``, the last optimal
-    basis, is a feasible start for the next solve.
+    The (f, lift) part is the block's density polytope ``poly``. ``lp`` holds
+    the constraints and the penalty part of the objective; a payoff sets only
+    the f part, through ``weights``, so every solve shares the standard form
+    of ``lp`` and ``basis``, the last optimal basis, is a feasible start.
     """
 
     poly: BlockPolytope
-    n_pieces: int
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    a_ub: np.ndarray | None
-    b_ub: np.ndarray | None
-    var_bounds: list[tuple[float, float]]
+    lp: LinearProgram
+    weights: np.ndarray         # the segments' probabilities within the block
     penalties: np.ndarray
     basis: Basis | None = None
 
-    @property
-    def n_vars(self) -> int:
-        return self.poly.n_vars + self.n_pieces
-
     def program(self, x_reps: np.ndarray) -> LinearProgram:
-        seg = self.poly.seg
-        c = np.zeros(self.n_vars)
-        c[:self.poly.n_f] = (seg.rows.probs / seg.prob) * x_reps
-        c[self.poly.n_vars:] = -self.penalties
-        return LinearProgram(
-            c=c, sense="max", a_eq=self.a_eq,
-            b_eq=self.b_eq, a_ub=self.a_ub, b_ub=self.b_ub,
-            bounds=self.var_bounds)
+        c = self.lp.c.copy()
+        c[:self.poly.n_f] = self.weights * x_reps
+        return self.lp.with_objective(c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,9 +250,10 @@ class ExtendedOperator:
     Callable on every fine-level payoff; restriction to the original domain
     reproduces the base operator. Evaluation results are memoized per payoff
     vector in a least-recently-used memo of ``EVAL_MEMO_SIZE`` entries;
-    attainment is recomputed on every call. Every solve also updates its
-    block program's warm-start basis, so even a read mutates the instance:
-    use it from one thread at a time.
+    attainment is recomputed on every call. Each block program's LP keeps
+    its standard form and last basis inverse for the next solve, and every
+    solve updates the program's warm-start basis and the memo, so even a read
+    mutates the instance: use it from one thread at a time.
     """
 
     base: PolyhedralOperator
@@ -356,20 +345,18 @@ def maximal_extension(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOper
         for r in range(eq_mat.shape[0]):
             if np.linalg.matrix_rank(eq_mat[keep + [r]], tol=EQ_RANK_TOL) > len(keep):
                 keep.append(r)
-        eq_mat = eq_mat[keep]
-        eq_vec = eq_vec[keep]
         if bp.a_ub is not None:
             ub_rows = np.hstack([bp.a_ub, np.zeros((bp.a_ub.shape[0], nj))])
             ub_rhs = bp.b_ub
         else:
             ub_rows = None
             ub_rhs = None
-        var_bounds = list(bp.var_bounds) + [(0.0, math.inf)] * nj
+        lp = LinearProgram(
+            c=np.concatenate([np.zeros(n + bp.n_lift), -penalties[a]]), sense="max",
+            a_eq=eq_mat[keep], b_eq=eq_vec[keep], a_ub=ub_rows, b_ub=ub_rhs,
+            bounds=list(bp.var_bounds) + [(0.0, math.inf)] * nj)
         ext._programs.append(_BlockProgram(
-            poly=bp, n_pieces=nj,
-            a_eq=eq_mat, b_eq=eq_vec,
-            a_ub=ub_rows, b_ub=ub_rhs, var_bounds=var_bounds,
-            penalties=penalties[a]))
+            poly=bp, lp=lp, weights=sg.rows.probs / sg.prob, penalties=penalties[a]))
     return ext
 
 
@@ -412,14 +399,15 @@ def _center_on_face(prog: _BlockProgram, res: LpResult, block: int) -> np.ndarra
     implicit equalities, judged relative to each slack row's scale, and a
     second maximizes the minimum of the others.
     """
-    nv, n_f = prog.n_vars, prog.poly.n_f
-    lo, hi = np.array(prog.var_bounds).T
-    a_ub = np.zeros((0, nv)) if prog.a_ub is None else prog.a_ub
-    b_ub = np.zeros(0) if prog.b_ub is None else prog.b_ub
+    lp = prog.lp
+    nv, n_f = lp.n_vars, prog.poly.n_f
+    lo, hi = np.array(lp.bounds).T
+    a_ub = np.zeros((0, nv)) if lp.a_ub is None else lp.a_ub
+    b_ub = np.zeros(0) if lp.b_ub is None else lp.b_ub
     rows, at_lo, at_hi = np.split(res.tight, [b_ub.size, b_ub.size + nv])
     z0 = np.where(at_lo, lo, np.where(at_hi, hi, res.x))
     free = ~(at_lo | at_hi)
-    _, sv, vt = np.linalg.svd(np.vstack([prog.a_eq, a_ub[rows]])[:, free])
+    _, sv, vt = np.linalg.svd(np.vstack([lp.a_eq, a_ub[rows]])[:, free])
     rank = int((sv > EQ_RANK_TOL * max(1.0, sv.max(initial=0.0))).sum())
     null = np.zeros((nv, vt.shape[0] - rank))
     null[free] = vt[rank:].T

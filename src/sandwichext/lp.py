@@ -13,6 +13,13 @@ phase 1, which is most of the pivots when the same constraints are solved
 again and again. A start that is not a feasible basis of the new program is
 ignored, so a stale basis costs time but never changes an answer.
 
+A program checks its constraints once and builds their standard form once,
+when first solved or derived from; every program ``with_objective`` derives
+shares that form. The form keeps (basis, B^-1) of its last optimal solve as
+one tuple, read once per solve and replaced whole: that basis restarts phase
+2 unchecked, as A and b alone decide feasibility, and any other start is
+checked, so programs sharing a form may be solved from several threads.
+
 Determinism: the same sequence of calls gives the same bytes. A warm start
 may end on a different vertex of a non-unique optimum than a cold solve,
 with the same optimal value.
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,9 +62,19 @@ class InfeasibleRegionError(ValueError):
     """A box-budget region with no feasible density."""
 
 
+def _objective(c, n: int | None = None) -> np.ndarray:
+    c = np.array(c, dtype=float, ndmin=1)
+    if c.ndim != 1 or not 0 < c.size == (n or c.size) or not math.isfinite(np.abs(c).max()):
+        raise LpError("objective must be a finite vector" + (f" of length {n}" if n else ""))
+    c.setflags(write=False)
+    return c
+
+
 @dataclass(frozen=True)
 class LinearProgram:
-    """min or max of c.x subject to A_eq x = b_eq, A_ub x <= b_ub, lo <= x <= hi."""
+    """min or max of c.x subject to A_eq x = b_eq, A_ub x <= b_ub, lo <= x <= hi,
+    over read-only copies of the arrays; ``with_objective`` programs share its
+    standard form, built once, when first solved or derived from."""
 
     c: np.ndarray
     sense: str = "min"
@@ -67,13 +85,10 @@ class LinearProgram:
     bounds: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        if c.ndim != 1 or c.size == 0 or not math.isfinite(np.abs(c).max()):
-            raise LpError("objective must be a finite vector")
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", _objective(self.c))
         if self.sense not in ("min", "max"):
             raise LpError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        n = c.size
+        n = self.c.size
         for name in ("eq", "ub"):
             a = getattr(self, f"a_{name}")
             b = getattr(self, f"b_{name}")
@@ -81,34 +96,68 @@ class LinearProgram:
                 raise LpError(f"a_{name} and b_{name} must be given together")
             if a is None:
                 continue
-            a = np.atleast_2d(np.asarray(a, dtype=float))
-            b = np.atleast_1d(np.asarray(b, dtype=float))
+            a = np.array(a, dtype=float, ndmin=2)
+            b = np.array(b, dtype=float, ndmin=1)
             if a.shape != (b.size, n) or not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
                 raise LpError(f"a_{name}/b_{name} malformed for {n} variables")
-            object.__setattr__(self, f"a_{name}", a)
-            object.__setattr__(self, f"b_{name}", b)
-        bounds = self.bounds
-        if bounds is None:
-            bounds = tuple((0.0, _INF) for _ in range(n))
-        else:
-            bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-            if len(bounds) != n:
-                raise LpError("one (lo, hi) pair per variable is required")
-            for lo, hi in bounds:
-                if math.isnan(lo) or math.isnan(hi):
-                    raise LpError("NaN bound")
+            for key, arr in ((f"a_{name}", a), (f"b_{name}", b)):
+                arr.setflags(write=False)
+                object.__setattr__(self, key, arr)
+        bounds = ((0.0, _INF),) * n if self.bounds is None else \
+            tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        if len(bounds) != n or any(math.isnan(lo) or math.isnan(hi) for lo, hi in bounds):
+            raise LpError("bounds must be one (lo, hi) pair per variable, none NaN")
         object.__setattr__(self, "bounds", bounds)
 
     @property
     def n_vars(self) -> int:
         return self.c.size
 
-    def _rows(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) of the ``"eq"`` or ``"ub"`` rows, empty when there are none."""
-        a = getattr(self, f"a_{kind}")
-        if a is None:
-            return np.zeros((0, self.n_vars)), np.zeros(0)
-        return a, getattr(self, f"b_{kind}")
+    @cached_property
+    def _form(self) -> _StandardForm:
+        return _StandardForm(self)
+
+    def with_objective(self, c) -> LinearProgram:
+        """This program with objective ``c``, which alone is checked."""
+        lp = object.__new__(LinearProgram)
+        lp.__dict__.update(self.__dict__, _form=self._form, c=_objective(c, self.n_vars))
+        return lp
+
+
+class _StandardForm:
+    """A u = b >= 0, u >= 0, x = shift + umat @ u; rows: A_eq, A_ub, one per ``boxed``."""
+
+    def __init__(self, lp: LinearProgram):
+        n = lp.n_vars
+        self.lo, self.hi = lo, hi = np.array(lp.bounds, dtype=float).reshape(n, 2).T
+        none = (np.zeros((0, n)), np.zeros(0))
+        self.eq = a_eq, b_eq = none if lp.a_eq is None else (lp.a_eq, lp.b_eq)
+        self.ub = a_ub, b_ub = none if lp.a_ub is None else (lp.a_ub, lp.b_ub)
+        # x_j = lo_j + u with a finite lower bound, hi_j - u with only an upper
+        # one, u+ - u- when free. A finite upper bound on the first kind becomes
+        # a row u + slack = hi_j - lo_j; reversed bounds give a negative capacity,
+        # which phase 1 certifies infeasible like any other row.
+        has_lo, has_hi = lo > -_INF, hi < _INF
+        self.var = var = np.repeat(np.arange(n), 1 + ~(has_lo | has_hi))   # variable per u
+        self.sign = sign = np.where(has_hi & ~has_lo, -1.0, 1.0)[var]
+        sign[1:][var[1:] == var[:-1]] = -1.0                  # the u- of a free variable
+        self.umat = np.zeros((n, var.size))
+        self.umat[var, np.arange(var.size)] = sign
+        self.shift = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+        self.boxed = boxed = np.flatnonzero(has_lo & has_hi)
+        self.m_eq, self.m_ub = m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
+        m = m_eq + m_ub + boxed.size
+        self.amat = amat = np.zeros((m, var.size + m - m_eq))
+        amat[:m_eq, :var.size] = a_eq @ self.umat
+        amat[m_eq:m_eq + m_ub, :var.size] = a_ub @ self.umat
+        amat[np.arange(m_eq + m_ub, m), np.searchsorted(var, boxed)] = 1.0
+        amat[m_eq:, var.size:] = np.eye(m - m_eq)
+        bvec = np.concatenate([b_eq - a_eq @ self.shift, b_ub - a_ub @ self.shift,
+                               hi[boxed] - lo[boxed]])
+        self.flips = np.where(bvec < 0, -1.0, 1.0)
+        amat *= self.flips[:, None]
+        self.bvec = bvec * self.flips
+        self.last = None       # (basis, B^-1) of the last optimal solve
 
 
 @dataclass(frozen=True)
@@ -149,8 +198,8 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
     """Bland-rule primal simplex from a feasible basis, whose inverse may be
     given. Reduced costs count beyond tol = COST_TOL * max(1, |c|max), so an
     accepted vertex is within tol * |u*|_1 of an optimum u*. Returns (status,
-    basis, x_basic, y, iterations, j, d): 'optimal' with d flagging reduced
-    costs above tol, 'unbounded' with entering j and direction d for rays."""
+    basis, x_basic, y, iterations, j, d, B^-1): 'optimal' with d flagging
+    reduced costs above tol, 'unbounded' with entering j and direction d."""
     tol = COST_TOL * max(1.0, max(map(abs, c.tolist())))   # floats: a short vector
     it = start_iter
     basis = np.array(basis, dtype=np.intp)     # a list index is converted on every use
@@ -166,13 +215,13 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
         reduced[basis] = 0.0
         entering = int((reduced < -tol).argmax())
         if reduced[entering] >= -tol:
-            return "optimal", basis.tolist(), xb, y, it, None, reduced > tol
+            return "optimal", basis.tolist(), xb, y, it, None, reduced > tol, binv
         d = binv @ a[:, entering]
         # a few rows: the ratio test runs on Python floats
         ratios = [(x / di, bi, i) for i, (x, di, bi) in enumerate(
             zip(xb.tolist(), d.tolist(), basis.tolist())) if di > PIVOT_TOL]
         if not ratios:
-            return "unbounded", basis.tolist(), xb, y, it, entering, d
+            return "unbounded", basis.tolist(), xb, y, it, entering, d, binv
         theta = min(ratios)[0]
         # Bland: among minimal ratios leave the smallest basic variable index
         basis[min(r[1:] for r in ratios if r[0] <= theta + PIVOT_TOL)[1]] = entering
@@ -217,64 +266,33 @@ def _warm_basis(amat: np.ndarray, bvec: np.ndarray, start):
 def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
     """Solve a small dense LP with exact status certificates.
 
-    ``start`` is the ``basis`` of an earlier optimal result. When it is a
-    feasible basis of this program (see ``_warm_basis``) phase 2 starts from
-    it and phase 1 is skipped; otherwise phase 1 runs as if it were None.
+    ``start`` is the ``basis`` of an earlier optimal result. Phase 2 starts
+    from it, with phase 1 skipped, when it is the basis the standard form
+    last returned or passes ``_warm_basis``; otherwise phase 1 runs.
     """
-    n = lp.n_vars
+    form = lp._form
+    amat, bvec, n_u = form.amat, form.bvec, form.var.size
+    m, n_s = amat.shape
     sgn = 1.0 if lp.sense == "min" else -1.0
-    lo, hi = np.array(lp.bounds, dtype=float).reshape(n, 2).T
-    a_eq, b_eq = lp._rows("eq")
-    a_ub, b_ub = lp._rows("ub")
-
-    # --- substitution x = shift + umat @ u with u >= 0 ---------------------
-    # x_j = lo_j + u with a finite lower bound, hi_j - u with only an upper
-    # one, u+ - u- when free. A finite upper bound on the first kind becomes
-    # a row u + slack = hi_j - lo_j; reversed bounds give a negative capacity,
-    # which phase 1 certifies infeasible like any other row.
-    has_lo, has_hi = lo > -_INF, hi < _INF
-    free = ~(has_lo | has_hi)
-    var = np.repeat(np.arange(n), 1 + free)          # original variable per u
-    sign = np.where(has_hi & ~has_lo, -1.0, 1.0)[var]
-    sign[1:][var[1:] == var[:-1]] = -1.0              # the u- of a free variable
-    n_u = var.size
-    umat = np.zeros((n, n_u))
-    umat[var, np.arange(n_u)] = sign
-    shift = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
-    boxed = np.flatnonzero(has_lo & has_hi)
-
-    # --- rows: equalities, inequalities, bounds; slacks on the last two ----
-    m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
-    m = m_eq + m_ub + boxed.size
-    n_s = n_u + m - m_eq
-    amat = np.zeros((m, n_s))
-    amat[:m_eq, :n_u] = a_eq @ umat
-    amat[m_eq:m_eq + m_ub, :n_u] = a_ub @ umat
-    amat[np.arange(m_eq + m_ub, m), np.searchsorted(var, boxed)] = 1.0
-    amat[m_eq:, n_u:] = np.eye(m - m_eq)
-    bvec = np.concatenate([b_eq - a_eq @ shift, b_ub - a_ub @ shift,
-                           hi[boxed] - lo[boxed]])
-    flips = np.where(bvec < 0, -1.0, 1.0)
-    amat *= flips[:, None]
-    bvec *= flips
-    cost = np.concatenate([sgn * lp.c[var] * sign, np.zeros(n_s - n_u)])
-    const = float(sgn * (lp.c @ shift))
+    cost = np.concatenate([sgn * lp.c[form.var] * form.sign, np.zeros(n_s - n_u)])
+    const = float(sgn * (lp.c @ form.shift))
 
     # --- phase 1, unless the start is a feasible basis ---------------------
-    iters = 0
-    binv = None
-    warm = None if start is None else _warm_basis(amat, bvec, start)
-    if warm is not None:
+    iters, binv = 0, None
+    last = form.last                     # read once: other solves replace it whole
+    if last is not None and start is last[0]:
+        (rows, basis), binv = map(list, start), last[1]
+    elif start is not None and (warm := _warm_basis(amat, bvec, start)):
         rows, basis, binv = warm
     else:
         a1 = np.hstack([amat, np.eye(m)])
         c1 = np.concatenate([np.zeros(n_s), np.ones(m)])
-        status, basis, xb, y, iters, _, _ = _simplex(
+        status, basis, xb, y, iters, _, _, _ = _simplex(
             a1, bvec, c1, list(range(n_s, n_s + m)))
         if status != "optimal":              # phase 1 is always bounded below
             raise LpError("phase 1 reported unbounded")
         if float(c1[basis] @ xb) > FEAS_TOL:
-            cert = _farkas_certificate(lp, y, flips, m_eq, boxed)
+            cert = _farkas_certificate(form, y)
             return LpResult("infeasible", math.nan, None, None, cert, iters)
         # Drive artificials out or drop redundant rows. The phase-1 objective
         # above already certifies feasibility, yet an ill-conditioned basis
@@ -296,52 +314,48 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
 
     # --- phase 2 -----------------------------------------------------------
     b2 = bvec[rows]
-    status, basis, xb, y, iters, enter, d = _simplex(
+    status, basis, xb, y, iters, enter, d, binv = _simplex(
         amat[rows], b2, cost, basis, iters, binv)
     u = np.zeros(n_s)
     u[basis] = xb
-    x_here = shift + umat @ u[:n_u]
+    x_here = form.shift + form.umat @ u[:n_u]
     if status == "unbounded":
         ray_u = np.zeros(n_s)
         ray_u[enter] = 1.0
         ray_u[basis] = -d
-        value = -_INF if lp.sense == "min" else _INF
-        cert = {"kind": "ray", "ray": umat @ ray_u[:n_u], "from_point": x_here}
-        return LpResult("unbounded", value, None, None, cert, iters)
+        cert = {"kind": "ray", "ray": form.umat @ ray_u[:n_u], "from_point": x_here}
+        return LpResult("unbounded", -sgn * _INF, None, None, cert, iters)
 
     # loud failure beats a silently corrupted answer: a basis bad enough to
     # break feasibility at this scale of problem is a bug, not an outcome
+    (a_eq, b_eq), (a_ub, b_ub) = form.eq, form.ub
     resid = max(np.abs(a_eq @ x_here - b_eq).max(initial=0.0),
                 (a_ub @ x_here - b_ub).max(initial=0.0),
-                (lo - x_here).max(), (x_here - hi).max(), 0.0)
+                (form.lo - x_here).max(), (x_here - form.hi).max(), 0.0)
     if resid > 1e-6:
         raise LpError(f"optimal basis fails feasibility re-check ({resid:.3e})")
 
     value = float(lp.c @ x_here)
     dual_objective = float(sgn * (y @ b2 + const))
-    return LpResult("optimal", value, x_here, dual_objective, None, iters,
-                    (tuple(rows), tuple(basis)), (d, m_ub, n, var, sign, boxed))
+    found = (tuple(rows), tuple(basis))
+    form.last = (found, binv)
+    return LpResult("optimal", value, x_here, dual_objective, None, iters, found,
+                    (d, form.m_ub, lp.n_vars, form.var, form.sign, form.boxed))
 
 
-def _farkas_certificate(lp: LinearProgram, y_std: np.ndarray, flips: np.ndarray,
-                        m_eq: int, boxed: np.ndarray) -> dict:
+def _farkas_certificate(form: _StandardForm, y_std: np.ndarray) -> dict:
     """Aggregate phase-1 duals into an original-space infeasibility witness.
 
     The certificate is the functional phi(x) = y_eq.A_eq x + y_ub.A_ub x
     + sum_j y_bnd[j] x_j with y_ub, y_bnd >= 0, whose maximum of the
     right-hand sides is strictly below the minimum of phi over the bound box.
     Verified numerically here; on failure the raw multipliers are returned.
-    The standard-form rows are the equalities, the inequalities, then one
-    bound row per ``boxed`` variable.
     """
-    n = lp.n_vars
-    lo, hi = np.array(lp.bounds, dtype=float).reshape(n, 2).T
-    a_eq, b_eq = lp._rows("eq")
-    a_ub, b_ub = lp._rows("ub")
-    y_rows = -flips * y_std
-    m_ub = a_ub.shape[0]
-    y_bnd = np.zeros(n)
-    y_bnd[boxed] = y_rows[m_eq + m_ub:]
+    lo, hi, m_eq, m_ub = form.lo, form.hi, form.m_eq, form.m_ub
+    (a_eq, b_eq), (a_ub, b_ub) = form.eq, form.ub
+    y_rows = -form.flips * y_std
+    y_bnd = np.zeros(lo.size)
+    y_bnd[form.boxed] = y_rows[m_eq + m_ub:]
     for sign in (1.0, -1.0):
         ye, yu, yb = (sign * y_rows[:m_eq], sign * y_rows[m_eq:m_eq + m_ub],
                       sign * y_bnd)

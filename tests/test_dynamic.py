@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 import oracles
 import sandwichext
-from conftest import ROOT, binomial_space
+from conftest import ROOT, binomial_space, fixture_path
 from sandwichext import (
     BoundPair,
     FilteredSpace,
     GridError,
     LevelError,
+    LinearProgram,
     OperatorSystem,
     Piece,
     PolyhedralOperator,
@@ -23,10 +24,13 @@ from sandwichext import (
     check_cocycle_and_local,
     cond_expectation,
     extend_system,
+    attain,
     factor_density,
     full_space,
+    load_scenario,
     price,
     refine_and_compare,
+    solve_lp,
     span_closure,
     system_penalty,
     validate_system,
@@ -324,3 +328,52 @@ def test_price_identity_holds_at_every_payoff_scale(shape, kind, seed, scale, pa
                                res.value.values, rtol=0, atol=tol)
     np.testing.assert_allclose(res.value.values, ext.evaluate(0, T, X).values,
                                rtol=0, atol=tol)
+
+
+def _same_solve(a, b):
+    assert (a.status, a.iterations, a.basis) == (b.status, b.iterations, b.basis)
+    assert np.array_equal(a.value, b.value, equal_nan=True)
+    assert a.dual_objective == b.dual_objective
+    assert a.x.tobytes() == b.x.tobytes()
+    assert np.array_equal(a.tight, b.tight)
+
+
+@pytest.mark.parametrize("source", [
+    "fix_a.json", "fix_b.json", "fix_c_linear.json", "fix_c_restricted.json",
+    "fix_refine.json", (2, 2, "linear"), (3, 2, "linear"), (2, 3, "linear"),
+    (2, 2, "polyhedral"), (3, 2, "polyhedral"), (2, 3, "polyhedral")],
+    ids=lambda src: src if isinstance(src, str) else "tree-%d-%d-%s" % src)
+def test_block_solves_on_the_kept_form_match_fresh_programs_bit_for_bit(source, monkeypatch):
+    # every extension LP, block solves included, against solve_lp on the same
+    # program built anew from the same start: the kept standard form, checks
+    # and basis inverse change no bit of the result
+    if isinstance(source, str):
+        system = load_scenario(fixture_path(source)).system
+    else:
+        system = _tree_system(*source, 0)[0]
+    ext = extend_system(system)
+    kept = []
+
+    def compared(lp, start=None):
+        last = lp._form.last
+        kept.append(last is not None and start is last[0])
+        res = solve_lp(lp, start=start)
+        fresh = LinearProgram(c=lp.c, sense=lp.sense, a_eq=lp.a_eq, b_eq=lp.b_eq,
+                              a_ub=lp.a_ub, b_ub=lp.b_ub, bounds=lp.bounds)
+        _same_solve(res, solve_lp(fresh, start=start))
+        return res
+
+    monkeypatch.setattr(sandwichext.extension, "solve_lp", compared)
+    space = system.space
+    rng = np.random.default_rng(SEED + 11)
+    for k, (s, t) in enumerate(system.adjacent_pairs):
+        step = ext.step(k)
+        for scale in (1e-9, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12):
+            for _ in range(2):
+                vals = np.empty(space.n_atoms)
+                for block in space.blocks(t):
+                    vals[list(block)] = rng.normal() * scale
+                X = space.rv(vals, t)
+                step.evaluate(X)
+                attain(step, X)
+    assert sum(kept) >= len(kept) // 3

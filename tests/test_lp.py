@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -196,6 +198,10 @@ def _same_result(a, b):
         assert b.x is None
     else:
         assert a.x.tobytes() == b.x.tobytes()
+    if a.tight is None:
+        assert b.tight is None
+    else:
+        assert np.array_equal(a.tight, b.tight)
 
 
 def test_warm_start_from_another_objective_matches_cold():
@@ -304,6 +310,144 @@ def test_start_that_dropped_a_row_the_new_program_needs():
     cold = solve_lp(clash)
     assert cold.status == "infeasible"
     _same_result(solve_lp(clash, start=first.basis), cold)
+
+
+def _fresh(lp):
+    """The same program built anew: its own checks, standard form and no kept basis."""
+    return LinearProgram(c=lp.c, sense=lp.sense, a_eq=lp.a_eq, b_eq=lp.b_eq,
+                         a_ub=lp.a_ub, b_ub=lp.b_ub, bounds=lp.bounds)
+
+
+def test_program_keeps_private_read_only_copies_of_its_arrays():
+    # min x0 + 2 x1 over x0 + x1 = 1, x0 <= 0.25, 0 <= x <= 1
+    a_eq, b_eq = np.array([[1.0, 1.0]]), np.array([1.0])
+    a_ub, b_ub = np.array([[1.0, 0.0]]), np.array([0.25])
+    c = np.array([1.0, 2.0])
+    lp = LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                       bounds=((0.0, 1.0), (0.0, 1.0)))
+    first = solve_lp(lp)
+    np.testing.assert_allclose(first.x, [0.25, 0.75], atol=1e-12)
+    # the caller's arrays change after the first solve: x0 - x1 = 0, x0 <= 1
+    a_eq[0, 1], b_eq[0], a_ub[0, 0], b_ub[0], c[0] = -1.0, 0.0, 1.0, 1.0, -1.0
+    fresh = solve_lp(LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                                   bounds=((0.0, 1.0), (0.0, 1.0))))
+    np.testing.assert_allclose(fresh.x, [0.0, 0.0], atol=1e-12)
+    # the first program, its kept form and the programs derived from it do not see it
+    _same_result(solve_lp(lp), first)
+    _same_result(solve_lp(lp, start=first.basis), solve_lp(_fresh(lp), start=first.basis))
+    derived = lp.with_objective([1.0, 2.0])
+    _same_result(solve_lp(derived), first)
+    for arr in (lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, derived.c):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+
+
+def test_objective_swap_checks_the_new_objective():
+    lp = LinearProgram(c=[1.0, 2.0, 3.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0])
+    solve_lp(lp)
+    for bad in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1.0, np.nan, 0.0], [math.inf, 0.0, 0.0],
+                [[1.0, 2.0, 3.0]], []):
+        with pytest.raises(LpError):
+            lp.with_objective(bad)
+    derived = lp.with_objective([3.0, 1.0, 2.0])
+    assert derived.n_vars == 3 and derived.sense == lp.sense
+    assert derived._form is lp._form
+    _same_result(solve_lp(derived), solve_lp(_fresh(derived)))
+
+
+def test_starts_on_derived_programs_match_fresh_programs():
+    rng = np.random.default_rng(SEED + 7)
+    hits = 0
+    for _ in range(30):
+        spec = _random_program(rng)
+        template = LinearProgram(**spec)
+        if solve_lp(template).status != "optimal":
+            continue
+        bases = []
+        for _ in range(4):
+            lp = template.with_objective(rng.normal(size=spec["c"].size))
+            start = bases[-1] if bases else None
+            hits += start is not None and start is template._form.last[0]
+            res = solve_lp(lp, start=start)
+            # the kept basis and inverse give what a fresh program gives from the
+            # same start; a stale basis (an earlier one) goes through the checks
+            _same_result(res, solve_lp(_fresh(lp), start=start))
+            for old in bases[:-1]:
+                _same_result(solve_lp(lp.with_objective(lp.c), start=old),
+                             solve_lp(_fresh(lp), start=old))
+            if res.status == "optimal":
+                bases.append(res.basis)
+        # malformed starts on a program derived from a solved template
+        if bases and len(bases[-1][1]) >= 2:
+            rows, cols = bases[-1]
+            lp = template.with_objective(spec["c"])
+            cold = solve_lp(_fresh(lp))
+            for start in ((rows, cols[:-1]), (rows, (10_000,) + cols[1:]),
+                          ((-1,) + rows[1:], cols), (rows[::-1], cols), "not a basis"):
+                _same_result(solve_lp(lp, start=start), cold)
+    assert hits >= 20
+
+
+def test_foreign_starts_on_derived_programs_give_the_cold_result():
+    # the moved, clash and empty programs of the warm-start tests, each solved
+    # once so that its form keeps a basis, then derived and given a foreign start
+    first = solve_lp(LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[1.0]))
+    moved = LinearProgram(c=[2.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[-1.0])
+    solve_lp(moved)
+    lp = moved.with_objective([1.0, 1.0])
+    _same_result(solve_lp(lp, start=first.basis), solve_lp(_fresh(lp)))
+    dropped = solve_lp(LinearProgram(c=[-1.0, 0.0], a_eq=[[1.0, 1.0], [2.0, 2.0]],
+                                     b_eq=[1.0, 2.0]))
+    for other in (LinearProgram(c=[1.0, 0.0], a_eq=[[1.0, 1.0], [1.0, -1.0]],
+                                b_eq=[1.0, 1.0]),
+                  LinearProgram(c=[0.0, 1.0], a_eq=[[1.0, 1.0], [2.0, 2.0]],
+                                b_eq=[1.0, 3.0])):
+        solve_lp(other)
+        lp = other.with_objective([-1.0, 0.0])
+        _same_result(solve_lp(lp, start=dropped.basis), solve_lp(_fresh(lp)))
+    empty = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[3.0],
+                          bounds=((0.0, 1.0), (0.0, 1.0)))
+    solve_lp(empty)
+    lp = empty.with_objective([2.0, 1.0])
+    _same_result(solve_lp(lp, start=((0, 1, 2), (0, 1, 2))), solve_lp(_fresh(lp)))
+
+
+def test_threads_sharing_a_form_match_fresh_programs():
+    rng = np.random.default_rng(SEED + 8)
+    while True:     # a program whose objectives end on at least three bases
+        template = LinearProgram(**_random_program(rng))
+        objectives = [rng.normal(size=template.n_vars) for _ in range(6)]
+        ends = [solve_lp(template.with_objective(c)) for c in objectives]
+        if len({r.basis for r in ends if r.status == "optimal"}) >= 3:
+            break
+    errors = []
+
+    def work(k):
+        # each thread restarts from its own last basis while the others
+        # replace the kept pair; a basis paired with another's inverse
+        # would move x off the fresh program's answer
+        start = None
+        try:
+            for i in range(150):
+                lp = template.with_objective(objectives[(k + i) % len(objectives)])
+                res = solve_lp(lp, start=start)
+                _same_result(res, solve_lp(_fresh(lp), start=start))
+                start = res.basis if res.status == "optimal" else start
+        except Exception as err:           # reported by the main thread
+            errors.append(err)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
 
 
 def test_objective_scale_keeps_status_and_value_in_few_passes(monkeypatch):
