@@ -98,7 +98,7 @@ class LinearProgram:
                 continue
             a = np.array(a, dtype=float, ndmin=2)
             b = np.array(b, dtype=float, ndmin=1)
-            if a.shape != (b.size, n) or not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
+            if a.shape != (b.size, n) or not np.isfinite(a).all() or not np.isfinite(b).all():
                 raise LpError(f"a_{name}/b_{name} malformed for {n} variables")
             for key, arr in ((f"a_{name}", a), (f"b_{name}", b)):
                 arr.setflags(write=False)

@@ -436,6 +436,12 @@ def test_threads_sharing_a_form_match_fresh_programs():
         except Exception as err:           # reported by the main thread
             errors.append(err)
 
+    # one thread at a time first: each thread's starts depend only on its own
+    # results, so this checks, without any race, every (objective, start)
+    # pair the threads below meet, on the kept-inverse path and the checked one
+    for k in range(6):
+        work(k)
+    assert not errors, errors[0]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
