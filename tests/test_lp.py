@@ -111,6 +111,11 @@ def test_malformed_programs_raise():
         LinearProgram(c=[np.nan])
     with pytest.raises(LpError):
         LinearProgram(c=[1.0, 2.0], a_eq=[[1.0]], b_eq=[0.0])
+    for bad in (dict(a_eq=[[1.0, np.nan]], b_eq=[0.0]), dict(a_ub=[[1.0, 0.0]], b_ub=[np.inf]),
+                dict(a_eq=[[1.0, 1.0]]), dict(bounds=((0.0, 1.0),)),
+                dict(bounds=((0.0, 1.0), (np.nan, 1.0)))):
+        with pytest.raises(LpError):
+            LinearProgram(c=[1.0, 2.0], **bad)
 
 
 def test_support_function_greedy_values():
