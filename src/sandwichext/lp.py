@@ -14,11 +14,11 @@ again and again. A start that is not a feasible basis of the new program is
 ignored, so a stale basis costs time but never changes an answer.
 
 A program checks its constraints once and builds their standard form once,
-when first solved or derived from; every program ``with_objective`` derives
-shares that form. The form keeps (basis, B^-1) of its last optimal solve as
-one tuple, read once per solve and replaced whole: that basis restarts phase
-2 unchecked, as A and b alone decide feasibility, and any other start is
-checked, so programs sharing a form may be solved from several threads.
+shared by every program ``with_objective`` derives. The form keeps (basis,
+B^-1) of its last optimal solve as one tuple, read once per solve and
+replaced whole: that basis restarts phase 2 unchecked (A and b alone decide
+feasibility), any other start is checked, and so programs sharing a form may
+be solved from several threads.
 
 Determinism: the same sequence of calls gives the same bytes. A warm start
 may end on a different vertex of a non-unique optimum than a cold solve,
@@ -139,8 +139,9 @@ class _StandardForm:
         # which phase 1 certifies infeasible like any other row.
         has_lo, has_hi = lo > -_INF, hi < _INF
         self.var = var = np.repeat(np.arange(n), 1 + ~(has_lo | has_hi))   # variable per u
+        pair = np.flatnonzero(var[1:] == var[:-1])            # the u+ of each free variable
         self.sign = sign = np.where(has_hi & ~has_lo, -1.0, 1.0)[var]
-        sign[1:][var[1:] == var[:-1]] = -1.0                  # the u- of a free variable
+        sign[pair + 1] = -1.0                                  # and its u-
         self.umat = np.zeros((n, var.size))
         self.umat[var, np.arange(var.size)] = sign
         self.shift = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
@@ -154,6 +155,9 @@ class _StandardForm:
         amat[m_eq:, var.size:] = np.eye(m - m_eq)
         bvec = np.concatenate([b_eq - a_eq @ self.shift, b_ub - a_ub @ self.shift,
                                hi[boxed] - lo[boxed]])
+        twin = np.arange(amat.shape[1] + m)                    # phase 1 adds m columns
+        twin[pair], twin[pair + 1] = pair + 1, pair
+        self.twin = twin if pair.size else None
         self.flips = np.where(bvec < 0, -1.0, 1.0)
         amat *= self.flips[:, None]
         self.bvec = bvec * self.flips
@@ -194,12 +198,14 @@ class LpResult:
 
 
 def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
-             start_iter: int = 0, binv: np.ndarray | None = None):
+             twin: np.ndarray | None, start_iter: int = 0, binv: np.ndarray | None = None):
     """Bland-rule primal simplex from a feasible basis, whose inverse may be
     given. Reduced costs count beyond tol = COST_TOL * max(1, |c|max), so an
-    accepted vertex is within tol * |u*|_1 of an optimum u*. Returns (status,
-    basis, x_basic, y, iterations, j, d, B^-1): 'optimal' with d flagging
-    reduced costs above tol, 'unbounded' with entering j and direction d."""
+    accepted vertex is within tol * |u*|_1 of an optimum u*. While a free
+    variable's u+ or u- column is basic, its opposite ``twin`` is priced at 0,
+    so rounding cannot let it enter and make the basis singular. Returns
+    (status, basis, x_basic, y, iterations, j, d, B^-1): 'optimal' with d
+    flagging reduced costs above tol, 'unbounded' with entering j and d."""
     tol = COST_TOL * max(1.0, max(map(abs, c.tolist())))   # floats: a short vector
     it = start_iter
     basis = np.array(basis, dtype=np.intp)     # a list index is converted on every use
@@ -213,6 +219,8 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
         y = c[basis] @ binv
         reduced = c - y @ a
         reduced[basis] = 0.0
+        if twin is not None:
+            reduced[twin[basis]] = 0.0
         entering = int((reduced < -tol).argmax())
         if reduced[entering] >= -tol:
             return "optimal", basis.tolist(), xb, y, it, None, reduced > tol, binv
@@ -288,7 +296,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
         a1 = np.hstack([amat, np.eye(m)])
         c1 = np.concatenate([np.zeros(n_s), np.ones(m)])
         status, basis, xb, y, iters, _, _, _ = _simplex(
-            a1, bvec, c1, list(range(n_s, n_s + m)))
+            a1, bvec, c1, list(range(n_s, n_s + m)), form.twin)
         if status != "optimal":              # phase 1 is always bounded below
             raise LpError("phase 1 reported unbounded")
         if float(c1[basis] @ xb) > FEAS_TOL:
@@ -315,7 +323,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
     # --- phase 2 -----------------------------------------------------------
     b2 = bvec[rows]
     status, basis, xb, y, iters, enter, d, binv = _simplex(
-        amat[rows], b2, cost, basis, iters, binv)
+        amat[rows], b2, cost, basis, form.twin, iters, binv)
     u = np.zeros(n_s)
     u[basis] = xb
     x_here = form.shift + form.umat @ u[:n_u]

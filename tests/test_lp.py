@@ -175,6 +175,42 @@ def test_result_is_plain_data():
     assert res.certificate is None
 
 
+# min t over x in the simplex, t free, t >= G_i . x: the dominance check of
+# two drawn polyhedral bound pairs, on which a rounding-noise reduced cost
+# let the u- column of t enter while its opposite u+ was basic
+NOISY_GAPS = [
+    [[0.26517554570511476, 0.15941741642536925, 0.024400821625093615, 0.029915152693383348],
+     [0.3765141753476064, 0.11115014417900823, 0.04625939788979187, 0.03152381983043504],
+     [0.3419777757336559, 0.17582162290444447, 0.03828455972722628, 0.029381914602645658]],
+    [[0.2806724917386889, 0.13504175767857818, 0.024456549942780126, 0.029983475029350223],
+     [0.39851778748583144, 0.09415477413151715, 0.046365048365878216, 0.03159581615388655],
+     [0.36196306932901456, 0.14893768527500678, 0.038371996705363655, 0.029449019091845743],
+     [0.1185930171203436, 0.10188131214195319, 0.050596144251926795, 0.061360866948748226],
+     [0.23643831286748618, 0.060994328594892164, 0.07250464267502488, 0.06297320807328453],
+     [0.1998835947106693, 0.1157772397383818, 0.06451159101451032, 0.060826411011243746],
+     [0.2760361394603821, 0.13132786328538504, 0.03220501923944685, 0.053726068453002304],
+     [0.3938814352075246, 0.09044087973832401, 0.05411351766254494, 0.05533840957753863],
+     [0.35732671705070773, 0.14522379088181367, 0.04612046600203038, 0.053191612515497824]],
+]
+
+
+@pytest.mark.parametrize("gaps", NOISY_GAPS)
+def test_free_variable_twins_never_share_a_basis(gaps):
+    optimize = pytest.importorskip("scipy.optimize")
+    g = np.array(gaps)
+    n = g.shape[1]
+    spec = dict(c=np.r_[np.zeros(n), 1.0], a_eq=[np.r_[np.ones(n), 0.0]], b_eq=[1.0],
+                a_ub=np.hstack([g, -np.ones((len(g), 1))]), b_ub=np.zeros(len(g)))
+    res = solve_lp(LinearProgram(**spec, bounds=[(0.0, math.inf)] * n + [(-math.inf, math.inf)]))
+    ref = optimize.linprog(spec["c"], A_ub=spec["a_ub"], b_ub=spec["b_ub"], A_eq=spec["a_eq"],
+                           b_eq=spec["b_eq"], bounds=[(0, None)] * n + [(None, None)],
+                           method="highs")
+    assert res.status == "optimal" and ref.status == 0
+    assert res.value == pytest.approx(ref.fun, abs=1e-12)
+    assert abs(res.value - res.dual_objective) < DUAL_TOL
+    assert not res.tight[[len(g) + n, len(g) + 2 * n + 1]].any()     # t's bounds are infinite
+
+
 def _random_program(rng):
     """A feasible program with boxed, one-sided and free variables.
 
