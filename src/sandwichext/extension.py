@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -222,13 +223,19 @@ class _BlockProgram:
     the constraints and the penalty part of the objective; a payoff sets only
     the f part, through ``weights``, so every solve shares the standard form
     of ``lp`` and ``basis``, the last optimal basis, is a feasible start.
+    ``make_lp`` builds and checks ``lp`` on the block's first solve, not when
+    the extension is set up.
     """
 
     poly: BlockPolytope
-    lp: LinearProgram
+    make_lp: partial
     weights: np.ndarray         # the segments' probabilities within the block
     penalties: np.ndarray
     basis: Basis | None = None
+
+    @cached_property
+    def lp(self) -> LinearProgram:
+        return self.make_lp()
 
     def program(self, x_reps: np.ndarray) -> LinearProgram:
         c = self.lp.c.copy()
@@ -351,12 +358,13 @@ def maximal_extension(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOper
         else:
             ub_rows = None
             ub_rhs = None
-        lp = LinearProgram(
-            c=np.concatenate([np.zeros(n + bp.n_lift), -penalties[a]]), sense="max",
-            a_eq=eq_mat[keep], b_eq=eq_vec[keep], a_ub=ub_rows, b_ub=ub_rhs,
+        make_lp = partial(
+            LinearProgram, c=np.concatenate([np.zeros(n + bp.n_lift), -penalties[a]]),
+            sense="max", a_eq=eq_mat[keep], b_eq=eq_vec[keep], a_ub=ub_rows, b_ub=ub_rhs,
             bounds=list(bp.var_bounds) + [(0.0, math.inf)] * nj)
         ext._programs.append(_BlockProgram(
-            poly=bp, lp=lp, weights=sg.rows.probs / sg.prob, penalties=penalties[a]))
+            poly=bp, make_lp=make_lp, weights=sg.rows.probs / sg.prob,
+            penalties=penalties[a]))
     return ext
 
 

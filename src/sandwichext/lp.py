@@ -139,25 +139,25 @@ class _StandardForm:
         # which phase 1 certifies infeasible like any other row.
         has_lo, has_hi = lo > -_INF, hi < _INF
         self.var = var = np.repeat(np.arange(n), 1 + ~(has_lo | has_hi))   # variable per u
-        pair = np.flatnonzero(var[1:] == var[:-1])            # the u+ of each free variable
         self.sign = sign = np.where(has_hi & ~has_lo, -1.0, 1.0)[var]
-        sign[pair + 1] = -1.0                                  # and its u-
-        self.umat = np.zeros((n, var.size))
-        self.umat[var, np.arange(var.size)] = sign
-        self.shift = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+        sign[1:][var[1:] == var[:-1]] = -1.0                  # the u- of a free variable
+        self.umat = umat = np.zeros((n, var.size))
+        umat[var, np.arange(var.size)] = sign
+        self.shift = shift = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
         self.boxed = boxed = np.flatnonzero(has_lo & has_hi)
         self.m_eq, self.m_ub = m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
         m = m_eq + m_ub + boxed.size
         self.amat = amat = np.zeros((m, var.size + m - m_eq))
-        amat[:m_eq, :var.size] = a_eq @ self.umat
-        amat[m_eq:m_eq + m_ub, :var.size] = a_ub @ self.umat
+        amat[:m_eq, :var.size] = a_eq @ umat
+        amat[m_eq:m_eq + m_ub, :var.size] = a_ub @ umat
         amat[np.arange(m_eq + m_ub, m), np.searchsorted(var, boxed)] = 1.0
         amat[m_eq:, var.size:] = np.eye(m - m_eq)
-        bvec = np.concatenate([b_eq - a_eq @ self.shift, b_ub - a_ub @ self.shift,
+        bvec = np.concatenate([b_eq - a_eq @ shift, b_ub - a_ub @ shift,
                                hi[boxed] - lo[boxed]])
-        twin = np.arange(amat.shape[1] + m)                    # phase 1 adds m columns
-        twin[pair], twin[pair + 1] = pair + 1, pair
-        self.twin = twin if pair.size else None
+        self.twin = np.arange(amat.shape[1] + m) if var.size > n else None  # phase 1's too
+        if var.size > n:                                       # a free variable's u+ <-> u-
+            pair = np.flatnonzero(var[1:] == var[:-1])
+            self.twin[pair], self.twin[pair + 1] = pair + 1, pair
         self.flips = np.where(bvec < 0, -1.0, 1.0)
         amat *= self.flips[:, None]
         self.bvec = bvec * self.flips
