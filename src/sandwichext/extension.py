@@ -219,18 +219,16 @@ def density_set(bounds: BoundPair, space: FilteredSpace | None = None) -> Densit
 class _BlockProgram:
     """One block's program over z = (f, lift, theta), built once.
 
-    The (f, lift) part is the block's density polytope ``poly``. ``lp`` holds
-    the constraints and the penalty part of the objective; a payoff sets only
-    the f part, through ``weights``, so every solve shares the standard form
-    of ``lp`` and ``basis``, the last optimal basis, is a feasible start.
-    ``make_lp`` builds and checks ``lp`` on the block's first solve, not when
-    the extension is set up.
+    The (f, lift) part is the block's density polytope ``poly``. ``lp``, built
+    and checked by ``make_lp`` on the first solve, holds the constraints and
+    the objective's penalty part -c_j; a payoff sets only the f part, through
+    ``weights``, so every solve shares the standard form of ``lp`` and
+    ``basis``, the last optimal basis, is a feasible start.
     """
 
     poly: BlockPolytope
     make_lp: partial
     weights: np.ndarray         # the segments' probabilities within the block
-    penalties: np.ndarray
     basis: Basis | None = None
 
     @cached_property
@@ -363,8 +361,7 @@ def maximal_extension(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOper
             sense="max", a_eq=eq_mat[keep], b_eq=eq_vec[keep], a_ub=ub_rows, b_ub=ub_rhs,
             bounds=list(bp.var_bounds) + [(0.0, math.inf)] * nj)
         ext._programs.append(_BlockProgram(
-            poly=bp, make_lp=make_lp, weights=sg.rows.probs / sg.prob,
-            penalties=penalties[a]))
+            poly=bp, make_lp=make_lp, weights=sg.rows.probs / sg.prob))
     return ext
 
 
@@ -388,7 +385,7 @@ def attain(ext: ExtendedOperator, X: RandomVariable) -> Attainment:
         z = _center_on_face(prog, res, a)
         values[a] = res.value
         f_seg[poly.seg.ids] = z[:poly.n_f]
-        pen[a] = float(prog.penalties @ z[poly.n_vars:])
+        pen[a] = float(-prog.lp.c[poly.n_vars:] @ z[poly.n_vars:])
     return Attainment(
         density=RandomVariable(fine.broadcast(f_seg), ext.level_b),
         value=RandomVariable(coarse.broadcast(values), ext.level_a),

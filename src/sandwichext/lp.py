@@ -13,12 +13,10 @@ phase 1, which is most of the pivots when the same constraints are solved
 again and again. A start that is not a feasible basis of the new program is
 ignored, so a stale basis costs time but never changes an answer.
 
-A program checks its constraints once and builds their standard form once,
-shared by every program ``with_objective`` derives. The form keeps (basis,
-B^-1) of its last optimal solve as one tuple, read once per solve and
-replaced whole: that basis restarts phase 2 unchecked (A and b alone decide
-feasibility), any other start is checked, and so programs sharing a form may
-be solved from several threads.
+A program's checked constraints and standard form are shared by every program
+``with_objective`` derives. The form's last optimal (basis, B^-1) skips the
+warm-start checks; it is one tuple, read once per solve and replaced whole, so
+programs sharing a form may be solved from several threads.
 
 Determinism: the same sequence of calls gives the same bytes. A warm start
 may end on a different vertex of a non-unique optimum than a cold solve,
@@ -201,11 +199,10 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
              twin: np.ndarray | None, start_iter: int = 0, binv: np.ndarray | None = None):
     """Bland-rule primal simplex from a feasible basis, whose inverse may be
     given. Reduced costs count beyond tol = COST_TOL * max(1, |c|max), so an
-    accepted vertex is within tol * |u*|_1 of an optimum u*. While a free
-    variable's u+ or u- column is basic, its opposite ``twin`` is priced at 0,
-    so rounding cannot let it enter and make the basis singular. Returns
-    (status, basis, x_basic, y, iterations, j, d, B^-1): 'optimal' with d
-    flagging reduced costs above tol, 'unbounded' with entering j and d."""
+    accepted vertex is within tol * |u*|_1 of an optimum u*. The ``twin`` of a
+    basic free-variable column, its opposite, is priced at 0, not at rounding
+    noise. Returns (status, basis, x_basic, y, iterations, j, d, B^-1):
+    'optimal' with d flagging reduced costs above tol, 'unbounded' with d."""
     tol = COST_TOL * max(1.0, max(map(abs, c.tolist())))   # floats: a short vector
     it = start_iter
     basis = np.array(basis, dtype=np.intp)     # a list index is converted on every use
