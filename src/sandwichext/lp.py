@@ -202,7 +202,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
     accepted vertex is within tol * |u*|_1 of an optimum u*. The ``twin`` of a
     basic free-variable column, its opposite, is priced at 0, not at rounding
     noise. Returns (status, basis, x_basic, y, iterations, j, d, B^-1):
-    'optimal' with d flagging reduced costs above tol, 'unbounded' with d."""
+    'optimal' with d flagging reduced costs > tol, 'unbounded' with entering j, ray d."""
     tol = COST_TOL * max(1.0, max(map(abs, c.tolist())))   # floats: a short vector
     it = start_iter
     basis = np.array(basis, dtype=np.intp)     # a list index is converted on every use
