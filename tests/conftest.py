@@ -27,6 +27,21 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURE_DIR = ROOT / "fixtures"
 
 
+def same_lp_result(a, b):
+    """Two ``solve_lp`` results agree bit for bit."""
+    assert (a.status, a.iterations, a.basis) == (b.status, b.iterations, b.basis)
+    assert np.array_equal(a.value, b.value, equal_nan=True)
+    assert a.dual_objective == b.dual_objective
+    if a.x is None:
+        assert b.x is None
+    else:
+        assert a.x.tobytes() == b.x.tobytes()
+    if a.tight is None:
+        assert b.tight is None
+    else:
+        assert np.array_equal(a.tight, b.tight)
+
+
 def fixture_path(name: str) -> pathlib.Path:
     return FIXTURE_DIR / name
 

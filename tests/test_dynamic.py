@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 import sandwichext
-from conftest import ROOT, binomial_space, fixture_path
+from conftest import ROOT, binomial_space, fixture_path, same_lp_result
 from sandwichext import (
     BoundPair,
     FilteredSpace,
@@ -330,14 +330,6 @@ def test_price_identity_holds_at_every_payoff_scale(shape, kind, seed, scale, pa
                                rtol=0, atol=tol)
 
 
-def _same_solve(a, b):
-    assert (a.status, a.iterations, a.basis) == (b.status, b.iterations, b.basis)
-    assert np.array_equal(a.value, b.value, equal_nan=True)
-    assert a.dual_objective == b.dual_objective
-    assert a.x.tobytes() == b.x.tobytes()
-    assert np.array_equal(a.tight, b.tight)
-
-
 @pytest.mark.parametrize("source", [
     "fix_a.json", "fix_b.json", "fix_c_linear.json", "fix_c_restricted.json",
     "fix_refine.json", (2, 2, "linear"), (3, 2, "linear"), (2, 3, "linear"),
@@ -360,7 +352,7 @@ def test_block_solves_on_the_kept_form_match_fresh_programs_bit_for_bit(source, 
         res = solve_lp(lp, start=start)
         fresh = LinearProgram(c=lp.c, sense=lp.sense, a_eq=lp.a_eq, b_eq=lp.b_eq,
                               a_ub=lp.a_ub, b_ub=lp.b_ub, bounds=lp.bounds)
-        _same_solve(res, solve_lp(fresh, start=start))
+        same_lp_result(res, solve_lp(fresh, start=start))
         return res
 
     monkeypatch.setattr(sandwichext.extension, "solve_lp", compared)

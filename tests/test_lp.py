@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import same_lp_result
 from sandwichext import LinearProgram, LpResult, solve_lp, support_function
 import sandwichext.lp
 from sandwichext.lp import InfeasibleRegionError, LpError
@@ -231,20 +232,6 @@ def _random_program(rng):
                 bounds=bounds)
 
 
-def _same_result(a, b):
-    assert (a.status, a.iterations, a.basis) == (b.status, b.iterations, b.basis)
-    assert np.array_equal(a.value, b.value, equal_nan=True)
-    assert a.dual_objective == b.dual_objective
-    if a.x is None:
-        assert b.x is None
-    else:
-        assert a.x.tobytes() == b.x.tobytes()
-    if a.tight is None:
-        assert b.tight is None
-    else:
-        assert np.array_equal(a.tight, b.tight)
-
-
 def test_warm_start_from_another_objective_matches_cold():
     rng = np.random.default_rng(SEED + 2)
     statuses = set()
@@ -289,7 +276,7 @@ def test_invalid_starts_give_the_cold_result():
             "not a basis",
         ]
         for start in bad:
-            _same_result(solve_lp(lp, start=start), cold)
+            same_lp_result(solve_lp(lp, start=start), cold)
 
 
 def test_singular_and_infeasible_starts_give_the_cold_result():
@@ -300,19 +287,19 @@ def test_singular_and_infeasible_starts_give_the_cold_result():
                        bounds=((-math.inf, math.inf), (0.0, math.inf), (0.0, math.inf)))
     cold = solve_lp(lp)
     assert cold.status == "optimal"
-    _same_result(solve_lp(lp, start=((0, 1), (0, 1))), cold)
+    same_lp_result(solve_lp(lp, start=((0, 1), (0, 1))), cold)
     # min x0 + x1 over x0 - x1 = 1 ends on the basis {x0}; with the
     # right-hand side -1 that basis puts x0 at -1
     first = solve_lp(LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[1.0]))
     assert first.basis == ((0,), (0,))
     moved = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[-1.0])
     cold = solve_lp(moved)
-    _same_result(solve_lp(moved, start=first.basis), cold)
+    same_lp_result(solve_lp(moved, start=first.basis), cold)
     np.testing.assert_allclose(cold.x, [0.0, 1.0], atol=1e-12)
     # an infeasible program stays infeasible from any start
     empty = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[3.0],
                           bounds=((0.0, 1.0), (0.0, 1.0)))
-    _same_result(solve_lp(empty, start=((0, 1, 2), (0, 1, 2))), solve_lp(empty))
+    same_lp_result(solve_lp(empty, start=((0, 1, 2), (0, 1, 2))), solve_lp(empty))
 
 
 def test_warm_start_sequences_repeat_bytes():
@@ -331,7 +318,7 @@ def test_warm_start_sequences_repeat_bytes():
         return out
 
     for a, b in zip(run(), run(), strict=True):
-        _same_result(a, b)
+        same_lp_result(a, b)
 
 
 def test_start_that_dropped_a_row_the_new_program_needs():
@@ -344,13 +331,13 @@ def test_start_that_dropped_a_row_the_new_program_needs():
     cold = solve_lp(lp)
     assert cold.status == "optimal"
     np.testing.assert_allclose(cold.x, [1.0, 0.0], atol=1e-12)
-    _same_result(solve_lp(lp, start=first.basis), cold)
+    same_lp_result(solve_lp(lp, start=first.basis), cold)
     # the same two rows with a right-hand side that breaks the dropped one
     clash = LinearProgram(c=[-1.0, 0.0], a_eq=[[1.0, 1.0], [2.0, 2.0]],
                           b_eq=[1.0, 3.0])
     cold = solve_lp(clash)
     assert cold.status == "infeasible"
-    _same_result(solve_lp(clash, start=first.basis), cold)
+    same_lp_result(solve_lp(clash, start=first.basis), cold)
 
 
 def _fresh(lp):
@@ -374,10 +361,10 @@ def test_program_keeps_private_read_only_copies_of_its_arrays():
                                    bounds=((0.0, 1.0), (0.0, 1.0))))
     np.testing.assert_allclose(fresh.x, [0.0, 0.0], atol=1e-12)
     # the first program, its kept form and the programs derived from it do not see it
-    _same_result(solve_lp(lp), first)
-    _same_result(solve_lp(lp, start=first.basis), solve_lp(_fresh(lp), start=first.basis))
+    same_lp_result(solve_lp(lp), first)
+    same_lp_result(solve_lp(lp, start=first.basis), solve_lp(_fresh(lp), start=first.basis))
     derived = lp.with_objective([1.0, 2.0])
-    _same_result(solve_lp(derived), first)
+    same_lp_result(solve_lp(derived), first)
     for arr in (lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, derived.c):
         with pytest.raises(ValueError):
             arr[0] = 7.0
@@ -393,7 +380,7 @@ def test_objective_swap_checks_the_new_objective():
     derived = lp.with_objective([3.0, 1.0, 2.0])
     assert derived.n_vars == 3 and derived.sense == lp.sense
     assert derived._form is lp._form
-    _same_result(solve_lp(derived), solve_lp(_fresh(derived)))
+    same_lp_result(solve_lp(derived), solve_lp(_fresh(derived)))
 
 
 def test_starts_on_derived_programs_match_fresh_programs():
@@ -412,9 +399,9 @@ def test_starts_on_derived_programs_match_fresh_programs():
             res = solve_lp(lp, start=start)
             # the kept basis and inverse give what a fresh program gives from the
             # same start; a stale basis (an earlier one) goes through the checks
-            _same_result(res, solve_lp(_fresh(lp), start=start))
+            same_lp_result(res, solve_lp(_fresh(lp), start=start))
             for old in bases[:-1]:
-                _same_result(solve_lp(lp.with_objective(lp.c), start=old),
+                same_lp_result(solve_lp(lp.with_objective(lp.c), start=old),
                              solve_lp(_fresh(lp), start=old))
             if res.status == "optimal":
                 bases.append(res.basis)
@@ -425,7 +412,7 @@ def test_starts_on_derived_programs_match_fresh_programs():
             cold = solve_lp(_fresh(lp))
             for start in ((rows, cols[:-1]), (rows, (10_000,) + cols[1:]),
                           ((-1,) + rows[1:], cols), (rows[::-1], cols), "not a basis"):
-                _same_result(solve_lp(lp, start=start), cold)
+                same_lp_result(solve_lp(lp, start=start), cold)
     assert hits >= 20
 
 
@@ -436,7 +423,7 @@ def test_foreign_starts_on_derived_programs_give_the_cold_result():
     moved = LinearProgram(c=[2.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[-1.0])
     solve_lp(moved)
     lp = moved.with_objective([1.0, 1.0])
-    _same_result(solve_lp(lp, start=first.basis), solve_lp(_fresh(lp)))
+    same_lp_result(solve_lp(lp, start=first.basis), solve_lp(_fresh(lp)))
     dropped = solve_lp(LinearProgram(c=[-1.0, 0.0], a_eq=[[1.0, 1.0], [2.0, 2.0]],
                                      b_eq=[1.0, 2.0]))
     for other in (LinearProgram(c=[1.0, 0.0], a_eq=[[1.0, 1.0], [1.0, -1.0]],
@@ -445,12 +432,12 @@ def test_foreign_starts_on_derived_programs_give_the_cold_result():
                                 b_eq=[1.0, 3.0])):
         solve_lp(other)
         lp = other.with_objective([-1.0, 0.0])
-        _same_result(solve_lp(lp, start=dropped.basis), solve_lp(_fresh(lp)))
+        same_lp_result(solve_lp(lp, start=dropped.basis), solve_lp(_fresh(lp)))
     empty = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[3.0],
                           bounds=((0.0, 1.0), (0.0, 1.0)))
     solve_lp(empty)
     lp = empty.with_objective([2.0, 1.0])
-    _same_result(solve_lp(lp, start=((0, 1, 2), (0, 1, 2))), solve_lp(_fresh(lp)))
+    same_lp_result(solve_lp(lp, start=((0, 1, 2), (0, 1, 2))), solve_lp(_fresh(lp)))
 
 
 def test_threads_sharing_a_form_match_fresh_programs():
@@ -472,7 +459,7 @@ def test_threads_sharing_a_form_match_fresh_programs():
             for i in range(150):
                 lp = template.with_objective(objectives[(k + i) % len(objectives)])
                 res = solve_lp(lp, start=start)
-                _same_result(res, solve_lp(_fresh(lp), start=start))
+                same_lp_result(res, solve_lp(_fresh(lp), start=start))
                 start = res.basis if res.status == "optimal" else start
         except Exception as err:           # reported by the main thread
             errors.append(err)
