@@ -440,6 +440,41 @@ def test_foreign_starts_on_derived_programs_give_the_cold_result():
     same_lp_result(solve_lp(lp, start=((0, 1, 2), (0, 1, 2))), solve_lp(_fresh(lp)))
 
 
+def test_a_solve_reads_the_kept_pair_once():
+    # a racing solve may replace the kept (basis, B^-1) pair at any moment; a
+    # solve that read it twice could pair one basis with another's inverse.
+    # Here every read of the pair alternates between two real pairs.
+    rng = np.random.default_rng(SEED + 9)
+    while True:
+        template = LinearProgram(**_random_program(rng))
+        c_a, c_b = rng.normal(size=(2, template.n_vars))
+        res_a = solve_lp(template.with_objective(c_a))
+        pair_a = template._form.last
+        res_b = solve_lp(template.with_objective(c_b))
+        if "optimal" == res_a.status == res_b.status and res_a.basis != res_b.basis:
+            break
+    pair_b = template._form.last
+    form = template._form
+
+    class Racing(type(form)):
+        reads = 0
+
+        @property
+        def last(self):
+            self.reads += 1
+            return pair_a if self.reads % 2 else pair_b
+
+        @last.setter
+        def last(self, value):
+            pass
+
+    form.__class__ = Racing
+    lp = template.with_objective(c_b)
+    res = solve_lp(lp, start=res_a.basis)
+    assert form.reads == 1
+    same_lp_result(res, solve_lp(_fresh(lp), start=res_a.basis))
+
+
 def test_threads_sharing_a_form_match_fresh_programs():
     rng = np.random.default_rng(SEED + 8)
     while True:     # a program whose objectives end on at least three bases
