@@ -469,7 +469,7 @@ def test_a_solve_reads_the_kept_pair_once():
             pass
 
     form.__class__ = Racing
-    lp = template.with_objective(c_b)
+    lp = template.with_objective(c_a)        # basis A is optimal: one pass with A^-1
     res = solve_lp(lp, start=res_a.basis)
     assert form.reads == 1
     same_lp_result(res, solve_lp(_fresh(lp), start=res_a.basis))
