@@ -1,17 +1,19 @@
 """Dense linear programming kernel and the box-budget support function.
 
 The solver is a two-phase primal simplex on the standard form min c.u,
-A u = b, u >= 0, with Bland's least-index pivoting rule, so it cannot cycle.
-Problems in this package are tiny (tens of variables), so every pivot inverts
-the basis matrix afresh, once, and reuses the inverse for the basic
-solution, the duals and the entering column; there is no tableau drift to
-manage.
+A u = b, u >= 0. The column with the most negative reduced cost enters
+(Dantzig); a run of degenerate pivots hands over to Bland's least-index rule
+until a pivot moves, so it cannot cycle. Problems in this package are tiny
+(tens of variables), so each pass inverts the basis matrix once and reuses
+the inverse for the basic solution, the duals and the entering column; there
+is no tableau drift to manage.
 
-An optimal result carries its final basis. Passing it back as ``start`` to
-a program with the same constraints (typically another objective) skips
-phase 1, which is most of the pivots when the same constraints are solved
-again and again. A start that is not a feasible basis of the new program is
-ignored, so a stale basis costs time but never changes an answer.
+Phase 1 starts each row on its slack where that keeps coefficient +1 and
+adds artificials for the other rows only; without them it is skipped. An
+optimal result's final basis, passed back as ``start`` to a program with the
+same constraints (typically another objective), skips phase 1 too. A start
+that is not a feasible basis of the new program is ignored, so a stale basis
+costs time but never changes an answer.
 
 A program's checked constraints and standard form are shared by every program
 ``with_objective`` derives. The form's last optimal (basis, B^-1) skips the
@@ -46,6 +48,7 @@ COST_TOL = 1e-11        # times max(1, |c|max), see _simplex
 PIVOT_TOL = 1e-11
 DROP_TOL = 1e-8         # a row whose entries off the basis all lie within this is redundant
 MAX_ITER = 1_000_000
+BLAND_AFTER = 10        # degenerate pivots in a row before Bland's rule takes over
 
 _INF = math.inf
 
@@ -156,9 +159,13 @@ class _StandardForm:
         if var.size > n:                                       # a free variable's u+ <-> u-
             pair = np.flatnonzero(var[1:] == var[:-1])
             self.twin[pair], self.twin[pair + 1] = pair + 1, pair
-        self.flips = np.where(bvec < 0, -1.0, 1.0)
-        amat *= self.flips[:, None]
-        self.bvec = bvec * self.flips
+        self.flips = flips = np.where(bvec < 0, -1.0, 1.0)
+        amat *= flips[:, None]
+        self.bvec = bvec * flips
+        # phase 1 starts each row on a +1 slack, or on an artificial where it ``need``s one
+        self.need = need = np.r_[np.ones(m_eq, dtype=bool), flips[m_eq:] < 0]
+        self.start = np.arange(var.size - m_eq, var.size - m_eq + m)
+        self.start[need] = np.arange(amat.shape[1], amat.shape[1] + need.sum())
         self.last = None       # (basis, B^-1) of the last optimal solve
 
 
@@ -166,12 +173,12 @@ class _StandardForm:
 class LpResult:
     """Outcome of ``solve_lp``.
 
-    ``iterations`` counts the simplex passes this call made, phase 1 only
-    when it ran. An optimal result's ``basis`` is the pair (kept
-    standard-form rows, basic columns) that ``solve_lp`` accepts as
-    ``start``; it is None for any other status. ``tight`` marks, per
-    ``a_ub`` row, lower bound and upper bound, what every optimum holds with
-    equality: the standard-form column is priced above the tolerance.
+    ``iterations`` counts this call's simplex passes, phase 1's when no start
+    was taken and a row needed an artificial. An optimal result's ``basis`` is
+    the pair (kept standard-form rows, basic columns) that ``solve_lp``
+    accepts as ``start``; it is None for any other status. ``tight`` marks,
+    per ``a_ub`` row, lower bound and upper bound, what every optimum holds
+    with equality: the standard-form column is priced above the tolerance.
     """
 
     status: str                       # "optimal" | "unbounded" | "infeasible"
@@ -197,14 +204,15 @@ class LpResult:
 
 def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
              twin: np.ndarray | None, start_iter: int = 0, binv: np.ndarray | None = None):
-    """Bland-rule primal simplex from a feasible basis, whose inverse may be
-    given. Reduced costs count beyond tol = COST_TOL * max(1, |c|max), so an
-    accepted vertex is within tol * |u*|_1 of an optimum u*. The ``twin`` of a
-    basic free-variable column, its opposite, is priced at 0, not at rounding
-    noise. Returns (status, basis, x_basic, y, iterations, j, d, B^-1):
-    'optimal' with d flagging reduced costs > tol, 'unbounded' with entering j, ray d."""
+    """Primal simplex from a feasible basis, whose inverse may be given. Dantzig
+    pricing, or Bland's while the last BLAND_AFTER pivots stepped <= FEAS_TOL.
+    Reduced costs count beyond tol = COST_TOL * max(1, |c|max), so an accepted
+    vertex is within tol * |u*|_1 of an optimum u*. A basic free-variable
+    column's ``twin``, its opposite, is priced at 0, not at rounding noise.
+    Returns (status, basis, x_basic, y, iterations, j, d, B^-1): 'optimal'
+    with d flagging reduced costs > tol, 'unbounded' with entering j, ray d."""
     tol = COST_TOL * max(1.0, max(map(abs, c.tolist())))   # floats: a short vector
-    it = start_iter
+    it, stalled = start_iter, 0
     basis = np.array(basis, dtype=np.intp)     # a list index is converted on every use
     while True:
         if it > MAX_ITER:
@@ -218,7 +226,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
         reduced[basis] = 0.0
         if twin is not None:
             reduced[twin[basis]] = 0.0
-        entering = int((reduced < -tol).argmax())
+        entering = int((reduced < -tol).argmax() if stalled >= BLAND_AFTER else reduced.argmin())
         if reduced[entering] >= -tol:
             return "optimal", basis.tolist(), xb, y, it, None, reduced > tol, binv
         d = binv @ a[:, entering]
@@ -228,6 +236,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
         if not ratios:
             return "unbounded", basis.tolist(), xb, y, it, entering, d, binv
         theta = min(ratios)[0]
+        stalled = stalled + 1 if theta <= FEAS_TOL else 0
         # Bland: among minimal ratios leave the smallest basic variable index
         basis[min(r[1:] for r in ratios if r[0] <= theta + PIVOT_TOL)[1]] = entering
         binv = None
@@ -273,7 +282,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
 
     ``start`` is the ``basis`` of an earlier optimal result. Phase 2 starts
     from it, with phase 1 skipped, when it is the basis the standard form
-    last returned or passes ``_warm_basis``; otherwise phase 1 runs.
+    last returned or passes ``_warm_basis``; else phase 1, if a row needs it.
     """
     form = lp._form
     amat, bvec, n_u = form.amat, form.bvec, form.var.size
@@ -282,18 +291,20 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
     cost = np.concatenate([sgn * lp.c[form.var] * form.sign, np.zeros(n_s - n_u)])
     const = float(sgn * (lp.c @ form.shift))
 
-    # --- phase 1, unless the start is a feasible basis ---------------------
+    # --- phase 1, unless the start or the slacks are a feasible basis ------
     iters, binv = 0, None
     last = form.last                     # read once: other solves replace it whole
     if last is not None and start is last[0]:
         (rows, basis), binv = map(list, start), last[1]
     elif start is not None and (warm := _warm_basis(amat, bvec, start)):
         rows, basis, binv = warm
+    elif not form.need.any():            # every row starts on its slack
+        rows, basis, binv = list(range(m)), form.start.tolist(), np.eye(m)
     else:
-        a1 = np.hstack([amat, np.eye(m)])
-        c1 = np.concatenate([np.zeros(n_s), np.ones(m)])
+        a1 = np.hstack([amat, np.eye(m)[:, form.need]])
+        c1 = np.concatenate([np.zeros(n_s), np.ones(a1.shape[1] - n_s)])
         status, basis, xb, y, iters, _, _, _ = _simplex(
-            a1, bvec, c1, list(range(n_s, n_s + m)), form.twin)
+            a1, bvec, c1, form.start.tolist(), form.twin, 0, np.eye(m))
         if status != "optimal":              # phase 1 is always bounded below
             raise LpError("phase 1 reported unbounded")
         if float(c1[basis] @ xb) > FEAS_TOL:

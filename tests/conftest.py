@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sandwichext import (
     BoundPair,
@@ -22,6 +23,12 @@ from sandwichext import (
     full_space,
     span_closure,
 )
+
+# The same examples on every run and machine: drawn from a fixed seed per
+# test, with no example database to replay earlier failures. Each test's own
+# ``@settings`` (max_examples, deadline) still applies on top.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURE_DIR = ROOT / "fixtures"

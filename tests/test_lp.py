@@ -75,7 +75,7 @@ def test_infeasible_with_farkas_certificate():
 
 
 def test_degenerate_problem_terminates_deterministically():
-    # heavily degenerate vertex at the origin; Bland's rule must not cycle
+    # heavily degenerate vertex at the origin; the pivoting must not cycle
     a_ub = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
             [1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]
     lp = LinearProgram(c=[-1.0, -1.0, -1.0], a_ub=a_ub, b_ub=[1.0] * 6,
@@ -88,6 +88,111 @@ def test_degenerate_problem_terminates_deterministically():
         assert again.value == first.value
         np.testing.assert_array_equal(again.x, first.x)
         assert again.iterations == first.iterations
+
+
+def test_beale_cycling_program_ends_on_the_bland_fallback(monkeypatch):
+    # Beale (1955): from the slack basis, most-negative-cost pricing with the
+    # least-index leaving row cycles through degenerate bases; without the
+    # Bland fallback the solve would run into the lowered cap
+    monkeypatch.setattr(sandwichext.lp, "MAX_ITER", 200)
+    lp = LinearProgram(c=[-0.75, 20.0, -0.5, 6.0],
+                       a_ub=[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0],
+                             [0.0, 0.0, 1.0, 0.0]],
+                       b_ub=[0.0, 0.0, 1.0])
+    res = solve_lp(lp)
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(-1.25, abs=VALUE_TOL)
+    np.testing.assert_allclose(res.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+    assert res.dual_objective == pytest.approx(-1.25, abs=VALUE_TOL)
+
+
+def test_nonnegative_upper_rows_make_no_phase_1_pass(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    runs, simplex = [], sandwichext.lp._simplex
+
+    def counting(*args, **kwargs):
+        runs.append(args[3])                    # the starting basis
+        return simplex(*args, **kwargs)
+
+    monkeypatch.setattr(sandwichext.lp, "_simplex", counting)
+    rng = np.random.default_rng(SEED + 7)
+    for _ in range(30):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        a_ub = rng.normal(size=(m, n))
+        b_ub = rng.uniform(0.0, 2.0, size=m)
+        b_ub[0] = 0.0                                     # a degenerate slack start
+        bounds = tuple((0.0, 1.5) if rng.random() < 0.5 else (0.0, math.inf) for _ in range(n))
+        lp = LinearProgram(c=rng.normal(size=n), a_ub=a_ub, b_ub=b_ub, bounds=bounds)
+        del runs[:]
+        res = solve_lp(lp)
+        # one run, phase 2, from the slacks of the rows and of the finite bounds
+        n_boxed = sum(hi < math.inf for _, hi in bounds)
+        assert runs == [list(range(n, n + m + n_boxed))]
+        ref = optimize.linprog(lp.c, A_ub=a_ub, b_ub=b_ub,
+                               bounds=[(lo, None if hi == math.inf else hi) for lo, hi in bounds],
+                               method="highs")
+        assert (res.status, ref.status) in (("optimal", 0), ("unbounded", 3))
+        if ref.status == 0:
+            assert res.value == pytest.approx(ref.fun, abs=1e-9)
+
+
+def _mixed_program(rng):
+    """Equalities, and upper rows of which some have negative right-hand
+    sides, over boxed, one-sided and free variables; often infeasible."""
+    n = int(rng.integers(2, 6))
+    m_eq, m_ub = int(rng.integers(1, 3)), int(rng.integers(2, 5))
+    kinds = rng.integers(0, 4, size=n)
+    bounds = tuple(((0.0, 2.0), (0.0, math.inf), (-math.inf, 1.5),
+                    (-math.inf, math.inf))[k] for k in kinds)
+    x0 = rng.uniform(0.0, 1.0, size=n)
+    a_eq, a_ub = rng.normal(size=(m_eq, n)), rng.normal(size=(m_ub, n))
+    b_ub = a_ub @ x0 + rng.uniform(-1.0, 0.5, size=m_ub)
+    return dict(c=rng.normal(size=n), a_eq=a_eq, b_eq=a_eq @ x0, a_ub=a_ub,
+                b_ub=b_ub, bounds=bounds)
+
+
+def _highs(spec):
+    optimize = pytest.importorskip("scipy.optimize")
+    bounds = [(None if lo == -math.inf else lo, None if hi == math.inf else hi)
+              for lo, hi in spec["bounds"]]
+    return optimize.linprog(spec["c"], A_ub=spec["a_ub"], b_ub=spec["b_ub"],
+                            A_eq=spec["a_eq"], b_eq=spec["b_eq"], bounds=bounds,
+                            method="highs")
+
+
+def _verify_farkas(spec, cert):
+    """No x in the bound box meets phi(x) <= beta, which every feasible x would."""
+    assert cert["kind"] == "farkas"
+    ye, yu, yb = cert["y_eq"], cert["y_ub"], cert["y_bounds"]
+    assert (yu >= 0).all() and (yb >= 0).all()
+    lo, hi = np.array(spec["bounds"]).T
+    assert np.isfinite(hi[yb > 0]).all()
+    a = ye @ spec["a_eq"] + yu @ spec["a_ub"] + yb
+    beta = ye @ spec["b_eq"] + yu @ spec["b_ub"] + yb[yb > 0] @ hi[yb > 0]
+    pos, neg = a > 1e-12, a < -1e-12
+    assert np.isfinite(lo[pos]).all() and np.isfinite(hi[neg]).all()
+    assert a[pos] @ lo[pos] + a[neg] @ hi[neg] > beta
+
+
+def test_mixed_rows_match_highs_in_status_and_value():
+    rng = np.random.default_rng(SEED + 8)
+    mixed = dict.fromkeys(("optimal", "infeasible", "unbounded"), 0)
+    for _ in range(120):
+        spec = _mixed_program(rng)
+        lp = LinearProgram(**spec)
+        res = solve_lp(lp)
+        ref = _highs(spec)
+        assert {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status] == res.status
+        if res.status == "optimal":
+            assert res.value == pytest.approx(ref.fun, abs=1e-8)
+            assert abs(res.value - res.dual_objective) < DUAL_TOL
+        elif res.status == "infeasible":
+            _verify_farkas(spec, res.certificate)
+        # count the programs whose phase 1 starts some row on its slack and
+        # a flipped (negative right-hand side) upper row on an artificial
+        form = lp._form
+        mixed[res.status] += form.need[form.m_eq:].any() and not form.need.all()
+    assert min(mixed.values()) >= 5, mixed
 
 
 def test_duality_on_random_feasible_programs():
