@@ -57,6 +57,19 @@ def test_report_matches_golden_bytes(name, tmp_path, monkeypatch, capsys):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_polyhedral_report_matches_golden_bytes(tmp_path, monkeypatch, capsys):
+    # every fixture has linear bounds; this generated scenario (bench/treegen
+    # Shape(2, 3, "polyhedral", long_unit=True) at seed 10, with the
+    # benchmark's seven report tasks) covers the polyhedral membership LPs
+    monkeypatch.setenv("SANDWICH_SEED", "0")
+    golden = ROOT / "tests" / "golden"
+    out = tmp_path / "report.json"
+    assert main(["report", "--input", str(golden / "polyhedral_tree.json"),
+                 "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (golden / "polyhedral_tree.report.json").read_bytes()
+
+
 @pytest.mark.parametrize("name", ["fix_b.json", "fix_refine.json"])
 def test_report_bytes_are_reproducible(name, tmp_path, capsys):
     path = str(fixture_path(name))
