@@ -114,24 +114,18 @@ def conjugate(op: PolyhedralOperator, f: RandomVariable,
     Per block this is sup over domain payoffs X of E[f X | block] - x(X),
     an epigraph LP in the block coordinates of X; +inf when unbounded.
     The result is nonnegative because X = 0 is always admissible.
+
+    Each block's LP is the operator's template with f's objective. It is
+    solved cold on purpose: a cold solve on the shared standard form takes
+    the path of a freshly built program, so conjugates are the same bits
+    whatever was solved before, which the splice and locality checks compare.
     """
     space = op.space
     if check:
         _check_density(space, op.level_a, op.level_b, f)
-    segments = space._segments(op.level_b, op.level_a)
-    vals = np.empty(len(segments))
-    dens = op._densities()
-    penalties = op._penalties()
-    for a, sg in enumerate(segments):
-        bmat = op.domain.block_bases[a]
-        d = bmat.shape[1]
-        pw = space.probs[sg.atoms] / sg.prob
-        obj = np.append(bmat.T @ (pw * f.values[sg.atoms]), -1.0)
-        a_ub = np.array([np.append(bmat.T @ (pw * fj[sg.atoms]), -1.0)
-                         for fj in dens])
-        res = solve_lp(LinearProgram(
-            c=obj, sense="max", a_ub=a_ub, b_ub=penalties[a],
-            bounds=[(-math.inf, math.inf)] * (d + 1)))
+    vals = np.empty(len(op._conjugate_lps))
+    for a, tmpl in enumerate(op._conjugate_lps):
+        res = solve_lp(tmpl.with_objective(op._conjugate_row(a, f.values)))
         if res.status == "unbounded":
             vals[a] = math.inf
         elif res.status == "optimal":

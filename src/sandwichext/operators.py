@@ -24,6 +24,7 @@ scales into an explicit witness triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,13 @@ class Piece:
 
 @dataclass(frozen=True, eq=False)
 class PolyhedralOperator:
+    """Max-affine operator on ``domain``.
+
+    It holds one conjugate LP per coarse block, built on first use, whose
+    standard form every conjugate of the operator shares; the form's kept
+    basis pair is read once per solve and replaced whole.
+    """
+
     domain: Subspace
     pieces: tuple[Piece, ...]
 
@@ -96,6 +104,26 @@ class PolyhedralOperator:
         """Piece penalties per coarse block; shape (blocks, pieces)."""
         firsts = self.space._layout[self.level_a].firsts
         return np.stack([pc.penalty.values[firsts] for pc in self.pieces], axis=1)
+
+    @cached_property
+    def _conjugate_lps(self) -> tuple[LinearProgram, ...]:
+        """Per coarse block, the conjugate's epigraph LP over free (beta, t):
+        one row ``_conjugate_row`` of piece j <= c_j per piece. A density sets
+        only the objective, its own row (see ``extension.conjugate``)."""
+        penalties = self._penalties()
+        return tuple(LinearProgram(
+            c=self._conjugate_row(a, self.pieces[0].density.values), sense="max",
+            a_ub=[self._conjugate_row(a, pc.density.values) for pc in self.pieces],
+            b_ub=penalties[a],
+            bounds=[(-np.inf, np.inf)] * (self.domain.block_bases[a].shape[1] + 1))
+            for a in range(len(penalties)))
+
+    def _conjugate_row(self, a: int, values: np.ndarray) -> np.ndarray:
+        """[B^T(pw f), -1] on coarse block ``a``: the block expectation of f
+        times each local basis column, then -1 for the epigraph variable."""
+        sg = self.space._segments(self.level_b, self.level_a)[a]
+        pw = self.space.probs[sg.atoms] / sg.prob
+        return np.append(self.domain.block_bases[a].T @ (pw * values[sg.atoms]), -1.0)
 
     def scores(self, X: RandomVariable) -> np.ndarray:
         """Per-block piece scores E[f_j X | block] - c_j(block); shape (blocks, pieces)."""
@@ -524,6 +552,11 @@ class DensityPolytope:
     membership of f in (hull of minorant kernels + positives) and
     (hull of majorant kernels - positives) for polyhedral ones, expressed
     exactly through lifted simplex multipliers.
+
+    It holds one membership LP per block with lifted multipliers, built on
+    first use, whose standard form every membership test of the block
+    shares; the form's kept basis pair is read once per solve, as its start,
+    and replaced whole.
     """
 
     bounds: BoundPair
@@ -537,14 +570,34 @@ class DensityPolytope:
     def level_a(self) -> int:
         return self.bounds.level_a
 
+    @cached_property
+    def _membership_lps(self) -> tuple[LinearProgram | None, ...]:
+        """Per block, the constraints of ``_kernel_excess``'s LP over (v, y);
+        None for a block without lifted multipliers."""
+        lps = []
+        for bp in self.blocks:
+            if not bp.n_lift:
+                lps.append(None)
+                continue
+            n = bp.n_f
+            a_eq, g = bp.a_eq[1:, n:], bp.a_ub[:, n:]
+            k, r = a_eq.shape[0], g.shape[0]
+            lps.append(LinearProgram(
+                c=np.zeros(k + r), sense="max",
+                a_eq=np.r_[np.zeros(k), np.ones(r)][None, :], b_eq=[1.0],
+                a_ub=np.hstack([a_eq.T, -g.T]), b_ub=np.zeros(bp.n_lift),
+                bounds=[(-np.inf, np.inf)] * k + [(0.0, np.inf)] * r))
+        return tuple(lps)
+
     def contains_on_block(self, a: int, f_local: np.ndarray,
                           tol: float = 1e-9) -> bool:
         """Membership of local density values (atom-indexed) in one block.
 
         The values must be level_b measurable; they are reduced to one value
         per segment, checked against the budget and the box, and, when the
-        block has lifted multipliers, against the stored kernel rows by a
-        feasibility LP in the multipliers with f moved to the right-hand side.
+        block has lifted multipliers, against the stored kernel rows: some
+        multipliers must meet every row within ``tol``, that is, the value
+        of the LP dual in ``_kernel_excess`` must be at most ``tol``.
         """
         bp = self.blocks[a]
         rows = bp.seg.rows
@@ -557,14 +610,30 @@ class DensityPolytope:
         lo, hi = np.array(bp.var_bounds[:bp.n_f]).T
         if float((fs - lo).min()) < -tol or float((hi - fs).min()) < -tol:
             return False
-        if not bp.n_lift:
-            return True
-        n = bp.n_f
-        res = solve_lp(LinearProgram(
-            c=np.zeros(bp.n_lift), sense="min",
-            a_eq=bp.a_eq[1:, n:], b_eq=bp.b_eq[1:], a_ub=bp.a_ub[:, n:],
-            b_ub=bp.b_ub - bp.a_ub[:, :n] @ fs + tol))
-        return res.status == "optimal"
+        return not bp.n_lift or self._kernel_excess(a, fs) <= tol
+
+    def _kernel_excess(self, a: int, fs: np.ndarray) -> float:
+        """Least violation of block ``a``'s kernel rows at segment values fs.
+
+        The rows are G w <= h(fs) = b_ub - a_ub[:, :n] fs over the lifted
+        multipliers w, G = a_ub[:, n:], with w on their simplices; this is
+        min_w max_r (G w - h(fs))_r, the value of its LP dual: maximize
+        b_eq[1:].v - h(fs).y subject to A_eq[1:, n:]^T v - G^T y <= 0,
+        sum y = 1, y >= 0. The dual is always feasible and bounded, and fs
+        changes only its objective, so each solve starts from the basis of
+        the block's last one.
+        """
+        bp = self.blocks[a]
+        lp = self._membership_lps[a]
+        last = lp._form.last              # read once: other solves replace it whole
+        res = solve_lp(lp.with_objective(np.concatenate(
+            [bp.b_eq[1:], bp.a_ub[:, :bp.n_f] @ fs - bp.b_ub])),
+            start=None if last is None else last[0])
+        if res.status != "optimal":
+            raise RuntimeError(
+                f"membership LP on block {a} of level {self.level_a} came back "
+                f"{res.status}; it is always feasible and bounded")
+        return res.value
 
     def block_members(self, f: RandomVariable, tol: float = 1e-9):
         """Membership verdict of every block in turn, computed lazily."""

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 
 import oracles
 import sandwichext.extension
-from conftest import enclosing_bounds, fixture_path, random_polyhedral
+from conftest import ROOT, enclosing_bounds, fixture_path, random_polyhedral, same_lp_result
 from sandwichext import (
     BoundPair,
     DensityError,
     FilteredSpace,
     LevelError,
+    LinearProgram,
     Piece,
     PolyhedralOperator,
     SandwichViolation,
@@ -32,6 +34,11 @@ from sandwichext import (
 TOL = 1e-9
 VALUE_TOL = 1e-7
 SEED = 90210
+FIXTURES = ["fix_a.json", "fix_b.json", "fix_c_linear.json",
+            "fix_c_restricted.json", "fix_refine.json"]
+
+sys.path.append(str(ROOT / "bench"))
+import treegen  # noqa: E402  (the benchmark's b-ary tree generator)
 
 
 def test_conjugate_matches_lp_oracle(two_atom):
@@ -65,6 +72,46 @@ def test_conjugate_rejects_non_densities(two_atom):
     # the same vector passes with the check disabled
     out = conjugate(op, space.rv([1.2, 0.9]), check=False)
     assert out.by_block.shape == (1,)
+
+
+def _tree_or_fixture(source):
+    if isinstance(source, str):
+        return load_scenario(fixture_path(source)).system
+    return treegen.accepted_system(sandwichext, treegen.Shape(*source), 0)[1]
+
+
+@pytest.mark.parametrize("source", FIXTURES + [
+    (b, T, kind) for b, T in [(2, 2), (3, 2), (2, 3)] for kind in ["linear", "polyhedral"]],
+    ids=lambda s: s if isinstance(s, str) else "tree-%d-%d-%s" % s)
+def test_conjugates_are_the_bits_of_freshly_built_programs(source, monkeypatch):
+    # the representation and cocycle checks compare conjugates bit for bit,
+    # so a block's shared LP is solved cold: whatever came before, every
+    # conjugate LP gives the bits of a new program built from its data
+    system = _tree_or_fixture(source)
+    calls = []
+
+    def checked(lp, **kwargs):
+        res = solve_lp(lp, **kwargs)
+        same_lp_result(res, solve_lp(LinearProgram(
+            c=lp.c, sense=lp.sense, a_eq=lp.a_eq, b_eq=lp.b_eq, a_ub=lp.a_ub,
+            b_ub=lp.b_ub, bounds=lp.bounds)))
+        calls.append(res.status)
+        return res
+
+    monkeypatch.setattr(sandwichext.extension, "solve_lp", checked)
+    rng = np.random.default_rng(SEED + 4)
+    space = system.space
+    for op in system.declared_ops().values():
+        blocks = space._layout[op.level_a]
+        family = [pc.density.values for pc in op.pieces] + [np.ones(space.n_atoms)]
+        weights = rng.dirichlet(np.ones(len(family)), (3, blocks.probs.size))
+        family += [sum(w * f for w, f in zip(blocks.broadcast(wk.T), family))
+                   for wk in weights]
+        history = rng.integers(0, len(family), 3 * len(family))
+        del calls[:]
+        for i in history:
+            conjugate(op, space.rv(family[i], op.level_b))
+        assert len(calls) == history.size * blocks.probs.size
 
 
 def test_extension_rejects_broken_sandwich():
@@ -247,8 +294,7 @@ def test_evaluation_memo_is_a_bounded_lru(three_atom, monkeypatch):
         assert ext.evaluate(x).values.tobytes() == out.values.tobytes()
 
 
-@pytest.mark.parametrize("name", ["fix_a.json", "fix_b.json", "fix_c_linear.json",
-                                  "fix_c_restricted.json", "fix_refine.json"])
+@pytest.mark.parametrize("name", FIXTURES)
 def test_stored_basis_restarts_each_block_program_in_one_pass(name):
     system = load_scenario(fixture_path(name)).system
     ext = extend_system(system)
@@ -296,8 +342,7 @@ def test_quickstart_attains_the_exact_density_with_one_lp(three_atom, monkeypatc
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("name", ["fix_a.json", "fix_b.json", "fix_c_linear.json",
-                                  "fix_c_restricted.json", "fix_refine.json"])
+@pytest.mark.parametrize("name", FIXTURES)
 def test_attain_takes_at_most_three_lps_per_block(name, monkeypatch):
     system = load_scenario(fixture_path(name)).system
     ext = extend_system(system)

@@ -3,13 +3,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sandwichext.operators
 from oracles import scipy_density_margin
+from sandwichext.lp import FEAS_TOL
 from sandwichext import (
     BoundPair,
     BoundsError,
     DomainError,
     FilteredSpace,
     LevelError,
+    LinearProgram,
+    LpResult,
     Piece,
     PolyhedralOperator,
     PolytopeError,
@@ -19,6 +23,7 @@ from sandwichext import (
     cond_expectation,
     density_set,
     full_space,
+    solve_lp,
     validate_operator,
 )
 
@@ -337,3 +342,79 @@ def test_empty_polytope_names_block_and_level():
         density_set(box(space, 0, 1, 1.5, 1.8))
     msg = str(exc.value)
     assert "block 0" in msg and "level 0" in msg
+
+
+def _primal_member(bp, fs, tol=TOL):
+    """The membership LP the dual replaced: multipliers w on their simplices
+    with G w <= h(fs) + tol, by feasibility of a zero-objective program."""
+    n = bp.n_f
+    res = solve_lp(LinearProgram(
+        c=np.zeros(bp.n_lift), sense="min",
+        a_eq=bp.a_eq[1:, n:], b_eq=bp.b_eq[1:], a_ub=bp.a_ub[:, n:],
+        b_ub=bp.b_ub - bp.a_ub[:, :n] @ fs + tol))
+    return res.status == "optimal"
+
+
+def _boundary_step(bp, g, d):
+    """Largest s with g + s d in the block's kernel envelope, g and d given
+    per segment: max s over the polytope rows with f moved to the right."""
+    n = bp.n_f
+    res = solve_lp(LinearProgram(
+        c=np.r_[np.zeros(bp.n_lift), 1.0], sense="max",
+        a_eq=np.hstack([bp.a_eq[1:, n:], np.zeros((bp.a_eq.shape[0] - 1, 1))]),
+        b_eq=bp.b_eq[1:],
+        a_ub=np.hstack([bp.a_ub[:, n:], (bp.a_ub[:, :n] @ d)[:, None]]),
+        b_ub=bp.b_ub - bp.a_ub[:, :n] @ g,
+        bounds=[(0.0, np.inf)] * (bp.n_lift + 1)))
+    assert res.status == "optimal"
+    return res.x[-1]
+
+
+PUSHES = (0.0, 1e-10, -1e-10, 1e-9, -1e-9, 2e-9, -2e-9, 1e-6, -1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_membership_dual_matches_the_margin_and_the_primal_verdict(data):
+    space, bounds, km, kM, g, f = data.draw(envelope_cases("polyhedral"))
+    poly = density_set(bounds)
+    fine = space.blocks(bounds.level_b)
+    for a, block in enumerate(space.blocks(0)):
+        bp = poly.blocks[a]
+        segments = [seg for seg in fine if seg[0] in block]
+        per_segment = lambda v: v[bp.seg.atoms][bp.seg.rows.firsts]
+        # the dual's value is minus the largest uniform slack
+        fs = per_segment(f)
+        assert abs(poly._kernel_excess(a, fs) + scipy_density_margin(
+            segments, km, kM, f)) <= 1e-9 * max(1.0, float(np.abs(fs).max()))
+        # near the envelope's boundary along the budget-neutral f - g, the
+        # verdict is the old feasibility LP's, and warm and cold solves agree
+        d = f - g
+        if not np.abs(per_segment(d)).max() > 1e-6:
+            continue
+        d /= np.abs(per_segment(d)).max()
+        edge = g + _boundary_step(bp, per_segment(g), per_segment(d)) * d
+        for push in PUSHES:
+            pushed = edge + push * d
+            verdict = poly.contains_on_block(a, pushed[bp.seg.atoms])
+            assert density_set(bounds).contains_on_block(a, pushed[bp.seg.atoms]) == verdict
+            if verdict != _primal_member(bp, per_segment(pushed)):
+                # phase 1 of the old LP took an artificial sum up to FEAS_TOL
+                # as feasible, so it also passed rows violated by up to
+                # tol + FEAS_TOL; the dual reads tol exactly
+                assert not verdict and push > 0
+                excess = poly._kernel_excess(a, per_segment(pushed))
+                assert TOL < excess <= TOL + FEAS_TOL + 1e-15
+
+
+def test_membership_lp_status_other_than_optimal_is_named(monkeypatch):
+    space = two_uniform()
+    bounds = BoundPair.polyhedral(
+        space, 1, 0, [space.rv([0.5, 0.5])],
+        [space.rv([1.2, 0.8]), space.rv([0.8, 1.2])])
+    poly = density_set(bounds)
+    assert poly.contains_on_block(0, np.array([1.1, 0.9]))
+    monkeypatch.setattr(sandwichext.operators, "solve_lp",
+                        lambda lp, start=None: LpResult("unbounded", np.inf))
+    with pytest.raises(RuntimeError, match="block 0 of level 0 came back unbounded"):
+        poly.contains_on_block(0, np.array([1.1, 0.9]))
