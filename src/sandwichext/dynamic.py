@@ -209,8 +209,9 @@ class ExtendedSystem:
     ``report`` is the passing validation the system was extended under.
     Evaluation and pricing go through the step :class:`ExtendedOperator`
     objects, which keep mutable state: a bounded evaluation memo and, per
-    block program, the warm-start basis and the inverse its LP's standard
-    form keeps. Use an instance from one thread at a time.
+    block program, a bounded memo of centered faces, the warm-start basis and
+    the inverse its LP's standard form keeps. Use an instance from one thread
+    at a time.
     """
 
     system: OperatorSystem

@@ -51,6 +51,7 @@ CONJ_TOL = 1e-9
 FACE_TOL = 1e-9
 EQ_RANK_TOL = 1e-10
 EVAL_MEMO_SIZE = 4096   # payoffs memoized per ExtendedOperator
+FACE_MEMO_SIZE = 64     # centered optimal faces memoized per block program
 
 
 class DensityError(ValueError):
@@ -209,6 +210,21 @@ def density_set(bounds: BoundPair, space: FilteredSpace | None = None) -> Densit
 # the extension itself
 
 
+def _memoized(memo: dict, key: bytes, size: int, compute):
+    """``memo[key]``, computed and stored on a miss: an LRU of ``size`` entries.
+
+    Dicts keep insertion order, so a hit is re-inserted as the newest entry
+    and past ``size`` the oldest goes.
+    """
+    value = memo.pop(key, None)
+    if value is None:
+        value = compute()
+    memo[key] = value
+    if len(memo) > size:
+        del memo[next(iter(memo))]
+    return value
+
+
 @dataclass(eq=False)
 class _BlockProgram:
     """One block's program over z = (f, lift, theta), built once.
@@ -217,13 +233,18 @@ class _BlockProgram:
     and checked by ``make_lp`` on the first solve, holds the constraints and
     the objective's penalty part -c_j; a payoff sets only the f part, through
     ``weights``, so every solve shares the standard form of ``lp`` and
-    ``basis``, the last optimal basis, is a feasible start.
+    ``basis``, the last optimal basis, is a feasible start. ``faces`` memoizes
+    the read-only centered point of each optimal face, keyed by the bytes of
+    the solve's ``x`` and ``tight``: besides the fixed constraints, they are
+    all that ``_center_on_face`` reads. It holds at most ``FACE_MEMO_SIZE``
+    faces.
     """
 
     poly: BlockPolytope
     make_lp: partial
     weights: np.ndarray         # the segments' probabilities within the block
     basis: Basis | None = None
+    faces: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def lp(self) -> LinearProgram:
@@ -248,11 +269,14 @@ class ExtendedOperator:
 
     Callable on every fine-level payoff; restriction to the original domain
     reproduces the base operator. Evaluation results are memoized per payoff
-    vector in a least-recently-used memo of ``EVAL_MEMO_SIZE`` entries;
-    attainment is recomputed on every call. Each block program's LP keeps
-    its standard form and last basis inverse for the next solve, and every
-    solve updates the program's warm-start basis and the memo, so even a read
-    mutates the instance: use it from one thread at a time.
+    vector in a least-recently-used memo of ``EVAL_MEMO_SIZE`` entries.
+    ``attain`` solves every block program again, and memoizes per block the
+    centered point of each optimal face it reaches, in a least-recently-used
+    memo of ``FACE_MEMO_SIZE`` faces. Each block program's LP keeps its
+    standard form and last basis inverse for the next solve, and every solve
+    updates the program's warm-start basis and a memo, so even a read
+    (``evaluate`` or ``attain``) mutates the instance: use it from one thread
+    at a time.
     """
 
     base: PolyhedralOperator
@@ -276,28 +300,25 @@ class ExtendedOperator:
     def evaluate(self, X: RandomVariable) -> RandomVariable:
         if X.level > self.level_b:
             raise LevelError("payoff finer than the extension level")
-        key = X.values.tobytes()
-        hit = self._eval_cache.pop(key, None)
-        if hit is not None:
-            self._eval_cache[key] = hit      # dicts keep insertion order: newest last
-            return hit
-        by_block = np.array([self._solve_block(prog, X.values[prog.poly.seg.reps]).value
-                             for prog in self._programs])
-        out = RandomVariable(
-            self.space._layout[self.level_a].broadcast(by_block), self.level_a)
-        self._eval_cache[key] = out
-        if len(self._eval_cache) > EVAL_MEMO_SIZE:
-            del self._eval_cache[next(iter(self._eval_cache))]
-        return out
+        return _memoized(self._eval_cache, X.values.tobytes(), EVAL_MEMO_SIZE,
+                         partial(self._solve, X))
 
     __call__ = evaluate
 
-    def _solve_block(self, prog: _BlockProgram, x_reps: np.ndarray) -> LpResult:
-        res = solve_lp(prog.program(x_reps), start=prog.basis)
+    def _solve(self, X: RandomVariable) -> RandomVariable:
+        by_block = np.array([self._solve_block(a, X.values).value
+                             for a in range(len(self._programs))])
+        return RandomVariable(
+            self.space._layout[self.level_a].broadcast(by_block), self.level_a)
+
+    def _solve_block(self, a: int, x: np.ndarray) -> LpResult:
+        prog = self._programs[a]
+        res = solve_lp(prog.program(x[prog.poly.seg.reps]), start=prog.basis)
         if res.status != "optimal":
             raise RuntimeError(
-                f"extension block program came back {res.status}; the sandwich "
-                "precondition should rule this out")
+                f"extension block program on block {a} of level {self.level_a} "
+                f"came back {res.status}; the sandwich precondition should rule "
+                "this out")
         prog.basis = res.basis
         return res
 
@@ -375,8 +396,9 @@ def attain(ext: ExtendedOperator, X: RandomVariable) -> Attainment:
     pen = np.empty(coarse.probs.size)
     for a, prog in enumerate(ext._programs):
         poly = prog.poly
-        res = ext._solve_block(prog, X.values[poly.seg.reps])
-        z = _center_on_face(prog, res, a)
+        res = ext._solve_block(a, X.values)
+        z = _memoized(prog.faces, res.x.tobytes() + res.tight.tobytes(),
+                      FACE_MEMO_SIZE, partial(_center_on_face, prog, res, a))
         values[a] = res.value
         f_seg[poly.seg.ids] = z[:poly.n_f]
         pen[a] = float(-prog.lp.c[poly.n_vars:] @ z[poly.n_vars:])
@@ -396,7 +418,8 @@ def _center_on_face(prog: _BlockProgram, res: LpResult, block: int) -> np.ndarra
     other variables; without N it is the point z0 and no LP runs. Otherwise
     one LP (Freund, Roundy & Todd, 1985) finds which density-side slacks are
     implicit equalities, judged relative to each slack row's scale, and a
-    second maximizes the minimum of the others.
+    second maximizes the minimum of the others. The point is read-only, since
+    ``attain`` memoizes it.
     """
     lp = prog.lp
     nv, n_f = lp.n_vars, prog.poly.n_f
@@ -405,6 +428,7 @@ def _center_on_face(prog: _BlockProgram, res: LpResult, block: int) -> np.ndarra
     b_ub = np.zeros(0) if lp.b_ub is None else lp.b_ub
     rows, at_lo, at_hi = np.split(res.tight, [b_ub.size, b_ub.size + nv])
     z0 = np.where(at_lo, lo, np.where(at_hi, hi, res.x))
+    z0.setflags(write=False)
     free = ~(at_lo | at_hi)
     _, sv, vt = np.linalg.svd(np.vstack([lp.a_eq, a_ub[rows]])[:, free])
     rank = int((sv > EQ_RANK_TOL * max(1.0, sv.max(initial=0.0))).sum())
@@ -446,7 +470,9 @@ def _center_on_face(prog: _BlockProgram, res: LpResult, block: int) -> np.ndarra
     w = solve(np.r_[np.zeros(k), 1.0],
               np.hstack([gw, pick[:, loose].sum(axis=1, keepdims=True)]), slack,
               free_w + [(0.0, math.inf)])[:k]
-    return z0 + null @ w
+    z = z0 + null @ w
+    z.setflags(write=False)
+    return z
 
 
 def minimal_penalty(ext: ExtendedOperator, f: RandomVariable,

@@ -489,7 +489,8 @@ def check_sandwich(op: PolyhedralOperator, bounds: BoundPair) -> SandwichReport:
             res = solve_lp(LinearProgram(c=c, sense="min", a_ub=a_ub, b_ub=b_ub,
                                          bounds=bnds))
             if res.status != "optimal":
-                raise RuntimeError(f"sandwich LP came back {res.status}")
+                raise RuntimeError(f"sandwich LP on block {a} of level "
+                                   f"{op.level_a}, piece {j} came back {res.status}")
             if res.value < -VALUE_TOL:
                 scale = (penalties[a, j] + 1.0) / (-res.value)
                 z = res.x

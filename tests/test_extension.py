@@ -12,9 +12,11 @@ from conftest import ROOT, enclosing_bounds, fixture_path, random_polyhedral, sa
 from sandwichext import (
     BoundPair,
     DensityError,
+    ExtendedOperator,
     FilteredSpace,
     LevelError,
     LinearProgram,
+    LpResult,
     Piece,
     PolyhedralOperator,
     SandwichViolation,
@@ -80,9 +82,15 @@ def _tree_or_fixture(source):
     return treegen.accepted_system(sandwichext, treegen.Shape(*source), 0)[1]
 
 
-@pytest.mark.parametrize("source", FIXTURES + [
-    (b, T, kind) for b, T in [(2, 2), (3, 2), (2, 3)] for kind in ["linear", "polyhedral"]],
-    ids=lambda s: s if isinstance(s, str) else "tree-%d-%d-%s" % s)
+SOURCES = FIXTURES + [(b, T, kind) for b, T in [(2, 2), (3, 2), (2, 3)]
+                      for kind in ["linear", "polyhedral"]]
+
+
+def source_id(source):
+    return source if isinstance(source, str) else "tree-%d-%d-%s" % source
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=source_id)
 def test_conjugates_are_the_bits_of_freshly_built_programs(source, monkeypatch):
     # the representation and cocycle checks compare conjugates bit for bit,
     # so a block's shared LP is solved cold: whatever came before, every
@@ -314,6 +322,114 @@ def test_stored_basis_restarts_each_block_program_in_one_pass(name):
             assert res.basis == prog.basis
 
 
+def test_block_program_status_other_than_optimal_is_named(monkeypatch):
+    system = load_scenario(fixture_path("fix_refine.json")).system
+    step = extend_system(system).step(1)
+    assert len(step._programs) == 2
+    X = system.space.rv(np.arange(system.space.n_atoms, dtype=float), step.level_b)
+    failing = step._programs[1].lp
+
+    def block_1_fails(lp, **kwargs):
+        if lp.a_eq is failing.a_eq:          # shares the block program's rows
+            return LpResult("infeasible", math.nan)
+        return solve_lp(lp, **kwargs)
+
+    monkeypatch.setattr(sandwichext.extension, "solve_lp", block_1_fails)
+    message = f"block program on block 1 of level {step.level_a} came back infeasible"
+    with pytest.raises(RuntimeError, match=message):
+        step.evaluate(X)
+    with pytest.raises(RuntimeError, match=message):
+        attain(step, X)
+
+
+def _recorded_block_solves(monkeypatch):
+    """Record (block, result) of every block program solve."""
+    solves = []
+    solve_block = ExtendedOperator._solve_block
+
+    def recording(self, a, x):
+        res = solve_block(self, a, x)
+        solves.append((a, res))
+        return res
+
+    monkeypatch.setattr(ExtendedOperator, "_solve_block", recording)
+    return solves
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=source_id)
+def test_face_memo_hits_are_the_bits_of_a_fresh_centering(source, monkeypatch):
+    # a face's centered point depends on the block's constraints and the
+    # solve's x and tight alone, so a stored point is what centering anew gives
+    system = _tree_or_fixture(source)
+    ext = extend_system(system)
+    solves = _recorded_block_solves(monkeypatch)
+    center = sandwichext.extension._center_on_face
+    centered = []
+
+    def recording(prog, res, a):
+        centered.append(a)
+        return center(prog, res, a)
+
+    monkeypatch.setattr(sandwichext.extension, "_center_on_face", recording)
+    rng = np.random.default_rng(SEED + 5)
+    space = system.space
+    hits = 0
+    for k, (_, t) in enumerate(system.adjacent_pairs):
+        step = ext.step(k)
+        pool = [np.zeros(space.n_atoms), *rng.normal(size=(3, space.n_atoms))]
+        for i in rng.integers(0, len(pool), 12):
+            del solves[:], centered[:]
+            att = attain(step, cond_expectation(space, space.rv(pool[i]), t))
+            assert len(solves) == len(step._programs)
+            for a, res in solves:
+                if a in centered:
+                    continue
+                hits += 1
+                prog = step._programs[a]
+                fresh = center(prog, res, a)
+                # the point a hit used is the memo's newest
+                assert next(reversed(prog.faces.values())).tobytes() == fresh.tobytes()
+                assert (att.density.values[prog.poly.seg.reps].tobytes()
+                        == fresh[:prog.poly.n_f].tobytes())
+                assert att.penalty.by_block[a] == float(
+                    -prog.lp.c[prog.poly.n_vars:] @ fresh[prog.poly.n_vars:])
+    assert hits > 0
+
+
+def test_face_memo_is_a_bounded_lru(monkeypatch):
+    monkeypatch.setattr(sandwichext.extension, "FACE_MEMO_SIZE", 3)
+    system = _tree_or_fixture((3, 2, "polyhedral"))
+    space = system.space
+    t = system.adjacent_pairs[1][1]
+    step = extend_system(system).step(1)
+    solves = _recorded_block_solves(monkeypatch)
+    rng = np.random.default_rng(SEED + 6)
+    pool = [cond_expectation(space, space.rv(v), t)
+            for v in rng.normal(size=(6, space.n_atoms))]
+    orders = [[] for _ in step._programs]       # per block, oldest key first
+    first = {}                                  # (block, key) -> first bytes
+    evicted, recentered = set(), 0
+    for i in rng.integers(0, len(pool), 40):
+        del solves[:]
+        attain(step, pool[i])
+        for a, res in solves:
+            prog, order = step._programs[a], orders[a]
+            key = res.x.tobytes() + res.tight.tobytes()
+            # a hit becomes the newest entry, and past 3 the oldest goes
+            if key in order:
+                order.remove(key)
+            order.append(key)
+            if len(order) > 3:
+                evicted.add((a, order.pop(0)))
+            assert list(prog.faces) == order
+            # an evicted face is centered again, to the same bytes
+            recentered += (a, key) in evicted
+            evicted.discard((a, key))
+            assert prog.faces[key].tobytes() == first.setdefault(
+                (a, key), prog.faces[key].tobytes())
+    assert recentered > 0
+
+
 def _count_lps(monkeypatch):
     """Rebind the extension's LP entry point to count its calls."""
     calls = []
@@ -340,6 +456,17 @@ def test_quickstart_attains_the_exact_density_with_one_lp(three_atom, monkeypatc
     att = attain(ext, three_atom.space.rv([0.0, 0.0, 0.0]))
     np.testing.assert_allclose(att.density.values, [1.0, 1.0, 1.0], rtol=0, atol=1e-12)
     assert len(calls) == 3
+    # the face is centered once: a second attain reads it from the memo
+    del calls[:]
+    again = attain(ext, three_atom.space.rv([0.0, 0.0, 0.0]))
+    assert again.density.values.tobytes() == att.density.values.tobytes()
+    assert len(calls) == 1
+    # both stored points, the vertex and the centered one, are read-only
+    (prog,) = ext._programs
+    assert len(prog.faces) == 2
+    for z in prog.faces.values():
+        with pytest.raises(ValueError, match="read-only"):
+            z[0] = 0.0
 
 
 @pytest.mark.parametrize("name", FIXTURES)

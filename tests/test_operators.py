@@ -170,6 +170,30 @@ def test_sandwich_certified_by_block_programs(two_atom):
     assert rep.holds and not rep.fast_path
 
 
+def test_sandwich_lp_status_other_than_optimal_is_named(monkeypatch):
+    # two blocks of two atoms, two pieces: one LP per block and piece
+    space = FilteredSpace(np.full(4, 0.25), [[[0, 1, 2, 3]], [[0, 1], [2, 3]],
+                                             [[0], [1], [2], [3]]], [0.0, 1.0, 2.0])
+    op = PolyhedralOperator(full_space(space, 2, 1), (
+        Piece(space.rv([1.0, 1.0, 1.0, 1.0]), space.rv(np.zeros(4), level=1)),
+        Piece(space.rv([1.5, 0.5, 0.5, 1.5]), space.rv(np.full(4, 0.25), level=1))))
+    bounds = BoundPair.polyhedral(
+        space, 2, 1, [space.rv(np.full(4, 0.5))], [space.rv(np.full(4, 1.5))])
+    assert check_sandwich(op, bounds).holds
+    calls = []
+
+    def fourth_fails(lp, start=None):
+        calls.append(1)
+        if len(calls) == 4:
+            return LpResult("infeasible", np.nan)
+        return solve_lp(lp, start=start)
+
+    monkeypatch.setattr(sandwichext.operators, "solve_lp", fourth_fails)
+    with pytest.raises(RuntimeError, match=(
+            "sandwich LP on block 1 of level 1, piece 1 came back infeasible")):
+        check_sandwich(op, bounds)
+
+
 def test_sandwich_violation_carries_checkable_witness():
     space = two_uniform()
     dom = full_space(space, 1, 0)
