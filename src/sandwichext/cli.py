@@ -58,11 +58,9 @@ def _fmt(x: float) -> str:
 
 
 def _num(x: float):
-    """Canonical JSON value: 10 significant digits, infinities as strings."""
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return float(f"{x:.10g}")
+    """Canonical JSON value: ``_fmt``'s 10 significant digits, infinities as strings."""
+    text = _fmt(x)
+    return text if text.endswith("inf") else float(text)
 
 
 def _vec(values) -> list:
@@ -428,18 +426,12 @@ def main(argv=None) -> int:
     seed = int(os.environ.get("SANDWICH_SEED", "0") or "0")
     try:
         scenario = load_scenario(args.input)
-    except ScenarioError as err:
-        print(f"sandwich: input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as err:
+    except (ScenarioError, OSError) as err:
         print(f"sandwich: input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     try:
         doc = _run_command(args, scenario, seed)
-    except _Fault as err:
-        print(f"sandwich: input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except ScenarioError as err:
+    except (_Fault, ScenarioError) as err:
         print(f"sandwich: input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     print(_render(doc))

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import (ExtendedOperator, PenaltyValue, _mix_on_blocks,
-                        attain, maximal_extension, minimal_penalty)
+from .extension import (ExtendedOperator, PenaltyValue, _assemble, _mix_on_blocks,
+                        attain, minimal_penalty)
 from .operators import (BoundPair, CheckEntry, DomainError, PolyhedralOperator,
                         ValidationReport, check_mM1, check_sandwich,
                         validate_operator)
@@ -209,9 +209,9 @@ class ExtendedSystem:
     ``report`` is the passing validation the system was extended under.
     Evaluation and pricing go through the step :class:`ExtendedOperator`
     objects, which keep mutable state: a bounded evaluation memo and, per
-    block program, a bounded memo of centered faces, the warm-start basis and
-    the inverse its LP's standard form keeps. Use an instance from one thread
-    at a time.
+    block program, a bounded memo of centered faces and the (basis, B^-1)
+    pair its LP's standard form keeps for the next warm solve. Use an
+    instance from one thread at a time.
     """
 
     system: OperatorSystem
@@ -240,8 +240,8 @@ def extend_system(system: OperatorSystem) -> ExtendedSystem:
     report = validate_system(system)
     if not report.passed:
         raise SystemValidationError(report)
-    exts = {pair: maximal_extension(system.one_step_ops[pair],
-                                    system.bounds[pair])
+    # the passing report certifies every declared pair's sandwich
+    exts = {pair: _assemble(system.one_step_ops[pair], system.bounds[pair])
             for pair in system.adjacent_pairs}
     return ExtendedSystem(system=system, extensions=exts, report=report)
 

@@ -41,7 +41,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .lp import Basis, LinearProgram, LpResult, solve_lp
+from .lp import LinearProgram, LpResult, solve_lp
 from .operators import (BlockPolytope, BoundPair, DensityPolytope, CheckEntry,
                         PolyhedralOperator, PolytopeError, SandwichReport,
                         ValidationReport, check_sandwich)
@@ -232,8 +232,8 @@ class _BlockProgram:
     The (f, lift) part is the block's density polytope ``poly``. ``lp``, built
     and checked by ``make_lp`` on the first solve, holds the constraints and
     the objective's penalty part -c_j; a payoff sets only the f part, through
-    ``weights``, so every solve shares the standard form of ``lp`` and
-    ``basis``, the last optimal basis, is a feasible start. ``faces`` memoizes
+    ``weights``, so every solve shares the standard form of ``lp`` and warm
+    starts from the pair it kept from the last optimal solve. ``faces`` memoizes
     the read-only centered point of each optimal face, keyed by the bytes of
     the solve's ``x`` and ``tight``: besides the fixed constraints, they are
     all that ``_center_on_face`` reads. It holds at most ``FACE_MEMO_SIZE``
@@ -243,7 +243,6 @@ class _BlockProgram:
     poly: BlockPolytope
     make_lp: partial
     weights: np.ndarray         # the segments' probabilities within the block
-    basis: Basis | None = None
     faces: dict = field(default_factory=dict, repr=False)
 
     @cached_property
@@ -273,8 +272,8 @@ class ExtendedOperator:
     ``attain`` solves every block program again, and memoizes per block the
     centered point of each optimal face it reaches, in a least-recently-used
     memo of ``FACE_MEMO_SIZE`` faces. Each block program's LP keeps its
-    standard form and last basis inverse for the next solve, and every solve
-    updates the program's warm-start basis and a memo, so even a read
+    standard form and last optimal (basis, B^-1) pair for the next solve, and
+    every solve replaces that pair and updates a memo, so even a read
     (``evaluate`` or ``attain``) mutates the instance: use it from one thread
     at a time.
     """
@@ -313,21 +312,26 @@ class ExtendedOperator:
 
     def _solve_block(self, a: int, x: np.ndarray) -> LpResult:
         prog = self._programs[a]
-        res = solve_lp(prog.program(x[prog.poly.seg.reps]), start=prog.basis)
+        res = solve_lp(prog.program(x[prog.poly.seg.reps]), warm=True)
         if res.status != "optimal":
             raise RuntimeError(
                 f"extension block program on block {a} of level {self.level_a} "
                 f"came back {res.status}; the sandwich precondition should rule "
                 "this out")
-        prog.basis = res.basis
         return res
 
 
 def maximal_extension(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOperator:
-    """Check the sandwich, build the polytope, assemble the block programs."""
+    """Check the sandwich, then build the polytope and the block programs."""
     report = check_sandwich(op, bounds)
     if not report.holds:
         raise SandwichViolation(report)
+    return _assemble(op, bounds)
+
+
+def _assemble(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOperator:
+    """The extension of ``op`` under ``bounds``, whose sandwich the caller has
+    certified: build the polytope, assemble the block programs."""
     polytope = density_set(bounds)
     ext = ExtendedOperator(base=op, bounds=bounds, polytope=polytope)
     dens = op._densities()

@@ -9,20 +9,19 @@ the inverse for the basic solution, the duals and the entering column; there
 is no tableau drift to manage.
 
 Phase 1 starts each row on its slack where that keeps coefficient +1 and
-adds artificials for the other rows only; without them it is skipped. An
-optimal result's final basis, passed back as ``start`` to a program with the
-same constraints (typically another objective), skips phase 1 too. A start
-that is not a feasible basis of the new program is ignored, so a stale basis
-costs time but never changes an answer.
+adds artificials for the other rows only; without them it is skipped.
 
 A program's checked constraints and standard form are shared by every program
-``with_objective`` derives. The form's last optimal (basis, B^-1) skips the
-warm-start checks; it is one tuple, read once per solve and replaced whole, so
-programs sharing a form may be solved from several threads.
+``with_objective`` derives, and the form keeps the (basis, B^-1) pair of its
+last optimal solve. Those programs differ only in the objective, so that
+basis stays feasible for all of them: a ``warm`` solve restarts phase 2 from
+it, with phase 1 skipped and no inversion. The pair is one tuple, read once
+per solve and replaced whole, so programs sharing a form may be solved from
+several threads.
 
-Determinism: the same sequence of calls gives the same bytes. A warm start
-may end on a different vertex of a non-unique optimum than a cold solve,
-with the same optimal value.
+Determinism: the same sequence of calls gives the same bytes. A warm solve
+may end on a different vertex of a non-unique optimum than a cold one, with
+the same optimal value.
 
 Status is a strict trichotomy. Optimal results carry the dual objective and
 the always-tight constraints from the final basis, unbounded results an
@@ -46,13 +45,11 @@ import numpy as np
 FEAS_TOL = 1e-9
 COST_TOL = 1e-11        # times max(1, |c|max), see _simplex
 PIVOT_TOL = 1e-11
-DROP_TOL = 1e-8         # a row whose entries off the basis all lie within this is redundant
+DROP_TOL = 1e-8         # phase 1 drops a row whose entries off the basis all lie within this
 MAX_ITER = 1_000_000
 BLAND_AFTER = 10        # degenerate pivots in a row before Bland's rule takes over
 
 _INF = math.inf
-
-Basis = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class LpError(Exception):
@@ -173,12 +170,13 @@ class _StandardForm:
 class LpResult:
     """Outcome of ``solve_lp``.
 
-    ``iterations`` counts this call's simplex passes, phase 1's when no start
-    was taken and a row needed an artificial. An optimal result's ``basis`` is
-    the pair (kept standard-form rows, basic columns) that ``solve_lp``
-    accepts as ``start``; it is None for any other status. ``tight`` marks,
-    per ``a_ub`` row, lower bound and upper bound, what every optimum holds
-    with equality: the standard-form column is priced above the tolerance.
+    ``iterations`` counts this call's simplex passes, phase 1's when the solve
+    was cold and a row needed an artificial. An optimal result's ``basis`` is
+    the pair (kept standard-form rows, basic columns) the form keeps for the
+    next warm solve; it is None for any other status. ``tight`` marks, per
+    ``a_ub`` row, lower bound and upper bound, what every optimum holds with
+    equality: the standard-form column is priced above the tolerance. It is
+    mapped from the standard form once, when first read.
     """
 
     status: str                       # "optimal" | "unbounded" | "infeasible"
@@ -187,18 +185,19 @@ class LpResult:
     dual_objective: float | None = None
     certificate: dict | None = None
     iterations: int = 0
-    basis: Basis | None = None
+    basis: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     _priced: tuple | None = field(default=None, repr=False, compare=False)
 
-    @property
+    @cached_property
     def tight(self) -> np.ndarray | None:
         if self._priced is None:
             return None
-        on, m_ub, n, var, sign, boxed = self._priced     # mapped only when read
+        on, m_ub, n, var, sign, boxed = self._priced
         tight = np.zeros(m_ub + 2 * n, dtype=bool)
         tight[:m_ub] = on[var.size:var.size + m_ub]
         tight[m_ub + var + n * (sign < 0)] = on[:var.size]
         tight[m_ub + n + boxed] |= on[var.size + m_ub:]
+        tight.setflags(write=False)
         return tight
 
 
@@ -242,47 +241,12 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
         binv = None
 
 
-def _warm_basis(amat: np.ndarray, bvec: np.ndarray, start):
-    """(rows, basis, B^-1) from ``start`` if it is a feasible basis of A u = b.
-
-    The indices must fit, the basis matrix must be nonsingular, the basic
-    solution nonnegative and every row, dropped ones included, must hold at
-    it. A dropped row must also be a combination of the kept rows, so that it
-    keeps holding while phase 2 moves. Anything else gives None.
-    """
-    m, n = amat.shape
-    try:
-        rows, basis = ([int(i) for i in s] for s in start)
-    except (TypeError, ValueError):
-        return None
-    if len(rows) != len(basis) or rows != sorted(set(rows)) \
-            or len(set(basis)) != len(basis) or (rows and not 0 <= rows[0] <= rows[-1] < m) \
-            or not all(0 <= j < n for j in basis):
-        return None
-    kept = amat[rows]
-    try:
-        binv = np.linalg.inv(kept[:, basis])
-    except np.linalg.LinAlgError:
-        return None
-    u = np.zeros(n)
-    u[basis] = binv @ bvec[rows]
-    # written so that NaN fails every test
-    if not (u.min(initial=0.0) >= -FEAS_TOL
-            and np.abs(amat @ u - bvec).max(initial=0.0) <= FEAS_TOL):
-        return None
-    if len(rows) < m:
-        dropped = np.delete(amat, rows, axis=0)
-        if not np.abs(dropped - dropped[:, basis] @ binv @ kept).max() <= DROP_TOL:
-            return None
-    return rows, basis, binv
-
-
-def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
+def solve_lp(lp: LinearProgram, warm: bool = False) -> LpResult:
     """Solve a small dense LP with exact status certificates.
 
-    ``start`` is the ``basis`` of an earlier optimal result. Phase 2 starts
-    from it, with phase 1 skipped, when it is the basis the standard form
-    last returned or passes ``_warm_basis``; else phase 1, if a row needs it.
+    With ``warm``, phase 2 restarts from the pair the standard form kept from
+    its last optimal solve, if any; otherwise, and without ``warm``, the solve
+    is cold: phase 1, if a row needs it, then phase 2.
     """
     form = lp._form
     amat, bvec, n_u = form.amat, form.bvec, form.var.size
@@ -291,13 +255,11 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
     cost = np.concatenate([sgn * lp.c[form.var] * form.sign, np.zeros(n_s - n_u)])
     const = float(sgn * (lp.c @ form.shift))
 
-    # --- phase 1, unless the start or the slacks are a feasible basis ------
+    # --- phase 1, unless the kept pair or the slacks are a feasible basis --
     iters, binv = 0, None
-    last = form.last                     # read once: other solves replace it whole
-    if last is not None and start is last[0]:
-        (rows, basis), binv = map(list, start), last[1]
-    elif start is not None and (warm := _warm_basis(amat, bvec, start)):
-        rows, basis, binv = warm
+    last = form.last if warm else None   # read once: other solves replace it whole
+    if last is not None:
+        (rows, basis), binv = map(list, last[0]), last[1]
     elif not form.need.any():            # every row starts on its slack
         rows, basis, binv = list(range(m)), form.start.tolist(), np.eye(m)
     else:

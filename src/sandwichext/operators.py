@@ -67,8 +67,8 @@ class PolyhedralOperator:
     """Max-affine operator on ``domain``.
 
     It holds one conjugate LP per coarse block, built on first use, whose
-    standard form every conjugate of the operator shares; the form's kept
-    basis pair is read once per solve and replaced whole.
+    standard form every conjugate of the operator shares; conjugates solve
+    it cold (see ``extension.conjugate``).
     """
 
     domain: Subspace
@@ -556,8 +556,7 @@ class DensityPolytope:
 
     It holds one membership LP per block with lifted multipliers, built on
     first use, whose standard form every membership test of the block
-    shares; the form's kept basis pair is read once per solve, as its start,
-    and replaced whole.
+    shares; each test is a warm solve from the pair the form kept.
     """
 
     bounds: BoundPair
@@ -621,15 +620,12 @@ class DensityPolytope:
         min_w max_r (G w - h(fs))_r, the value of its LP dual: maximize
         b_eq[1:].v - h(fs).y subject to A_eq[1:, n:]^T v - G^T y <= 0,
         sum y = 1, y >= 0. The dual is always feasible and bounded, and fs
-        changes only its objective, so each solve starts from the basis of
-        the block's last one.
+        changes only its objective, so each solve is warm: it restarts from
+        the pair the block's last optimal solve kept.
         """
         bp = self.blocks[a]
-        lp = self._membership_lps[a]
-        last = lp._form.last              # read once: other solves replace it whole
-        res = solve_lp(lp.with_objective(np.concatenate(
-            [bp.b_eq[1:], bp.a_ub[:, :bp.n_f] @ fs - bp.b_ub])),
-            start=None if last is None else last[0])
+        res = solve_lp(self._membership_lps[a].with_objective(np.concatenate(
+            [bp.b_eq[1:], bp.a_ub[:, :bp.n_f] @ fs - bp.b_ub])), warm=True)
         if res.status != "optimal":
             raise RuntimeError(
                 f"membership LP on block {a} of level {self.level_a} came back "

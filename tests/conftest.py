@@ -17,10 +17,12 @@ from hypothesis import settings
 from sandwichext import (
     BoundPair,
     FilteredSpace,
+    LinearProgram,
     OperatorSystem,
     Piece,
     PolyhedralOperator,
     full_space,
+    solve_lp,
     span_closure,
 )
 
@@ -47,6 +49,24 @@ def same_lp_result(a, b):
         assert b.tight is None
     else:
         assert np.array_equal(a.tight, b.tight)
+
+
+def fresh_program(lp):
+    """The same program built anew: its own checks, standard form and no kept pair."""
+    return LinearProgram(c=lp.c, sense=lp.sense, a_eq=lp.a_eq, b_eq=lp.b_eq,
+                         a_ub=lp.a_ub, b_ub=lp.b_ub, bounds=lp.bounds)
+
+
+def fresh_warm_solve(lp, basis):
+    """What ``solve_lp(lp, warm=True)`` gives when ``lp``'s form kept ``basis``:
+    the warm solve of the program built anew, whose form is given ``basis``
+    with B^-1 computed from that new form. A ``basis`` of None is no kept
+    pair, so the solve is cold."""
+    fresh = fresh_program(lp)
+    if basis is not None:
+        rows, cols = map(list, basis)
+        fresh._form.last = (basis, np.linalg.inv(fresh._form.amat[rows][:, cols]))
+    return solve_lp(fresh, warm=True)
 
 
 def fixture_path(name: str) -> pathlib.Path:

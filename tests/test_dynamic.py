@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 import oracles
 import sandwichext
-from conftest import ROOT, binomial_space, fixture_path, same_lp_result
+from conftest import ROOT, binomial_space, fixture_path, fresh_warm_solve, same_lp_result
 from sandwichext import (
     BoundPair,
     FilteredSpace,
     GridError,
     LevelError,
-    LinearProgram,
     OperatorSystem,
     Piece,
     PolyhedralOperator,
@@ -337,8 +336,8 @@ def test_price_identity_holds_at_every_payoff_scale(shape, kind, seed, scale, pa
     ids=lambda src: src if isinstance(src, str) else "tree-%d-%d-%s" % src)
 def test_block_solves_on_the_kept_form_match_fresh_programs_bit_for_bit(source, monkeypatch):
     # every extension LP, block solves included, against solve_lp on the same
-    # program built anew from the same start: the kept standard form, checks
-    # and basis inverse change no bit of the result
+    # program built anew and given the same kept basis: the kept standard
+    # form, checks and basis inverse change no bit of the result
     if isinstance(source, str):
         system = load_scenario(fixture_path(source)).system
     else:
@@ -346,13 +345,11 @@ def test_block_solves_on_the_kept_form_match_fresh_programs_bit_for_bit(source, 
     ext = extend_system(system)
     kept = []
 
-    def compared(lp, start=None):
-        last = lp._form.last
-        kept.append(last is not None and start is last[0])
-        res = solve_lp(lp, start=start)
-        fresh = LinearProgram(c=lp.c, sense=lp.sense, a_eq=lp.a_eq, b_eq=lp.b_eq,
-                              a_ub=lp.a_ub, b_ub=lp.b_ub, bounds=lp.bounds)
-        same_lp_result(res, solve_lp(fresh, start=start))
+    def compared(lp, warm=False):
+        last = lp._form.last if warm else None
+        kept.append(last is not None)
+        res = solve_lp(lp, warm=warm)
+        same_lp_result(res, fresh_warm_solve(lp, None if last is None else last[0]))
         return res
 
     monkeypatch.setattr(sandwichext.extension, "solve_lp", compared)
@@ -369,3 +366,22 @@ def test_block_solves_on_the_kept_form_match_fresh_programs_bit_for_bit(source, 
                 step.evaluate(X)
                 attain(step, X)
     assert sum(kept) >= len(kept) // 3
+
+
+def test_extend_system_checks_each_declared_sandwich_once(monkeypatch):
+    # validate_system certifies every declared pair's sandwich; the extension
+    # of the adjacent pairs then takes that report's word for it
+    calls = []
+    real = sandwichext.check_sandwich
+
+    def counted(op, bounds):
+        calls.append((op.level_a, op.level_b))
+        return real(op, bounds)
+
+    monkeypatch.setattr("sandwichext.dynamic.check_sandwich", counted)
+    monkeypatch.setattr("sandwichext.extension.check_sandwich", counted)
+    for path in (fixture_path("fix_refine.json"), ROOT / "tests" / "golden" / "polyhedral_tree.json"):
+        system = load_scenario(path).system
+        del calls[:]
+        extend_system(system)
+        assert sorted(calls) == sorted(system.declared_ops())

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import same_lp_result
+from conftest import fresh_program, fresh_warm_solve, same_lp_result
 from sandwichext import LinearProgram, LpResult, solve_lp, support_function
 import sandwichext.lp
 from sandwichext.lp import InfeasibleRegionError, LpError
@@ -24,6 +24,14 @@ def test_min_with_equality_and_box():
     assert res.value == pytest.approx(1.0, abs=VALUE_TOL)
     np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-9)
     assert abs(res.value - res.dual_objective) < DUAL_TOL
+    # min x0 + x1 over x0 - x1 = -1, x >= 0: the vertex (0, 1)
+    moved = solve_lp(LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[-1.0]))
+    np.testing.assert_allclose(moved.x, [0.0, 1.0], atol=1e-12)
+    # proportional rows: phase 1 drops one and the optimum (1, 0) keeps the other
+    dropped = solve_lp(LinearProgram(c=[-1.0, 0.0], a_eq=[[1.0, 1.0], [2.0, 2.0]],
+                                     b_eq=[1.0, 2.0]))
+    assert len(dropped.basis[0]) == 1
+    np.testing.assert_allclose(dropped.x, [1.0, 0.0], atol=1e-12)
 
 
 def test_max_with_inequalities():
@@ -72,6 +80,14 @@ def test_infeasible_with_farkas_certificate():
     assert cert["kind"] in ("farkas", "farkas_raw")
     if cert["kind"] == "farkas":
         assert cert["gap"] > 0.0
+    # no solve on its form is optimal, so the form keeps no pair and a warm
+    # solve of any objective is the cold one
+    derived = lp.with_objective([2.0, 1.0])
+    same_lp_result(solve_lp(derived, warm=True), solve_lp(fresh_program(derived)))
+    assert lp._form.last is None
+    # proportional rows whose right-hand sides disagree
+    clash = LinearProgram(c=[-1.0, 0.0], a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 3.0])
+    assert solve_lp(clash).status == "infeasible"
 
 
 def test_degenerate_problem_terminates_deterministically():
@@ -342,13 +358,15 @@ def test_warm_start_from_another_objective_matches_cold():
     statuses = set()
     for _ in range(80):
         spec = _random_program(rng)
-        first = solve_lp(LinearProgram(**spec))
+        template = LinearProgram(**spec)
+        first = solve_lp(template)
+        # a form that kept no pair solves warm as it solves cold
+        same_lp_result(solve_lp(LinearProgram(**spec), warm=True), first)
         if first.status != "optimal":
             continue
-        spec["c"] = rng.normal(size=spec["c"].size)
-        lp = LinearProgram(**spec)
-        cold = solve_lp(lp)
-        warm = solve_lp(lp, start=first.basis)
+        lp = template.with_objective(rng.normal(size=spec["c"].size))
+        cold = solve_lp(fresh_program(lp))
+        warm = solve_lp(lp, warm=True)
         statuses.add(cold.status)
         assert warm.status == cold.status
         if cold.status == "optimal":
@@ -356,55 +374,10 @@ def test_warm_start_from_another_objective_matches_cold():
             assert abs(warm.dual_objective - cold.dual_objective) < DUAL_TOL
             assert abs(warm.value - warm.dual_objective) < DUAL_TOL
             # the final basis restarts its own program in a single pass
-            again = solve_lp(lp, start=warm.basis)
+            again = solve_lp(lp, warm=True)
             assert again.iterations == 1 and again.basis == warm.basis
             assert again.value == warm.value
     assert statuses == {"optimal", "unbounded"}
-
-
-def test_invalid_starts_give_the_cold_result():
-    rng = np.random.default_rng(SEED + 3)
-    for _ in range(30):
-        spec = _random_program(rng)
-        lp = LinearProgram(**spec)
-        cold = solve_lp(lp)
-        if cold.status != "optimal" or len(cold.basis[1]) < 2:
-            continue
-        rows, cols = cold.basis
-        bad = [
-            (rows, cols[:-1]),                          # wrong length
-            (rows[:-1], cols[:-1]),                     # drops a needed row
-            (rows, (10_000,) + cols[1:]),               # column out of range
-            ((-1,) + rows[1:], cols),                   # row out of range
-            (rows, (cols[1],) + cols[1:]),              # repeated column
-            (rows[::-1], cols),                         # rows out of order
-            "not a basis",
-        ]
-        for start in bad:
-            same_lp_result(solve_lp(lp, start=start), cold)
-
-
-def test_singular_and_infeasible_starts_give_the_cold_result():
-    # x0 free: its standard-form columns u+ and u- are opposite, so a basis
-    # holding both is singular
-    lp = LinearProgram(c=[1.0, 1.0, 1.0], a_eq=[[1.0, 2.0, 0.0], [1.0, 0.0, 1.0]],
-                       b_eq=[1.0, 1.0],
-                       bounds=((-math.inf, math.inf), (0.0, math.inf), (0.0, math.inf)))
-    cold = solve_lp(lp)
-    assert cold.status == "optimal"
-    same_lp_result(solve_lp(lp, start=((0, 1), (0, 1))), cold)
-    # min x0 + x1 over x0 - x1 = 1 ends on the basis {x0}; with the
-    # right-hand side -1 that basis puts x0 at -1
-    first = solve_lp(LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[1.0]))
-    assert first.basis == ((0,), (0,))
-    moved = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[-1.0])
-    cold = solve_lp(moved)
-    same_lp_result(solve_lp(moved, start=first.basis), cold)
-    np.testing.assert_allclose(cold.x, [0.0, 1.0], atol=1e-12)
-    # an infeasible program stays infeasible from any start
-    empty = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[3.0],
-                          bounds=((0.0, 1.0), (0.0, 1.0)))
-    same_lp_result(solve_lp(empty, start=((0, 1, 2), (0, 1, 2))), solve_lp(empty))
 
 
 def test_warm_start_sequences_repeat_bytes():
@@ -414,41 +387,14 @@ def test_warm_start_sequences_repeat_bytes():
         spec = _random_program(rng)
         while solve_lp(LinearProgram(**spec)).status != "optimal":
             spec = _random_program(rng)
-        start = None
+        template = LinearProgram(**spec)
         for _ in range(12):
-            spec["c"] = rng.normal(size=spec["c"].size)
-            res = solve_lp(LinearProgram(**spec), start=start)
-            start = res.basis if res.status == "optimal" else start
-            out.append(res)
+            out.append(solve_lp(template.with_objective(rng.normal(size=spec["c"].size)),
+                                warm=True))
         return out
 
     for a, b in zip(run(), run(), strict=True):
         same_lp_result(a, b)
-
-
-def test_start_that_dropped_a_row_the_new_program_needs():
-    # phase 1 drops one of two proportional rows; in the second program that
-    # row is independent, holds at the start's vertex, yet bounds the optimum
-    first = solve_lp(LinearProgram(c=[-1.0, 0.0], a_eq=[[1.0, 1.0], [2.0, 2.0]],
-                                   b_eq=[1.0, 2.0]))
-    assert len(first.basis[0]) == 1
-    lp = LinearProgram(c=[0.0, -1.0], a_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[1.0, 1.0])
-    cold = solve_lp(lp)
-    assert cold.status == "optimal"
-    np.testing.assert_allclose(cold.x, [1.0, 0.0], atol=1e-12)
-    same_lp_result(solve_lp(lp, start=first.basis), cold)
-    # the same two rows with a right-hand side that breaks the dropped one
-    clash = LinearProgram(c=[-1.0, 0.0], a_eq=[[1.0, 1.0], [2.0, 2.0]],
-                          b_eq=[1.0, 3.0])
-    cold = solve_lp(clash)
-    assert cold.status == "infeasible"
-    same_lp_result(solve_lp(clash, start=first.basis), cold)
-
-
-def _fresh(lp):
-    """The same program built anew: its own checks, standard form and no kept basis."""
-    return LinearProgram(c=lp.c, sense=lp.sense, a_eq=lp.a_eq, b_eq=lp.b_eq,
-                         a_ub=lp.a_ub, b_ub=lp.b_ub, bounds=lp.bounds)
 
 
 def test_program_keeps_private_read_only_copies_of_its_arrays():
@@ -467,7 +413,7 @@ def test_program_keeps_private_read_only_copies_of_its_arrays():
     np.testing.assert_allclose(fresh.x, [0.0, 0.0], atol=1e-12)
     # the first program, its kept form and the programs derived from it do not see it
     same_lp_result(solve_lp(lp), first)
-    same_lp_result(solve_lp(lp, start=first.basis), solve_lp(_fresh(lp), start=first.basis))
+    same_lp_result(solve_lp(lp, warm=True), fresh_warm_solve(lp, first.basis))
     derived = lp.with_objective([1.0, 2.0])
     same_lp_result(solve_lp(derived), first)
     for arr in (lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, derived.c):
@@ -485,64 +431,26 @@ def test_objective_swap_checks_the_new_objective():
     derived = lp.with_objective([3.0, 1.0, 2.0])
     assert derived.n_vars == 3 and derived.sense == lp.sense
     assert derived._form is lp._form
-    same_lp_result(solve_lp(derived), solve_lp(_fresh(derived)))
+    same_lp_result(solve_lp(derived), solve_lp(fresh_program(derived)))
 
 
 def test_starts_on_derived_programs_match_fresh_programs():
     rng = np.random.default_rng(SEED + 7)
-    hits = 0
+    moved = 0
     for _ in range(30):
         spec = _random_program(rng)
         template = LinearProgram(**spec)
         if solve_lp(template).status != "optimal":
             continue
-        bases = []
         for _ in range(4):
             lp = template.with_objective(rng.normal(size=spec["c"].size))
-            start = bases[-1] if bases else None
-            hits += start is not None and start is template._form.last[0]
-            res = solve_lp(lp, start=start)
-            # the kept basis and inverse give what a fresh program gives from the
-            # same start; a stale basis (an earlier one) goes through the checks
-            same_lp_result(res, solve_lp(_fresh(lp), start=start))
-            for old in bases[:-1]:
-                same_lp_result(solve_lp(lp.with_objective(lp.c), start=old),
-                             solve_lp(_fresh(lp), start=old))
-            if res.status == "optimal":
-                bases.append(res.basis)
-        # malformed starts on a program derived from a solved template
-        if bases and len(bases[-1][1]) >= 2:
-            rows, cols = bases[-1]
-            lp = template.with_objective(spec["c"])
-            cold = solve_lp(_fresh(lp))
-            for start in ((rows, cols[:-1]), (rows, (10_000,) + cols[1:]),
-                          ((-1,) + rows[1:], cols), (rows[::-1], cols), "not a basis"):
-                same_lp_result(solve_lp(lp, start=start), cold)
-    assert hits >= 20
-
-
-def test_foreign_starts_on_derived_programs_give_the_cold_result():
-    # the moved, clash and empty programs of the warm-start tests, each solved
-    # once so that its form keeps a basis, then derived and given a foreign start
-    first = solve_lp(LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[1.0]))
-    moved = LinearProgram(c=[2.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[-1.0])
-    solve_lp(moved)
-    lp = moved.with_objective([1.0, 1.0])
-    same_lp_result(solve_lp(lp, start=first.basis), solve_lp(_fresh(lp)))
-    dropped = solve_lp(LinearProgram(c=[-1.0, 0.0], a_eq=[[1.0, 1.0], [2.0, 2.0]],
-                                     b_eq=[1.0, 2.0]))
-    for other in (LinearProgram(c=[1.0, 0.0], a_eq=[[1.0, 1.0], [1.0, -1.0]],
-                                b_eq=[1.0, 1.0]),
-                  LinearProgram(c=[0.0, 1.0], a_eq=[[1.0, 1.0], [2.0, 2.0]],
-                                b_eq=[1.0, 3.0])):
-        solve_lp(other)
-        lp = other.with_objective([-1.0, 0.0])
-        same_lp_result(solve_lp(lp, start=dropped.basis), solve_lp(_fresh(lp)))
-    empty = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[3.0],
-                          bounds=((0.0, 1.0), (0.0, 1.0)))
-    solve_lp(empty)
-    lp = empty.with_objective([2.0, 1.0])
-    same_lp_result(solve_lp(lp, start=((0, 1, 2), (0, 1, 2))), solve_lp(_fresh(lp)))
+            kept = template._form.last[0]
+            res = solve_lp(lp, warm=True)
+            # the kept basis and inverse give what a fresh program gives from
+            # the same basis
+            same_lp_result(res, fresh_warm_solve(lp, kept))
+            moved += res.status == "optimal" and res.basis != kept
+    assert moved >= 20
 
 
 def test_a_solve_reads_the_kept_pair_once():
@@ -575,9 +483,18 @@ def test_a_solve_reads_the_kept_pair_once():
 
     form.__class__ = Racing
     lp = template.with_objective(c_a)        # basis A is optimal: one pass with A^-1
-    res = solve_lp(lp, start=res_a.basis)
+    res = solve_lp(lp, warm=True)
     assert form.reads == 1
-    same_lp_result(res, solve_lp(_fresh(lp), start=res_a.basis))
+    same_lp_result(res, fresh_warm_solve(lp, res_a.basis))
+    solve_lp(lp)                             # a cold solve reads no pair
+    assert form.reads == 1
+
+
+def _bits(res):
+    """The fields ``same_lp_result`` compares, as one hashable key."""
+    arrays = (res.x, res.tight)
+    return (res.status, res.iterations, res.basis, np.float64(res.value).tobytes(),
+            res.dual_objective, *(None if a is None else a.tobytes() for a in arrays))
 
 
 def test_threads_sharing_a_form_match_fresh_programs():
@@ -588,25 +505,33 @@ def test_threads_sharing_a_form_match_fresh_programs():
         ends = [solve_lp(template.with_objective(c)) for c in objectives]
         if len({r.basis for r in ends if r.status == "optimal"}) >= 3:
             break
+    # without threads: every objective restarted from every optimal basis the
+    # program reaches, until the restarts end on no new basis
+    table = [set() for _ in objectives]
+    seen, todo = set(), [r.basis for r in ends if r.status == "optimal"]
+    while todo:
+        basis = todo.pop()
+        if basis in seen:
+            continue
+        seen.add(basis)
+        for k, c in enumerate(objectives):
+            res = fresh_warm_solve(template.with_objective(c), basis)
+            table[k].add(_bits(res))
+            if res.status == "optimal":
+                todo.append(res.basis)
     errors = []
 
     def work(k):
-        # each thread restarts from its own last basis while the others
-        # replace the kept pair; a basis paired with another's inverse
-        # would move x off the fresh program's answer
-        start = None
+        # each solve restarts from whatever pair another thread last kept; a
+        # basis paired with another's inverse would move x off every entry
         try:
             for i in range(150):
-                lp = template.with_objective(objectives[(k + i) % len(objectives)])
-                res = solve_lp(lp, start=start)
-                same_lp_result(res, solve_lp(_fresh(lp), start=start))
-                start = res.basis if res.status == "optimal" else start
+                j = (k + i) % len(objectives)
+                res = solve_lp(template.with_objective(objectives[j]), warm=True)
+                assert _bits(res) in table[j], (j, res.basis)
         except Exception as err:           # reported by the main thread
             errors.append(err)
 
-    # one thread at a time first: each thread's starts depend only on its own
-    # results, so this checks, without any race, every (objective, start)
-    # pair the threads below meet, on the kept-inverse path and the checked one
     for k in range(6):
         work(k)
     assert not errors, errors[0]
@@ -633,14 +558,16 @@ def test_objective_scale_keeps_status_and_value_in_few_passes(monkeypatch):
     checked = 0
     for _ in range(40):
         spec = _random_program(rng)
-        first = solve_lp(LinearProgram(**spec))
-        if first.status != "optimal":
+        if solve_lp(LinearProgram(**spec)).status != "optimal":
             continue
         c = rng.normal(size=spec["c"].size)
         base = solve_lp(LinearProgram(**{**spec, "c": c}))
         for scale in (1e9, 1e12):
-            lp = LinearProgram(**{**spec, "c": c * scale})
-            for res in (solve_lp(lp), solve_lp(lp, start=first.basis)):
+            template = LinearProgram(**spec)
+            solve_lp(template)                  # keeps the first objective's pair
+            lp = template.with_objective(c * scale)
+            # warm first: the cold solve replaces the kept pair
+            for res in (solve_lp(lp, warm=True), solve_lp(lp)):
                 assert res.status == base.status
                 if base.status == "optimal":
                     assert res.value == pytest.approx(base.value * scale, rel=1e-9,

@@ -182,11 +182,11 @@ def test_sandwich_lp_status_other_than_optimal_is_named(monkeypatch):
     assert check_sandwich(op, bounds).holds
     calls = []
 
-    def fourth_fails(lp, start=None):
+    def fourth_fails(lp, warm=False):
         calls.append(1)
         if len(calls) == 4:
             return LpResult("infeasible", np.nan)
-        return solve_lp(lp, start=start)
+        return solve_lp(lp, warm=warm)
 
     monkeypatch.setattr(sandwichext.operators, "solve_lp", fourth_fails)
     with pytest.raises(RuntimeError, match=(
@@ -451,6 +451,6 @@ def test_membership_lp_status_other_than_optimal_is_named(monkeypatch):
     poly = density_set(bounds)
     assert poly.contains_on_block(0, np.array([1.1, 0.9]))
     monkeypatch.setattr(sandwichext.operators, "solve_lp",
-                        lambda lp, start=None: LpResult("unbounded", np.inf))
+                        lambda lp, warm=False: LpResult("unbounded", np.inf))
     with pytest.raises(RuntimeError, match="block 0 of level 0 came back unbounded"):
         poly.contains_on_block(0, np.array([1.1, 0.9]))
