@@ -41,7 +41,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .lp import LinearProgram, LpResult, solve_lp
+from .lp import LinearProgram, LpResult, _cost_tol, _pricing, solve_lp
 from .operators import (BlockPolytope, BoundPair, DensityPolytope, CheckEntry,
                         PolyhedralOperator, PolytopeError, SandwichReport,
                         ValidationReport, check_sandwich)
@@ -52,6 +52,7 @@ FACE_TOL = 1e-9
 EQ_RANK_TOL = 1e-10
 EVAL_MEMO_SIZE = 4096   # payoffs memoized per ExtendedOperator
 FACE_MEMO_SIZE = 64     # centered optimal faces memoized per block program
+TABLE_SIZE = 8          # optimal bases tabled per block program, and its miss cut-off
 
 
 class DensityError(ValueError):
@@ -238,21 +239,73 @@ class _BlockProgram:
     the solve's ``x`` and ``tight``: besides the fixed constraints, they are
     all that ``_center_on_face`` reads. It holds at most ``FACE_MEMO_SIZE``
     faces.
+
+    ``table`` keeps, for ``evaluate``, the optimal bases the block's
+    evaluate solves have ended on: per (kept rows, basic columns), the
+    form's (basis, B^-1) pair, the kept rows of the constraint matrix and the
+    read-only solution ``x``, which does not depend on the objective; the
+    constraints never change, so nothing is checked again. ``lookup`` prices
+    the entries with the simplex's own optimality test, so a hit is exactly
+    a warm solve from that pair that stops after one pass; its value is that
+    solve's ``c @ x``, and the pair becomes the form's kept pair, as after
+    that solve. The table is an LRU of at most ``TABLE_SIZE`` entries.
+    ``TABLE_SIZE`` missed lookups in a row drop it for good: the block's
+    optimal bases outnumber it, and its lookups would only add cost.
+    ``attain`` neither reads nor fills it.
     """
 
     poly: BlockPolytope
     make_lp: partial
     weights: np.ndarray         # the segments' probabilities within the block
     faces: dict = field(default_factory=dict, repr=False)
+    table: dict = field(default_factory=dict, repr=False)
+    misses: int = 0             # table lookups missed in a row
 
     @cached_property
     def lp(self) -> LinearProgram:
         return self.make_lp()
 
-    def program(self, x_reps: np.ndarray) -> LinearProgram:
+    def objective(self, x_reps: np.ndarray) -> np.ndarray:
         c = self.lp.c.copy()
         c[:self.poly.n_f] = self.weights * x_reps
-        return self.lp.with_objective(c)
+        return c
+
+    def program(self, x_reps: np.ndarray) -> LinearProgram:
+        return self.lp.with_objective(self.objective(x_reps))
+
+    def lookup(self, x_reps: np.ndarray) -> float | None:
+        """The value at ``x_reps`` off the first tabled basis optimal for it,
+        testing the form's kept pair first, then the newest; None on a miss.
+        A hit becomes the newest entry and the form's kept pair."""
+        c = self.objective(x_reps)
+        form = self.lp._form
+        cost = form.cost(c)
+        tol = _cost_tol(cost)
+        kept = self.table.get(form.last[0]) if form.last else None
+        rest = [e for e in reversed(self.table.values()) if e is not kept]
+        for entry in [kept] + rest if kept else rest:
+            pair, a, basis, x = entry
+            if _pricing(a, cost, basis, pair[1], form.twin, tol)[3]:
+                self.table[pair[0]] = self.table.pop(pair[0])
+                form.last = pair
+                self.misses = 0
+                return float(c @ x)
+        self.misses += 1
+        return None
+
+    def remember(self, res: LpResult) -> None:
+        """Table the basis of the solve ``res`` that followed a missed lookup,
+        or drop the table on the ``TABLE_SIZE``-th miss in a row."""
+        if self.misses >= TABLE_SIZE:
+            self.table.clear()
+            return
+        form = self.lp._form
+        rows, cols = res.basis
+        res.x.setflags(write=False)
+        self.table[res.basis] = (form.last, form.amat[list(rows)],
+                                 np.array(cols, dtype=np.intp), res.x)
+        if len(self.table) > TABLE_SIZE:
+            del self.table[next(iter(self.table))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,14 +321,19 @@ class ExtendedOperator:
 
     Callable on every fine-level payoff; restriction to the original domain
     reproduces the base operator. Evaluation results are memoized per payoff
-    vector in a least-recently-used memo of ``EVAL_MEMO_SIZE`` entries.
+    vector in a least-recently-used memo of ``EVAL_MEMO_SIZE`` entries. On a
+    memo miss each block's value is read off its program's table of optimal
+    bases when an entry passes the simplex's optimality test for the payoff;
+    otherwise the block solves warm and tables the basis it ends on. A table
+    holds at most ``TABLE_SIZE`` bases, least recently used first out, and
+    ``TABLE_SIZE`` misses in a row drop it for good (see ``_BlockProgram``).
     ``attain`` solves every block program again, and memoizes per block the
     centered point of each optimal face it reaches, in a least-recently-used
     memo of ``FACE_MEMO_SIZE`` faces. Each block program's LP keeps its
     standard form and last optimal (basis, B^-1) pair for the next solve, and
-    every solve replaces that pair and updates a memo, so even a read
-    (``evaluate`` or ``attain``) mutates the instance: use it from one thread
-    at a time.
+    every solve or table hit replaces that pair and updates a memo or table,
+    so even a read (``evaluate`` or ``attain``) mutates the instance: use it
+    from one thread at a time.
     """
 
     base: PolyhedralOperator
@@ -305,10 +363,23 @@ class ExtendedOperator:
     __call__ = evaluate
 
     def _solve(self, X: RandomVariable) -> RandomVariable:
-        by_block = np.array([self._solve_block(a, X.values).value
+        by_block = np.array([self._block_value(a, X.values)
                              for a in range(len(self._programs))])
         return RandomVariable(
             self.space._layout[self.level_a].broadcast(by_block), self.level_a)
+
+    def _block_value(self, a: int, x: np.ndarray) -> float:
+        """Block ``a``'s value at payoff ``x``: off its table, or a warm solve
+        that the table then keeps."""
+        prog = self._programs[a]
+        if prog.misses >= TABLE_SIZE:
+            return self._solve_block(a, x).value
+        value = prog.lookup(x[prog.poly.seg.reps])
+        if value is None:
+            res = self._solve_block(a, x)
+            prog.remember(res)
+            value = res.value
+        return value
 
     def _solve_block(self, a: int, x: np.ndarray) -> LpResult:
         prog = self._programs[a]

@@ -17,7 +17,10 @@ last optimal solve. Those programs differ only in the objective, so that
 basis stays feasible for all of them: a ``warm`` solve restarts phase 2 from
 it, with phase 1 skipped and no inversion. The pair is one tuple, read once
 per solve and replaced whole, so programs sharing a form may be solved from
-several threads.
+several threads. ``_pricing`` is the optimality test each simplex pass
+makes: applied to a kept pair and a new objective's ``_StandardForm.cost``,
+it tells without a solve whether a warm solve from that pair would stop at
+once, on the pair's own basic solution.
 
 Determinism: the same sequence of calls gives the same bytes. A warm solve
 may end on a different vertex of a non-unique optimum than a cold one, with
@@ -163,7 +166,23 @@ class _StandardForm:
         self.need = need = np.r_[np.ones(m_eq, dtype=bool), flips[m_eq:] < 0]
         self.start = np.arange(var.size - m_eq, var.size - m_eq + m)
         self.start[need] = np.arange(amat.shape[1], amat.shape[1] + need.sum())
+        self.sgn = 1.0 if lp.sense == "min" else -1.0   # derived programs keep the sense
         self.last = None       # (basis, B^-1) of the last optimal solve
+
+    def cost(self, c: np.ndarray) -> np.ndarray:
+        """Phase 2's costs of objective ``c``, a minimization over the columns."""
+        return np.concatenate([self.sgn * c[self.var] * self.sign,
+                               np.zeros(self.amat.shape[1] - self.var.size)])
+
+    @cached_property
+    def slot(self) -> np.ndarray:
+        """Per column, its place in ``LpResult.tight``: a u column marks its
+        variable's lower bound, or its upper one where x = hi - u or it is a
+        free variable's u-; an ``a_ub`` slack marks its row, a boxed slack
+        its variable's upper bound."""
+        var, n, m_ub = self.var, self.lo.size, self.m_ub
+        return np.concatenate([m_ub + var + n * (self.sign < 0), np.arange(m_ub),
+                               m_ub + n + self.boxed])
 
 
 @dataclass(frozen=True)
@@ -175,8 +194,8 @@ class LpResult:
     the pair (kept standard-form rows, basic columns) the form keeps for the
     next warm solve; it is None for any other status. ``tight`` marks, per
     ``a_ub`` row, lower bound and upper bound, what every optimum holds with
-    equality: the standard-form column is priced above the tolerance. It is
-    mapped from the standard form once, when first read.
+    equality: the standard-form column is priced above the tolerance. Each
+    read scatters it anew from the standard form's columns.
     """
 
     status: str                       # "optimal" | "unbounded" | "infeasible"
@@ -188,29 +207,49 @@ class LpResult:
     basis: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     _priced: tuple | None = field(default=None, repr=False, compare=False)
 
-    @cached_property
+    @property
     def tight(self) -> np.ndarray | None:
         if self._priced is None:
             return None
-        on, m_ub, n, var, sign, boxed = self._priced
-        tight = np.zeros(m_ub + 2 * n, dtype=bool)
-        tight[:m_ub] = on[var.size:var.size + m_ub]
-        tight[m_ub + var + n * (sign < 0)] = on[:var.size]
-        tight[m_ub + n + boxed] |= on[var.size + m_ub:]
-        tight.setflags(write=False)
+        on, form = self._priced
+        tight = np.zeros(form.m_ub + 2 * form.lo.size, dtype=bool)
+        tight[form.slot] = on
         return tight
+
+
+def _cost_tol(c: np.ndarray) -> float:
+    """Reduced costs below -COST_TOL * max(1, |c|max) count as improving."""
+    return COST_TOL * max(1.0, max(map(abs, c.tolist())))   # floats: a short vector
+
+
+def _pricing(a: np.ndarray, c: np.ndarray, basis: np.ndarray, binv: np.ndarray,
+             twin: np.ndarray | None, tol: float, bland: bool = False):
+    """The simplex's optimality test of the basis with inverse ``binv``.
+
+    Returns the duals y = c_B B^-1, the reduced costs c - y a, the entering
+    column and whether the basis is optimal: no reduced cost below -tol.
+    Basic columns are priced at 0, and so is a basic free-variable column's
+    ``twin``, its opposite, not at rounding noise. The column with the most
+    negative reduced cost enters, or with ``bland`` the first below -tol.
+    """
+    y = c[basis] @ binv
+    reduced = c - y @ a
+    reduced[basis] = 0.0
+    if twin is not None:
+        reduced[twin[basis]] = 0.0
+    entering = int((reduced < -tol).argmax() if bland else reduced.argmin())
+    return y, reduced, entering, reduced[entering] >= -tol
 
 
 def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
              twin: np.ndarray | None, start_iter: int = 0, binv: np.ndarray | None = None):
     """Primal simplex from a feasible basis, whose inverse may be given. Dantzig
     pricing, or Bland's while the last BLAND_AFTER pivots stepped <= FEAS_TOL.
-    Reduced costs count beyond tol = COST_TOL * max(1, |c|max), so an accepted
-    vertex is within tol * |u*|_1 of an optimum u*. A basic free-variable
-    column's ``twin``, its opposite, is priced at 0, not at rounding noise.
+    Each pass is ``_pricing``'s test with tol = ``_cost_tol(c)``, so an
+    accepted vertex is within tol * |u*|_1 of an optimum u*.
     Returns (status, basis, x_basic, y, iterations, j, d, B^-1): 'optimal'
     with d flagging reduced costs > tol, 'unbounded' with entering j, ray d."""
-    tol = COST_TOL * max(1.0, max(map(abs, c.tolist())))   # floats: a short vector
+    tol = _cost_tol(c)
     it, stalled = start_iter, 0
     basis = np.array(basis, dtype=np.intp)     # a list index is converted on every use
     while True:
@@ -220,13 +259,9 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
         if binv is None:
             binv = np.linalg.inv(a[:, basis])
         xb = binv @ b
-        y = c[basis] @ binv
-        reduced = c - y @ a
-        reduced[basis] = 0.0
-        if twin is not None:
-            reduced[twin[basis]] = 0.0
-        entering = int((reduced < -tol).argmax() if stalled >= BLAND_AFTER else reduced.argmin())
-        if reduced[entering] >= -tol:
+        y, reduced, entering, optimal = _pricing(a, c, basis, binv, twin, tol,
+                                                 stalled >= BLAND_AFTER)
+        if optimal:
             return "optimal", basis.tolist(), xb, y, it, None, reduced > tol, binv
         d = binv @ a[:, entering]
         # a few rows: the ratio test runs on Python floats
@@ -251,8 +286,8 @@ def solve_lp(lp: LinearProgram, warm: bool = False) -> LpResult:
     form = lp._form
     amat, bvec, n_u = form.amat, form.bvec, form.var.size
     m, n_s = amat.shape
-    sgn = 1.0 if lp.sense == "min" else -1.0
-    cost = np.concatenate([sgn * lp.c[form.var] * form.sign, np.zeros(n_s - n_u)])
+    sgn = form.sgn
+    cost = form.cost(lp.c)
     const = float(sgn * (lp.c @ form.shift))
 
     # --- phase 1, unless the kept pair or the slacks are a feasible basis --
@@ -317,8 +352,7 @@ def solve_lp(lp: LinearProgram, warm: bool = False) -> LpResult:
     dual_objective = float(sgn * (y @ b2 + const))
     found = (tuple(rows), tuple(basis))
     form.last = (found, binv)
-    return LpResult("optimal", value, x_here, dual_objective, None, iters, found,
-                    (d, form.m_ub, lp.n_vars, form.var, form.sign, form.boxed))
+    return LpResult("optimal", value, x_here, dual_objective, None, iters, found, (d, form))
 
 
 def _farkas_certificate(form: _StandardForm, y_std: np.ndarray) -> dict:

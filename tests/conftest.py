@@ -51,6 +51,20 @@ def same_lp_result(a, b):
         assert np.array_equal(a.tight, b.tight)
 
 
+def mapped_tight(res):
+    """``res.tight`` mapped part by part from the standard form, as it was
+    before the per-column index: ``a_ub`` slacks to their rows, u columns to
+    their variable's lower bound (upper where x = hi - u or for a free
+    variable's u-), boxed slacks or-ed into their variable's upper bound."""
+    on, form = res._priced
+    n, m_ub, var = form.lo.size, form.m_ub, form.var
+    tight = np.zeros(m_ub + 2 * n, dtype=bool)
+    tight[:m_ub] = on[var.size:var.size + m_ub]
+    tight[m_ub + var + n * (form.sign < 0)] = on[:var.size]
+    tight[m_ub + n + form.boxed] |= on[var.size + m_ub:]
+    return tight
+
+
 def fresh_program(lp):
     """The same program built anew: its own checks, standard form and no kept pair."""
     return LinearProgram(c=lp.c, sense=lp.sense, a_eq=lp.a_eq, b_eq=lp.b_eq,

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 import sandwichext.extension
-from conftest import (ROOT, enclosing_bounds, fixture_path, fresh_program, random_polyhedral,
-                      same_lp_result)
+from conftest import (ROOT, enclosing_bounds, fixture_path, fresh_program, fresh_warm_solve,
+                      mapped_tight, random_polyhedral, same_lp_result)
 from sandwichext import (
     BoundPair,
     DensityError,
@@ -28,10 +28,12 @@ from sandwichext import (
     load_scenario,
     maximal_extension,
     minimal_penalty,
+    price,
     solve_lp,
     span_closure,
     verify_representation,
 )
+from sandwichext.extension import TABLE_SIZE, _BlockProgram
 
 TOL = 1e-9
 VALUE_TOL = 1e-7
@@ -77,6 +79,8 @@ def test_conjugate_rejects_non_densities(two_atom):
 
 
 def _tree_or_fixture(source):
+    if source == GOLDEN_TREE:
+        return load_scenario(ROOT / "tests" / "golden" / source).system
     if isinstance(source, str):
         return load_scenario(fixture_path(source)).system
     return treegen.accepted_system(sandwichext, treegen.Shape(*source), 0)[1]
@@ -84,6 +88,7 @@ def _tree_or_fixture(source):
 
 SOURCES = FIXTURES + [(b, T, kind) for b, T in [(2, 2), (3, 2), (2, 3)]
                       for kind in ["linear", "polyhedral"]]
+GOLDEN_TREE = "polyhedral_tree.json"    # the generated scenario of the golden reports
 
 
 def source_id(source):
@@ -541,3 +546,192 @@ def test_warm_extension_matches_a_fresh_one_and_the_oracles(case, history):
             p = op.space.probs[ix]
             priced = p @ (f[ix] * X.values[ix]) / p.sum() - att.penalty.by_block[a]
             assert abs(priced - value[ix[0]]) <= 1e-8 * scale
+
+
+def _recorded_lookups(monkeypatch):
+    """Record (program, value, foreign) of every table lookup; ``foreign``
+    marks a hit on an entry other than the form's kept pair."""
+    lookups = []
+    lookup = _BlockProgram.lookup
+
+    def recording(prog, x_reps):
+        form = prog.lp._form
+        kept = form.last and form.last[0]
+        value = lookup(prog, x_reps)
+        lookups.append((prog, value, value is not None and form.last[0] != kept))
+        return value
+
+    monkeypatch.setattr(_BlockProgram, "lookup", recording)
+    return lookups
+
+
+def _table_free(monkeypatch, fn, *args):
+    """``fn(*args)`` with every basis table off, as if there were none."""
+    monkeypatch.setattr(sandwichext.extension, "TABLE_SIZE", 0)
+    try:
+        return fn(*args)
+    finally:
+        monkeypatch.setattr(sandwichext.extension, "TABLE_SIZE", TABLE_SIZE)
+
+
+def _mixed_operations(system, rng, n_ops=24):
+    """Interleaved evaluates, prices and step attainments on fresh payoffs of
+    three scales: (max(1, max|X|), op), where op maps an extended system to
+    the arrays the operation returns."""
+    space = system.space
+    s, t = system.grid[0], system.grid[-1]
+    for j in range(n_ops):
+        x = rng.normal(size=space.n_atoms) * rng.choice([1e-3, 1.0, 1e3])
+        scale = max(1.0, float(np.abs(x).max()))
+        if j % 4 < 2:
+            yield scale, lambda ext, x=x: [ext.evaluate(s, t, space.rv(x, t)).values]
+        elif j % 4 == 2:
+            def op(ext, x=x):
+                out = price(ext, s, t, space.rv(x, t))
+                return [out.value.values, out.density.values, out.penalty.by_block]
+            yield scale, op
+        else:
+            k = int(rng.integers(0, len(system.adjacent_pairs)))
+            level = system.adjacent_pairs[k][1]
+
+            def op(ext, x=x, k=k, level=level):
+                out = attain(ext.step(k), cond_expectation(space, space.rv(x), level))
+                return [out.density.values, out.value.values, out.penalty.by_block]
+            yield scale, op
+
+
+TABLE_SOURCES = SOURCES + [GOLDEN_TREE]
+
+
+@pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)
+def test_evaluate_off_the_tables_matches_a_table_free_extension(source, monkeypatch):
+    # the tables change how evaluate reaches a block's optimal basis, not
+    # what it returns. A twin extension with every table off gives the bits
+    # until a hit on an entry other than the kept pair: its warm solve may
+    # have pivoted to that entry's columns in another order, whose inverse
+    # rounds differently, and later warm solves restart from there
+    system = _tree_or_fixture(source)
+    ext, ref = extend_system(system), extend_system(system)
+    lookups = _recorded_lookups(monkeypatch)
+    for scale, op in _mixed_operations(system, np.random.default_rng(SEED + 7)):
+        for got, want in zip(op(ext), _table_free(monkeypatch, op, ref)):
+            if got.tobytes() != want.tobytes():
+                assert any(foreign for _, _, foreign in lookups)
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+    assert any(value is not None for _, value, _ in lookups)
+
+
+@pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)
+def test_table_hits_are_the_bits_of_a_fresh_warm_solve(source, monkeypatch):
+    # a hit's basis is optimal by the simplex's own test, so a warm solve
+    # from it stops after one pass on the same x and value; the hit leaves
+    # that pair kept for the next warm solve
+    system = _tree_or_fixture(source)
+    ext = extend_system(system)
+    lookup = _BlockProgram.lookup
+    hits = []
+
+    def checked(prog, x_reps):
+        value = lookup(prog, x_reps)
+        if value is not None:
+            hits.append(value)
+            pair, _, _, x = next(reversed(prog.table.values()))   # a hit is the newest
+            assert prog.lp._form.last is pair
+            fresh = fresh_warm_solve(prog.program(x_reps), pair[0])
+            assert fresh.iterations == 1 and fresh.basis == pair[0]
+            assert fresh.x.tobytes() == x.tobytes()
+            assert np.float64(fresh.value).tobytes() == np.float64(value).tobytes()
+            assert not x.flags.writeable
+        return value
+
+    monkeypatch.setattr(_BlockProgram, "lookup", checked)
+    for _, op in _mixed_operations(system, np.random.default_rng(SEED + 8)):
+        op(ext)
+    assert hits
+
+
+def test_table_is_a_bounded_lru(monkeypatch):
+    # per block: a hit becomes the newest entry, a missed lookup's solve is
+    # added as the newest, past TABLE_SIZE the oldest goes, and TABLE_SIZE
+    # misses in a row drop the table and end its lookups
+    monkeypatch.setattr(sandwichext.extension, "TABLE_SIZE", 2)
+    system = _tree_or_fixture(GOLDEN_TREE)
+    ext = extend_system(system)
+    lookup, remember = _BlockProgram.lookup, _BlockProgram.remember
+    model = {}                  # per program: [keys oldest first, misses in a row]
+    evicted = reordered = 0
+
+    def looked_up(prog, x_reps):
+        nonlocal reordered
+        order, misses = model.setdefault(id(prog), [[], 0])
+        assert misses < 2                       # a dropped table is not consulted
+        value = lookup(prog, x_reps)
+        if value is None:
+            model[id(prog)][1] += 1
+        else:
+            key = prog.lp._form.last[0]
+            reordered += order[-1] != key
+            order.remove(key)
+            order.append(key)
+            model[id(prog)][1] = 0
+            assert list(prog.table) == order
+        return value
+
+    def remembered(prog, res):
+        nonlocal evicted
+        order, misses = model[id(prog)]
+        remember(prog, res)
+        if misses >= 2:
+            order.clear()
+        else:
+            order.append(res.basis)
+            if len(order) > 2:
+                del order[0]
+                evicted += 1
+        assert list(prog.table) == order
+
+    monkeypatch.setattr(_BlockProgram, "lookup", looked_up)
+    monkeypatch.setattr(_BlockProgram, "remember", remembered)
+    for _, op in _mixed_operations(system, np.random.default_rng(SEED + 9), 80):
+        op(ext)
+    assert evicted > 0 and reordered > 0
+
+
+def test_tables_of_blocks_that_keep_missing_are_dropped(monkeypatch):
+    # on a 12-way fan a block's optimal basis seldom repeats: after
+    # TABLE_SIZE misses in a row its table is dropped, it is never consulted
+    # again, and evaluate gives what an extension without tables gives
+    system = _tree_or_fixture((12, 2, "linear"))
+    space, t = system.space, system.grid[-1]
+    step, ref = extend_system(system).step(1), extend_system(system).step(1)
+    lookups = _recorded_lookups(monkeypatch)
+    rng = np.random.default_rng(SEED + 10)
+    for _ in range(2 * TABLE_SIZE):
+        X = space.rv(rng.normal(size=space.n_atoms), t)
+        assert (step.evaluate(X).values.tobytes()
+                == _table_free(monkeypatch, ref.evaluate, X).values.tobytes())
+    missed = [[value is None for prog, value, _ in lookups if prog is p]
+              for p in step._programs]
+    assert missed == [[True] * TABLE_SIZE] * len(step._programs)
+    assert all(not prog.table for prog in step._programs)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_tight_is_the_part_by_part_mapping_on_every_fixture_solve(name, monkeypatch):
+    # the density-set LPs of set-up and the block and centering LPs of
+    # evaluates, prices and attainments read the same marks either way
+    solved = []
+
+    def checked(lp, **kwargs):
+        res = solve_lp(lp, **kwargs)
+        if res.status == "optimal":
+            assert res.tight.tobytes() == mapped_tight(res).tobytes()
+            solved.append(res)
+        return res
+
+    monkeypatch.setattr(sandwichext.extension, "solve_lp", checked)
+    system = load_scenario(fixture_path(name)).system
+    ext = extend_system(system)
+    for _, op in _mixed_operations(system, np.random.default_rng(SEED + 11), 12):
+        op(ext)
+    assert solved

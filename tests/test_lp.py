@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import fresh_program, fresh_warm_solve, same_lp_result
+from conftest import fresh_program, fresh_warm_solve, mapped_tight, same_lp_result
 from sandwichext import LinearProgram, LpResult, solve_lp, support_function
 import sandwichext.lp
 from sandwichext.lp import InfeasibleRegionError, LpError
@@ -351,6 +351,26 @@ def _random_program(rng):
     return dict(c=rng.normal(size=n), a_eq=a_eq, b_eq=a_eq @ x0,
                 a_ub=a_ub if m_ub else None, b_ub=b_ub if m_ub else None,
                 bounds=bounds)
+
+
+def test_tight_is_the_part_by_part_mapping_scattered_at_once():
+    # one scatter through the form's column index marks what the old
+    # per-part mapping marked, on every kind of variable and row
+    rng = np.random.default_rng(SEED + 9)
+    kinds = set()
+    solved = 0
+    for _ in range(150):
+        spec = _random_program(rng)
+        lp = LinearProgram(**spec)
+        for res in (solve_lp(lp), solve_lp(lp.with_objective(rng.normal(size=lp.n_vars)),
+                                           warm=True)):
+            if res.status != "optimal":
+                continue
+            solved += 1
+            assert res.tight.tobytes() == mapped_tight(res).tobytes()
+            kinds |= set(spec["bounds"])
+    assert solved >= 150
+    assert len(kinds) == 4          # boxed, lower-only, upper-only and free
 
 
 def test_warm_start_from_another_objective_matches_cold():
