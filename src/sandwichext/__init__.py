@@ -15,7 +15,8 @@ from .extension import (Attainment, DensityError, ExtendedOperator,
                         PenaltyValue, SandwichViolation, attain, conjugate,
                         density_set, maximal_extension, minimal_penalty,
                         verify_representation)
-from .lp import LinearProgram, LpResult, solve_lp, support_function
+from .lp import (LinearProgram, LpResult, LpStatusError, solve_lp,
+                 support_function)
 from .operators import (BoundPair, BoundsError, CheckEntry, DensityPolytope,
                         DomainError, Piece, PolyhedralOperator, PolytopeError,
                         SandwichReport, ValidationReport, check_mM1,
@@ -33,7 +34,7 @@ __all__ = [
     "Attainment", "BoundPair", "BoundsError", "CheckEntry", "DensityError",
     "DensityPolytope", "DomainError", "ExtendedOperator", "ExtendedSystem",
     "FilteredSpace", "GridError", "LevelError", "LinearProgram", "LpResult",
-    "MeasurabilityError", "OperatorSystem", "PenaltyValue", "Piece",
+    "LpStatusError", "MeasurabilityError", "OperatorSystem", "PenaltyValue", "Piece",
     "PolyhedralOperator", "PolytopeError", "PriceResult", "RandomVariable",
     "RefinementReport", "SandwichReport", "SandwichViolation",
     "Scenario", "ScenarioError", "SCHEMA_VERSION", "SpaceError", "Subspace",

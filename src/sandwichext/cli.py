@@ -9,7 +9,9 @@ sampled check.
 
 Exit status: 0 when all executed checks pass, 1 when a check fails, 2 on a
 schema or structural error (the message names the first failing JSON path,
-or the pair and block of an infeasible density polytope).
+or the pair and block of an infeasible density polytope) or on an LP that
+came back with a status its construction rules out (the message names the
+LP, pair, block, piece and status).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .dynamic import (ExtendedSystem, SystemStructureError,
                       extend_system, price, refine_and_compare,
                       validate_system)
 from .extension import verify_representation
+from .lp import LpStatusError
 from .operators import (PolytopeError, ValidationReport, check_sandwich,
                         validate_operator)
 from .scenario import SCHEMA_VERSION, Scenario, ScenarioError, load_scenario
@@ -433,6 +436,9 @@ def main(argv=None) -> int:
         doc = _run_command(args, scenario, seed)
     except (_Fault, ScenarioError) as err:
         print(f"sandwich: input error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except LpStatusError as err:
+        print(f"sandwich: solver error: {err}", file=sys.stderr)
         return EXIT_INPUT
     print(_render(doc))
     if args.output:

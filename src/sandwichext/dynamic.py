@@ -211,8 +211,8 @@ class ExtendedSystem:
     objects, which keep mutable state: a bounded evaluation memo and, per
     block program, a bounded memo of centered faces, a bounded table of the
     optimal bases ``evaluate`` reads values off (dropped after ``TABLE_SIZE``
-    misses in a row) and the (basis, B^-1) pair its LP's standard form keeps
-    for the next warm solve. Evaluating and pricing mutate that state, so use
+    misses in a row) and the vertex record its LP's standard form keeps for
+    the next warm solve. Evaluating and pricing mutate that state, so use
     an instance from one thread at a time.
     """
 

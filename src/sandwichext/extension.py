@@ -41,7 +41,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .lp import LinearProgram, LpResult, _cost_tol, _pricing, solve_lp
+from .lp import LinearProgram, LpResult, LpStatusError, _cost_tol, _pricing, solve_lp
 from .operators import (BlockPolytope, BoundPair, DensityPolytope, CheckEntry,
                         PolyhedralOperator, PolytopeError, SandwichReport,
                         ValidationReport, check_sandwich)
@@ -133,7 +133,7 @@ def conjugate(op: PolyhedralOperator, f: RandomVariable,
         elif res.status == "optimal":
             vals[a] = max(res.value, 0.0)
         else:
-            raise RuntimeError(f"conjugate LP infeasible on block {a}")
+            raise LpStatusError("conjugate LP", (op.level_a, op.level_b), a, res.status)
     return PenaltyValue(space, op.level_a, vals)
 
 
@@ -234,7 +234,8 @@ class _BlockProgram:
     and checked by ``make_lp`` on the first solve, holds the constraints and
     the objective's penalty part -c_j; a payoff sets only the f part, through
     ``weights``, so every solve shares the standard form of ``lp`` and warm
-    starts from the pair it kept from the last optimal solve. ``faces`` memoizes
+    starts from the vertex it kept from the last optimal solve. ``levels``
+    is the extension's pair (s, t), which failures name. ``faces`` memoizes
     the read-only centered point of each optimal face, keyed by the bytes of
     the solve's ``x`` and ``tight``: besides the fixed constraints, they are
     all that ``_center_on_face`` reads. It holds at most ``FACE_MEMO_SIZE``
@@ -242,21 +243,22 @@ class _BlockProgram:
 
     ``table`` keeps, for ``evaluate``, the optimal bases the block's
     evaluate solves have ended on: per (kept rows, basic columns), the
-    form's (basis, B^-1) pair, the kept rows of the constraint matrix and the
-    read-only solution ``x``, which does not depend on the objective; the
-    constraints never change, so nothing is checked again. ``lookup`` prices
-    the entries with the simplex's own optimality test, so a hit is exactly
-    a warm solve from that pair that stops after one pass; its value is that
-    solve's ``c @ x``, and the pair becomes the form's kept pair, as after
-    that solve. The table is an LRU of at most ``TABLE_SIZE`` entries.
-    ``TABLE_SIZE`` missed lookups in a row drop it for good: the block's
-    optimal bases outnumber it, and its lookups would only add cost.
-    ``attain`` neither reads nor fills it.
+    vertex record the solve left as its form's kept vertex (B^-1, the kept
+    rows and the read-only solution ``x``, which does not depend on the
+    objective); the constraints never change, so nothing is checked again.
+    ``lookup`` prices the entries with the simplex's own optimality test, so
+    a hit is exactly a warm solve from that record that stops after one
+    pass; its value is that solve's ``c @ x``, and the record becomes the
+    form's kept vertex, as after that solve. The table is an LRU of at most
+    ``TABLE_SIZE`` entries. ``TABLE_SIZE`` missed lookups in a row drop it
+    for good: the block's optimal bases outnumber it, and its lookups would
+    only add cost. ``attain`` neither reads nor fills it.
     """
 
     poly: BlockPolytope
     make_lp: partial
     weights: np.ndarray         # the segments' probabilities within the block
+    levels: tuple[int, int]     # the extension's level pair (s, t)
     faces: dict = field(default_factory=dict, repr=False)
     table: dict = field(default_factory=dict, repr=False)
     misses: int = 0             # table lookups missed in a row
@@ -275,35 +277,30 @@ class _BlockProgram:
 
     def lookup(self, x_reps: np.ndarray) -> float | None:
         """The value at ``x_reps`` off the first tabled basis optimal for it,
-        testing the form's kept pair first, then the newest; None on a miss.
-        A hit becomes the newest entry and the form's kept pair."""
+        testing the form's kept vertex first, then the newest; None on a miss.
+        A hit becomes the newest entry and the form's kept vertex."""
         c = self.objective(x_reps)
         form = self.lp._form
         cost = form.cost(c)
         tol = _cost_tol(cost)
-        kept = self.table.get(form.last[0]) if form.last else None
+        kept = self.table.get(form.last.basis) if form.last else None
         rest = [e for e in reversed(self.table.values()) if e is not kept]
-        for entry in [kept] + rest if kept else rest:
-            pair, a, basis, x = entry
-            if _pricing(a, cost, basis, pair[1], form.twin, tol)[3]:
-                self.table[pair[0]] = self.table.pop(pair[0])
-                form.last = pair
+        for vertex in [kept] + rest if kept else rest:
+            if _pricing(vertex.a, cost, vertex.cols, vertex.binv, form.twin, tol)[3]:
+                self.table[vertex.basis] = self.table.pop(vertex.basis)
+                form.last = vertex
                 self.misses = 0
-                return float(c @ x)
+                return float(c @ vertex.x)
         self.misses += 1
         return None
 
     def remember(self, res: LpResult) -> None:
-        """Table the basis of the solve ``res`` that followed a missed lookup,
-        or drop the table on the ``TABLE_SIZE``-th miss in a row."""
+        """Table the vertex the solve ``res`` that followed a missed lookup
+        left kept, or drop the table on the ``TABLE_SIZE``-th miss in a row."""
         if self.misses >= TABLE_SIZE:
             self.table.clear()
             return
-        form = self.lp._form
-        rows, cols = res.basis
-        res.x.setflags(write=False)
-        self.table[res.basis] = (form.last, form.amat[list(rows)],
-                                 np.array(cols, dtype=np.intp), res.x)
+        self.table[res.basis] = self.lp._form.last
         if len(self.table) > TABLE_SIZE:
             del self.table[next(iter(self.table))]
 
@@ -330,10 +327,12 @@ class ExtendedOperator:
     ``attain`` solves every block program again, and memoizes per block the
     centered point of each optimal face it reaches, in a least-recently-used
     memo of ``FACE_MEMO_SIZE`` faces. Each block program's LP keeps its
-    standard form and last optimal (basis, B^-1) pair for the next solve, and
-    every solve or table hit replaces that pair and updates a memo or table,
-    so even a read (``evaluate`` or ``attain``) mutates the instance: use it
-    from one thread at a time.
+    standard form and the vertex record of its last optimal solve for the
+    next warm solve, which returns that record's solution as it is when its
+    first pass finds it optimal; the table's entries are those same records.
+    Every solve or table hit replaces the kept record and updates a memo or
+    table, so even a read (``evaluate`` or ``attain``) mutates the instance:
+    use it from one thread at a time.
     """
 
     base: PolyhedralOperator
@@ -385,10 +384,9 @@ class ExtendedOperator:
         prog = self._programs[a]
         res = solve_lp(prog.program(x[prog.poly.seg.reps]), warm=True)
         if res.status != "optimal":
-            raise RuntimeError(
-                f"extension block program on block {a} of level {self.level_a} "
-                f"came back {res.status}; the sandwich precondition should rule "
-                "this out")
+            raise LpStatusError(
+                "extension block program", (self.level_a, self.level_b), a, res.status,
+                why="the sandwich precondition should rule this out")
         return res
 
 
@@ -451,7 +449,8 @@ def _assemble(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOperator:
             sense="max", a_eq=eq_mat[keep], b_eq=eq_vec[keep], a_ub=ub_rows, b_ub=ub_rhs,
             bounds=list(bp.var_bounds) + [(0.0, math.inf)] * nj)
         ext._programs.append(_BlockProgram(
-            poly=bp, make_lp=make_lp, weights=sg.rows.probs / sg.prob))
+            poly=bp, make_lp=make_lp, weights=sg.rows.probs / sg.prob,
+            levels=(op.level_a, op.level_b)))
     return ext
 
 
@@ -526,7 +525,7 @@ def _center_on_face(prog: _BlockProgram, res: LpResult, block: int) -> np.ndarra
     def solve(c, a, b, bounds):
         out = solve_lp(LinearProgram(c=c, sense="max", a_ub=a, b_ub=b, bounds=bounds))
         if out.status != "optimal":
-            raise RuntimeError(f"centering LP on block {block} came back {out.status}")
+            raise LpStatusError("centering LP", prog.levels, block, out.status)
         return out.x
 
     # max sum t over 0 <= t <= 1 and g N w + t <= alpha * slack, alpha >= 1:

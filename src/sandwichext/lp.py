@@ -12,15 +12,19 @@ Phase 1 starts each row on its slack where that keeps coefficient +1 and
 adds artificials for the other rows only; without them it is skipped.
 
 A program's checked constraints and standard form are shared by every program
-``with_objective`` derives, and the form keeps the (basis, B^-1) pair of its
-last optimal solve. Those programs differ only in the objective, so that
-basis stays feasible for all of them: a ``warm`` solve restarts phase 2 from
-it, with phase 1 skipped and no inversion. The pair is one tuple, read once
-per solve and replaced whole, so programs sharing a form may be solved from
-several threads. ``_pricing`` is the optimality test each simplex pass
-makes: applied to a kept pair and a new objective's ``_StandardForm.cost``,
-it tells without a solve whether a warm solve from that pair would stop at
-once, on the pair's own basic solution.
+``with_objective`` derives, and the form keeps a ``_Vertex`` record of its last
+optimal solve: the basis, B^-1, the kept rows of the constraints and the
+read-only solution x, written only once x has passed the feasibility
+re-check. Those programs differ only in the objective, so that vertex stays
+feasible for all of them: a ``warm`` solve restarts phase 2 from it, with
+phase 1 skipped and no inversion. When the first pass finds the vertex
+optimal, the solve returns the record's x as it is, neither recomputed nor
+checked again; only a solve that pivots writes a new record. The record is
+one tuple, read once per solve and replaced whole, so programs sharing a
+form may be solved from several threads. ``_pricing`` is the optimality test
+each simplex pass makes: applied to a record and a new objective's
+``_StandardForm.cost``, it tells without a solve whether a warm solve from
+that record would stop at once, on the record's x.
 
 Determinism: the same sequence of calls gives the same bytes. A warm solve
 may end on a different vertex of a non-unique optimum than a cold one, with
@@ -42,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +62,23 @@ _INF = math.inf
 
 class LpError(Exception):
     """Malformed program data or iteration cap exceeded."""
+
+
+class LpStatusError(RuntimeError):
+    """A library LP came back with a status its construction rules out.
+
+    Names the LP, the level pair (s, t) and block it was solved for, the
+    piece where there is one, and the LP's status.
+    """
+
+    def __init__(self, lp: str, levels: tuple[int, int], block: int, status: str,
+                 piece: int | None = None, why: str = ""):
+        self.lp, self.levels, self.block, self.piece, self.status = \
+            lp, levels, block, piece, status
+        s, t = levels
+        at = "" if piece is None else f", piece {piece}"
+        super().__init__(f"pair ({s}, {t}): {lp} on block {block} of level {s}{at} "
+                         f"came back {status}" + (f"; {why}" if why else ""))
 
 
 class InfeasibleRegionError(ValueError):
@@ -167,7 +189,7 @@ class _StandardForm:
         self.start = np.arange(var.size - m_eq, var.size - m_eq + m)
         self.start[need] = np.arange(amat.shape[1], amat.shape[1] + need.sum())
         self.sgn = 1.0 if lp.sense == "min" else -1.0   # derived programs keep the sense
-        self.last = None       # (basis, B^-1) of the last optimal solve
+        self.last = None       # the _Vertex of the last optimal solve
 
     def cost(self, c: np.ndarray) -> np.ndarray:
         """Phase 2's costs of objective ``c``, a minimization over the columns."""
@@ -185,14 +207,27 @@ class _StandardForm:
                                m_ub + n + self.boxed])
 
 
+class _Vertex(NamedTuple):
+    """The optimal vertex a standard form keeps from its last optimal solve."""
+
+    basis: tuple[tuple[int, ...], tuple[int, ...]]   # (kept rows, basic columns)
+    binv: np.ndarray       # B^-1
+    a: np.ndarray          # the kept rows of ``amat``
+    b: np.ndarray          # and of ``bvec``
+    cols: np.ndarray       # the basic columns, intp
+    x: np.ndarray          # the read-only solution, which no objective changes
+
+
 @dataclass(frozen=True)
 class LpResult:
     """Outcome of ``solve_lp``.
 
     ``iterations`` counts this call's simplex passes, phase 1's when the solve
     was cold and a row needed an artificial. An optimal result's ``basis`` is
-    the pair (kept standard-form rows, basic columns) the form keeps for the
-    next warm solve; it is None for any other status. ``tight`` marks, per
+    the pair (kept standard-form rows, basic columns) of the vertex the form
+    keeps for the next warm solve; it is None for any other status. An
+    optimal ``x`` is read-only: a warm solve that stops on its first pass
+    returns the kept vertex's own array. ``tight`` marks, per
     ``a_ub`` row, lower bound and upper bound, what every optimum holds with
     equality: the standard-form column is priced above the tolerance. Each
     read scatters it anew from the standard form's columns.
@@ -279,8 +314,9 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
 def solve_lp(lp: LinearProgram, warm: bool = False) -> LpResult:
     """Solve a small dense LP with exact status certificates.
 
-    With ``warm``, phase 2 restarts from the pair the standard form kept from
-    its last optimal solve, if any; otherwise, and without ``warm``, the solve
+    With ``warm``, phase 2 restarts from the vertex the standard form kept
+    from its last optimal solve, if any, and returns that vertex's x if its
+    first pass finds it optimal; otherwise, and without ``warm``, the solve
     is cold: phase 1, if a row needs it, then phase 2.
     """
     form = lp._form
@@ -290,11 +326,11 @@ def solve_lp(lp: LinearProgram, warm: bool = False) -> LpResult:
     cost = form.cost(lp.c)
     const = float(sgn * (lp.c @ form.shift))
 
-    # --- phase 1, unless the kept pair or the slacks are a feasible basis --
+    # --- phase 1, unless the kept vertex or the slacks are a feasible basis
     iters, binv = 0, None
     last = form.last if warm else None   # read once: other solves replace it whole
     if last is not None:
-        (rows, basis), binv = map(list, last[0]), last[1]
+        rows, basis, binv = last.basis[0], last.cols, last.binv
     elif not form.need.any():            # every row starts on its slack
         rows, basis, binv = list(range(m)), form.start.tolist(), np.eye(m)
     else:
@@ -326,9 +362,13 @@ def solve_lp(lp: LinearProgram, warm: bool = False) -> LpResult:
         basis = [basis[i] for i in rows]
 
     # --- phase 2 -----------------------------------------------------------
-    b2 = bvec[rows]
+    a2, b2 = (amat[rows], bvec[rows]) if last is None else (last.a, last.b)
     status, basis, xb, y, iters, enter, d, binv = _simplex(
-        amat[rows], b2, cost, basis, form.twin, iters, binv)
+        a2, b2, cost, basis, form.twin, iters, binv)
+    if last is not None and iters == 1 and status == "optimal":   # on the kept vertex
+        form.last = last
+        return LpResult("optimal", float(lp.c @ last.x), last.x,
+                        float(sgn * (y @ b2 + const)), None, 1, last.basis, (d, form))
     u = np.zeros(n_s)
     u[basis] = xb
     x_here = form.shift + form.umat @ u[:n_u]
@@ -348,10 +388,11 @@ def solve_lp(lp: LinearProgram, warm: bool = False) -> LpResult:
     if resid > 1e-6:
         raise LpError(f"optimal basis fails feasibility re-check ({resid:.3e})")
 
+    x_here.setflags(write=False)
     value = float(lp.c @ x_here)
     dual_objective = float(sgn * (y @ b2 + const))
     found = (tuple(rows), tuple(basis))
-    form.last = (found, binv)
+    form.last = _Vertex(found, binv, a2, b2, np.array(basis, dtype=np.intp), x_here)
     return LpResult("optimal", value, x_here, dual_objective, None, iters, found, (d, form))
 
 

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lp import LinearProgram, solve_lp
+from .lp import LinearProgram, LpStatusError, solve_lp
 from .spaces import FilteredSpace, LevelError, RandomVariable, _Segments
 from .subspaces import Subspace
 
@@ -489,8 +489,8 @@ def check_sandwich(op: PolyhedralOperator, bounds: BoundPair) -> SandwichReport:
             res = solve_lp(LinearProgram(c=c, sense="min", a_ub=a_ub, b_ub=b_ub,
                                          bounds=bnds))
             if res.status != "optimal":
-                raise RuntimeError(f"sandwich LP on block {a} of level "
-                                   f"{op.level_a}, piece {j} came back {res.status}")
+                raise LpStatusError("sandwich LP", (op.level_a, op.level_b), a,
+                                    res.status, piece=j)
             if res.value < -VALUE_TOL:
                 scale = (penalties[a, j] + 1.0) / (-res.value)
                 z = res.x
@@ -556,7 +556,7 @@ class DensityPolytope:
 
     It holds one membership LP per block with lifted multipliers, built on
     first use, whose standard form every membership test of the block
-    shares; each test is a warm solve from the pair the form kept.
+    shares; each test is a warm solve from the vertex the form kept.
     """
 
     bounds: BoundPair
@@ -621,15 +621,14 @@ class DensityPolytope:
         b_eq[1:].v - h(fs).y subject to A_eq[1:, n:]^T v - G^T y <= 0,
         sum y = 1, y >= 0. The dual is always feasible and bounded, and fs
         changes only its objective, so each solve is warm: it restarts from
-        the pair the block's last optimal solve kept.
+        the vertex the block's last optimal solve kept.
         """
         bp = self.blocks[a]
         res = solve_lp(self._membership_lps[a].with_objective(np.concatenate(
             [bp.b_eq[1:], bp.a_ub[:, :bp.n_f] @ fs - bp.b_ub])), warm=True)
         if res.status != "optimal":
-            raise RuntimeError(
-                f"membership LP on block {a} of level {self.level_a} came back "
-                f"{res.status}; it is always feasible and bounded")
+            raise LpStatusError("membership LP", (self.level_a, self.bounds.level_b), a,
+                                res.status, why="it is always feasible and bounded")
         return res.value
 
     def block_members(self, f: RandomVariable, tol: float = 1e-9):

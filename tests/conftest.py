@@ -25,6 +25,7 @@ from sandwichext import (
     solve_lp,
     span_closure,
 )
+from sandwichext.lp import _Vertex
 
 # The same examples on every run and machine: drawn from a fixed seed per
 # test, with no example database to replay earlier failures. Each test's own
@@ -73,13 +74,21 @@ def fresh_program(lp):
 
 def fresh_warm_solve(lp, basis):
     """What ``solve_lp(lp, warm=True)`` gives when ``lp``'s form kept ``basis``:
-    the warm solve of the program built anew, whose form is given ``basis``
-    with B^-1 computed from that new form. A ``basis`` of None is no kept
-    pair, so the solve is cold."""
+    the warm solve of the program built anew, whose form is given a kept
+    vertex on ``basis`` computed here from that new form: B^-1 of the basic
+    columns, u[cols] = B^-1 b and x = shift + umat @ u. A ``basis`` of None
+    is no kept vertex, so the solve is cold."""
     fresh = fresh_program(lp)
     if basis is not None:
+        form = fresh._form
         rows, cols = map(list, basis)
-        fresh._form.last = (basis, np.linalg.inv(fresh._form.amat[rows][:, cols]))
+        a, b = form.amat[rows], form.bvec[rows]
+        binv = np.linalg.inv(a[:, cols])
+        u = np.zeros(form.amat.shape[1])
+        u[cols] = binv @ b
+        x = form.shift + form.umat @ u[:form.var.size]
+        x.setflags(write=False)
+        form.last = _Vertex(basis, binv, a, b, np.array(cols, dtype=np.intp), x)
     return solve_lp(fresh, warm=True)
 
 

@@ -1,5 +1,6 @@
 import importlib.metadata
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -9,8 +10,9 @@ import sys
 import pytest
 
 import sandwichext
+import sandwichext.extension
 from conftest import ROOT, fixture_path
-from sandwichext import PolytopeError, load_scenario
+from sandwichext import LpResult, PolytopeError, load_scenario
 from sandwichext.cli import _pair_label, main
 
 FIXTURES = ["fix_a.json", "fix_b.json", "fix_c_linear.json",
@@ -268,6 +270,25 @@ def test_bad_price_requests_exit_2(capsys):
                "--payoff", "no_such"])
     captured = capsys.readouterr()
     assert rc == 2 and "unknown payoff" in captured.err
+
+
+def test_lp_status_failure_exits_2_with_its_message(capsys, monkeypatch):
+    # a block program LP that comes back infeasible is reported by name,
+    # pair, block and status on stderr, without a traceback
+    solve_lp = sandwichext.extension.solve_lp
+
+    def block_programs_fail(lp, warm=False):
+        return LpResult("infeasible", math.nan) if warm else solve_lp(lp)
+
+    monkeypatch.setattr(sandwichext.extension, "solve_lp", block_programs_fail)
+    rc = main(["price", "--input", str(fixture_path("fix_a.json")), "--from", "0",
+               "--to", "1", "--payoff", "up2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (
+        "sandwich: solver error: pair (0, 1): extension block program on block 0 "
+        "of level 0 came back infeasible; the sandwich precondition should rule "
+        "this out\n")
 
 
 def test_seed_env_controls_sampled_checks(tmp_path, capsys, monkeypatch):

@@ -349,7 +349,7 @@ def test_block_solves_on_the_kept_form_match_fresh_programs_bit_for_bit(source, 
         last = lp._form.last if warm else None
         kept.append(last is not None)
         res = solve_lp(lp, warm=warm)
-        same_lp_result(res, fresh_warm_solve(lp, None if last is None else last[0]))
+        same_lp_result(res, fresh_warm_solve(lp, None if last is None else last.basis))
         return res
 
     monkeypatch.setattr(sandwichext.extension, "solve_lp", compared)

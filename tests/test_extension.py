@@ -17,6 +17,7 @@ from sandwichext import (
     FilteredSpace,
     LevelError,
     LpResult,
+    LpStatusError,
     Piece,
     PolyhedralOperator,
     SandwichViolation,
@@ -320,7 +321,7 @@ def test_stored_basis_restarts_each_block_program_in_one_pass(name):
         step.evaluate(system.space.rv(X.values + 1.0, t))
         for prog in step._programs:
             x_reps = X.values[prog.poly.seg.reps] + 1.0
-            kept = prog.lp._form.last[0]
+            kept = prog.lp._form.last.basis
             res = solve_lp(prog.program(x_reps), warm=True)
             assert res.iterations == 1
             assert res.basis == kept
@@ -342,8 +343,45 @@ def test_block_program_status_other_than_optimal_is_named(monkeypatch):
     message = f"block program on block 1 of level {step.level_a} came back infeasible"
     with pytest.raises(RuntimeError, match=message):
         step.evaluate(X)
-    with pytest.raises(RuntimeError, match=message):
+    with pytest.raises(RuntimeError, match=message) as info:
         attain(step, X)
+    assert isinstance(info.value, LpStatusError)
+    assert (info.value.lp, info.value.levels, info.value.block, info.value.piece,
+            info.value.status) == ("extension block program",
+                                   (step.level_a, step.level_b), 1, None, "infeasible")
+
+
+def test_conjugate_lp_status_other_than_optimal_is_typed_and_located(monkeypatch):
+    system = load_scenario(fixture_path("fix_refine.json")).system
+    step = extend_system(system).step(1)
+    f = step.base.pieces[0].density
+    monkeypatch.setattr(sandwichext.extension, "solve_lp",
+                        lambda lp, warm=False: LpResult("infeasible", math.nan))
+    with pytest.raises(LpStatusError, match=(
+            rf"^pair \({step.level_a}, {step.level_b}\): conjugate LP on block 0 of level "
+            rf"{step.level_a} came back infeasible$")) as info:
+        conjugate(step.base, f)
+    assert (info.value.block, info.value.piece, info.value.status) == (0, None, "infeasible")
+
+
+def test_centering_lp_status_other_than_optimal_is_typed_and_located(monkeypatch):
+    # at a zero payoff each block's optimal face on this step is more than a
+    # point, so attain centers it with cold LPs; the block programs
+    # themselves solve warm
+    system = load_scenario(fixture_path("fix_refine.json")).system
+    step = extend_system(system).step(1)
+    X = system.space.rv(np.zeros(system.space.n_atoms), step.level_b)
+
+    def centering_fails(lp, warm=False):
+        return solve_lp(lp, warm=True) if warm else LpResult("unbounded", math.inf)
+
+    monkeypatch.setattr(sandwichext.extension, "solve_lp", centering_fails)
+    with pytest.raises(LpStatusError, match=(
+            rf"^pair \({step.level_a}, {step.level_b}\): centering LP on block 0 of level "
+            rf"{step.level_a} came back unbounded$")) as info:
+        attain(step, X)
+    assert (info.value.lp, info.value.levels, info.value.block, info.value.status) == (
+        "centering LP", (step.level_a, step.level_b), 0, "unbounded")
 
 
 def _recorded_block_solves(monkeypatch):
@@ -556,9 +594,9 @@ def _recorded_lookups(monkeypatch):
 
     def recording(prog, x_reps):
         form = prog.lp._form
-        kept = form.last and form.last[0]
+        kept = form.last and form.last.basis
         value = lookup(prog, x_reps)
-        lookups.append((prog, value, value is not None and form.last[0] != kept))
+        lookups.append((prog, value, value is not None and form.last.basis != kept))
         return value
 
     monkeypatch.setattr(_BlockProgram, "lookup", recording)
@@ -635,13 +673,13 @@ def test_table_hits_are_the_bits_of_a_fresh_warm_solve(source, monkeypatch):
         value = lookup(prog, x_reps)
         if value is not None:
             hits.append(value)
-            pair, _, _, x = next(reversed(prog.table.values()))   # a hit is the newest
-            assert prog.lp._form.last is pair
-            fresh = fresh_warm_solve(prog.program(x_reps), pair[0])
-            assert fresh.iterations == 1 and fresh.basis == pair[0]
-            assert fresh.x.tobytes() == x.tobytes()
+            vertex = next(reversed(prog.table.values()))   # a hit is the newest
+            assert prog.lp._form.last is vertex
+            fresh = fresh_warm_solve(prog.program(x_reps), vertex.basis)
+            assert fresh.iterations == 1 and fresh.basis == vertex.basis
+            assert fresh.x.tobytes() == vertex.x.tobytes()
             assert np.float64(fresh.value).tobytes() == np.float64(value).tobytes()
-            assert not x.flags.writeable
+            assert not vertex.x.flags.writeable
         return value
 
     monkeypatch.setattr(_BlockProgram, "lookup", checked)
@@ -669,7 +707,7 @@ def test_table_is_a_bounded_lru(monkeypatch):
         if value is None:
             model[id(prog)][1] += 1
         else:
-            key = prog.lp._form.last[0]
+            key = prog.lp._form.last.basis
             reordered += order[-1] != key
             order.remove(key)
             order.append(key)

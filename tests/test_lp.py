@@ -5,8 +5,10 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import fresh_program, fresh_warm_solve, mapped_tight, same_lp_result
-from sandwichext import LinearProgram, LpResult, solve_lp, support_function
+from conftest import (fixture_path, fresh_program, fresh_warm_solve, mapped_tight,
+                      same_lp_result)
+from sandwichext import (LinearProgram, LpResult, extend_system, load_scenario, solve_lp,
+                         support_function)
 import sandwichext.lp
 from sandwichext.lp import InfeasibleRegionError, LpError
 
@@ -373,6 +375,94 @@ def test_tight_is_the_part_by_part_mapping_scattered_at_once():
     assert len(kinds) == 4          # boxed, lower-only, upper-only and free
 
 
+def _nearby_objectives(rng, c, k=4):
+    """Objectives at a few distances from ``c``: near ones mostly keep the
+    optimal basis, far ones mostly move it."""
+    return [c + rng.normal(size=c.size) * scale
+            for scale in rng.choice([1e-6, 1e-3, 0.1, 1.0], size=k)]
+
+
+def test_one_pass_warm_solves_return_the_kept_vertex_bit_for_bit():
+    # a warm solve whose first pass finds the kept vertex optimal returns
+    # that vertex's x without recomputing it: the bits of a fresh program's
+    # warm solve from a kept vertex that conftest builds with its own
+    # arithmetic, on every kind of variable and row
+    rng = np.random.default_rng(SEED + 10)
+    kinds = set()
+    one_pass = moved = 0
+    for _ in range(150):
+        spec = _random_program(rng)
+        template = LinearProgram(**spec)
+        if solve_lp(template).status != "optimal":
+            continue
+        for c in _nearby_objectives(rng, template.c):
+            lp = template.with_objective(c)
+            kept = template._form.last
+            res = solve_lp(lp, warm=True)
+            same_lp_result(res, fresh_warm_solve(lp, kept.basis))
+            if res.status == "optimal" and res.iterations == 1:
+                assert res.basis == kept.basis and res.x is kept.x
+                assert template._form.last is kept
+                # the kept vertex is optimal for the new objective
+                assert abs(res.value - solve_lp(fresh_program(lp)).value) < DUAL_TOL
+                one_pass += 1
+                kinds |= set(spec["bounds"])
+            else:
+                moved += 1
+    assert one_pass >= 150 and moved >= 50
+    assert len(kinds) == 4          # boxed, lower-only, upper-only and free
+
+
+@pytest.mark.parametrize("name", ["fix_a.json", "fix_b.json", "fix_c_linear.json",
+                                  "fix_c_restricted.json", "fix_refine.json"])
+def test_one_pass_block_program_solves_match_fresh_warm_solves(name):
+    # the same on the fixtures' extension block programs, whose objectives
+    # move only in the payoff part
+    system = load_scenario(fixture_path(name)).system
+    ext = extend_system(system)
+    rng = np.random.default_rng(SEED + 11)
+    one_pass = 0
+    for k in range(len(system.adjacent_pairs)):
+        for prog in ext.step(k)._programs:
+            x_reps = rng.normal(size=prog.poly.n_f)
+            for x in [x_reps] + _nearby_objectives(rng, x_reps, 6):
+                lp = prog.program(x)
+                kept = lp._form.last
+                res = solve_lp(lp, warm=True)
+                same_lp_result(res, fresh_warm_solve(
+                    lp, None if kept is None else kept.basis))
+                if res.iterations == 1 and kept is not None:
+                    assert res.x is kept.x
+                    cold = solve_lp(fresh_program(lp)).value
+                    assert abs(res.value - cold) < DUAL_TOL * max(1.0, abs(cold))
+                    one_pass += 1
+    assert one_pass >= 5
+
+
+def test_optimal_solutions_are_read_only():
+    # a one-pass warm solve shares its x with the form's kept vertex, so no
+    # optimal x may be written to, whether cold, warm and pivoting, or warm
+    # and stopped after one pass
+    rng = np.random.default_rng(SEED + 12)
+    seen = set()
+    for _ in range(20):
+        template = LinearProgram(**_random_program(rng))
+        cold = solve_lp(template)
+        if cold.status != "optimal":
+            continue
+        results = [("cold", cold)]
+        for c in _nearby_objectives(rng, template.c):
+            res = solve_lp(template.with_objective(c), warm=True)
+            if res.status == "optimal":
+                results.append(("one pass" if res.iterations == 1 else "pivoting", res))
+        for kind, res in results:
+            seen.add(kind)
+            assert not res.x.flags.writeable
+            with pytest.raises(ValueError):
+                res.x[0] = 7.0
+    assert seen == {"cold", "one pass", "pivoting"}
+
+
 def test_warm_start_from_another_objective_matches_cold():
     rng = np.random.default_rng(SEED + 2)
     statuses = set()
@@ -464,7 +554,7 @@ def test_starts_on_derived_programs_match_fresh_programs():
             continue
         for _ in range(4):
             lp = template.with_objective(rng.normal(size=spec["c"].size))
-            kept = template._form.last[0]
+            kept = template._form.last.basis
             res = solve_lp(lp, warm=True)
             # the kept basis and inverse give what a fresh program gives from
             # the same basis

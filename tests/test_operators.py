@@ -14,6 +14,7 @@ from sandwichext import (
     LevelError,
     LinearProgram,
     LpResult,
+    LpStatusError,
     Piece,
     PolyhedralOperator,
     PolytopeError,
@@ -190,8 +191,12 @@ def test_sandwich_lp_status_other_than_optimal_is_named(monkeypatch):
 
     monkeypatch.setattr(sandwichext.operators, "solve_lp", fourth_fails)
     with pytest.raises(RuntimeError, match=(
-            "sandwich LP on block 1 of level 1, piece 1 came back infeasible")):
+            "sandwich LP on block 1 of level 1, piece 1 came back infeasible")) as info:
         check_sandwich(op, bounds)
+    assert isinstance(info.value, LpStatusError)
+    assert (info.value.lp, info.value.levels, info.value.block, info.value.piece,
+            info.value.status) == ("sandwich LP", (1, 2), 1, 1, "infeasible")
+    assert str(info.value).startswith("pair (1, 2): ")
 
 
 def test_sandwich_violation_carries_checkable_witness():
@@ -452,5 +457,9 @@ def test_membership_lp_status_other_than_optimal_is_named(monkeypatch):
     assert poly.contains_on_block(0, np.array([1.1, 0.9]))
     monkeypatch.setattr(sandwichext.operators, "solve_lp",
                         lambda lp, warm=False: LpResult("unbounded", np.inf))
-    with pytest.raises(RuntimeError, match="block 0 of level 0 came back unbounded"):
+    with pytest.raises(RuntimeError, match="block 0 of level 0 came back unbounded") as info:
         poly.contains_on_block(0, np.array([1.1, 0.9]))
+    assert isinstance(info.value, LpStatusError)
+    assert (info.value.lp, info.value.levels, info.value.block, info.value.piece,
+            info.value.status) == ("membership LP", (0, 1), 0, None, "unbounded")
+    assert str(info.value).startswith("pair (0, 1): membership LP on block 0")
