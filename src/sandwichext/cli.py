@@ -9,9 +9,10 @@ sampled check.
 
 Exit status: 0 when all executed checks pass, 1 when a check fails, 2 on a
 schema or structural error (the message names the first failing JSON path,
-or the pair and block of an infeasible density polytope) or on an LP that
-came back with a status its construction rules out (the message names the
-LP, pair, block, piece and status).
+or the pair and block of an infeasible density polytope) or on a solver
+fault: an LP that came back with a status its construction rules out (the
+message names the LP, pair, block, piece and status), a malformed program or
+exceeded iteration cap (``LpError``) or a singular basis (``LinAlgError``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .dynamic import (ExtendedSystem, SystemStructureError,
                       extend_system, price, refine_and_compare,
                       validate_system)
 from .extension import verify_representation
-from .lp import LpStatusError
+from .lp import LpError, LpStatusError
 from .operators import (PolytopeError, ValidationReport, check_sandwich,
                         validate_operator)
 from .scenario import SCHEMA_VERSION, Scenario, ScenarioError, load_scenario
@@ -429,15 +430,11 @@ def main(argv=None) -> int:
     seed = int(os.environ.get("SANDWICH_SEED", "0") or "0")
     try:
         scenario = load_scenario(args.input)
-    except (ScenarioError, OSError) as err:
-        print(f"sandwich: input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
         doc = _run_command(args, scenario, seed)
-    except (_Fault, ScenarioError) as err:
+    except (_Fault, ScenarioError, OSError) as err:
         print(f"sandwich: input error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except LpStatusError as err:
+    except (LpStatusError, LpError, np.linalg.LinAlgError) as err:
         print(f"sandwich: solver error: {err}", file=sys.stderr)
         return EXIT_INPUT
     print(_render(doc))

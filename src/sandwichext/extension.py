@@ -157,9 +157,8 @@ def _block_rows(bounds: BoundPair, sg: _Segments):
         a_ub = None
         b_ub = None
     else:
-        km = np.stack([k.values[reps] for k in bounds.m_kernels]).T
-        kM = np.stack([k.values[reps] for k in bounds.M_kernels]).T
-        nm, nM = km.shape[1], kM.shape[1]
+        km, kM = bounds._kernels_at(reps)
+        nm, nM = len(km), len(kM)
         n_lift = nm + nM
         var_bounds = [(0.0, math.inf)] * n + [(0.0, math.inf)] * n_lift
         a_eq = np.zeros((3, n + n_lift))
@@ -167,21 +166,12 @@ def _block_rows(bounds: BoundPair, sg: _Segments):
         a_eq[1, n:n + nm] = 1.0
         a_eq[2, n + nm:] = 1.0
         b_eq = np.array([pa, 1.0, 1.0])
-        rows = []
-        rhs = []
-        for i in range(n):
-            row = np.zeros(n + n_lift)
-            row[i] = -1.0
-            row[n:n + nm] = km[i]
-            rows.append(row)          # sum_k lam_k km[i,k] <= f_i
-            rhs.append(0.0)
-            row = np.zeros(n + n_lift)
-            row[i] = 1.0
-            row[n + nm:] = -kM[i]
-            rows.append(row)          # f_i <= sum_k mu_k kM[i,k]
-            rhs.append(0.0)
-        a_ub = np.asarray(rows)
-        b_ub = np.asarray(rhs)
+        # per segment i two rows: sum_k lam_k km[k, i] <= f_i <= sum_k mu_k kM[k, i]
+        rows = np.zeros((n, 2, n + n_lift))
+        rows[range(n), 0, range(n)], rows[:, 0, n:n + nm] = -1.0, km.T
+        rows[range(n), 1, range(n)], rows[:, 1, n + nm:] = 1.0, -kM.T
+        a_ub = rows.reshape(2 * n, n + n_lift)
+        b_ub = np.zeros(2 * n)
     return n_lift, a_eq, b_eq, a_ub, b_ub, var_bounds
 
 
@@ -411,42 +401,28 @@ def _assemble(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOperator:
         d = bmat.shape[1]
         n = bp.n_f
         nj = len(op.pieces)
-        nv = n + bp.n_lift + nj
         fmat = dens[:, sg.reps].T                    # n x J
-        # equalities: polytope rows, theta simplex, subspace matching
-        eq_rows = [np.concatenate([row, np.zeros(nj)]) for row in bp.a_eq]
-        eq_rhs = list(bp.b_eq)
-        theta_row = np.zeros(nv)
-        theta_row[n + bp.n_lift:] = 1.0
-        eq_rows.append(theta_row)
-        eq_rhs.append(1.0)
         wb = bmat.T * sg.rows.probs[None, :]         # d x n, rows <B_k, sp . >
-        match_f = wb
-        match_th = -(wb @ fmat)                      # d x J
-        for k in range(d):
-            row = np.zeros(nv)
-            row[:n] = match_f[k]
-            row[n + bp.n_lift:] = match_th[k]
-            eq_rows.append(row)
-            eq_rhs.append(0.0)
+        # equalities: polytope rows, theta simplex, subspace matching
+        k, nz = len(bp.b_eq), bp.n_vars
+        eq_mat = np.zeros((k + 1 + d, nz + nj))
+        eq_mat[:k, :nz] = bp.a_eq
+        eq_mat[k, nz:] = 1.0
+        eq_mat[k + 1:, :n], eq_mat[k + 1:, nz:] = wb, -(wb @ fmat)
+        eq_vec = np.zeros(k + 1 + d)
+        eq_vec[:k], eq_vec[k] = bp.b_eq, 1.0
         # the matching row along the constant direction restates budget and
         # simplex rows up to float noise; near-dependent equalities poison
         # simplex bases, so only an independent subset is kept
-        eq_mat = np.asarray(eq_rows)
-        eq_vec = np.asarray(eq_rhs)
         keep: list[int] = []
         for r in range(eq_mat.shape[0]):
             if np.linalg.matrix_rank(eq_mat[keep + [r]], tol=EQ_RANK_TOL) > len(keep):
                 keep.append(r)
-        if bp.a_ub is not None:
-            ub_rows = np.hstack([bp.a_ub, np.zeros((bp.a_ub.shape[0], nj))])
-            ub_rhs = bp.b_ub
-        else:
-            ub_rows = None
-            ub_rhs = None
+        ub_rows = None if bp.a_ub is None else np.hstack(
+            [bp.a_ub, np.zeros((bp.a_ub.shape[0], nj))])
         make_lp = partial(
             LinearProgram, c=np.concatenate([np.zeros(n + bp.n_lift), -penalties[a]]),
-            sense="max", a_eq=eq_mat[keep], b_eq=eq_vec[keep], a_ub=ub_rows, b_ub=ub_rhs,
+            sense="max", a_eq=eq_mat[keep], b_eq=eq_vec[keep], a_ub=ub_rows, b_ub=bp.b_ub,
             bounds=list(bp.var_bounds) + [(0.0, math.inf)] * nj)
         ext._programs.append(_BlockProgram(
             poly=bp, make_lp=make_lp, weights=sg.rows.probs / sg.prob,

@@ -18,7 +18,10 @@ operator in the sandwich sense: m(Z) + x(X) <= M(Y) whenever Z + X <= Y with
 Y, Z nonnegative and X in the domain. The inequality system is positively
 homogeneous apart from the penalties, so it holds if and only if, per block
 and piece, a normalized LP has optimal value zero; a strictly negative value
-scales into an explicit witness triple.
+scales into an explicit witness triple. The constraints depend on the block
+alone, so each block has one program and each piece sets only its objective
+(``with_objective``); every piece's LP is solved cold, which takes the path
+of a freshly built program.
 """
 
 from __future__ import annotations
@@ -244,26 +247,30 @@ class BoundPair:
         # positive cone of level_b payoffs: minimize the epigraph gap over
         # the segment simplex
         for a, seg in enumerate(self.space._segments(self.level_b, self.level_a)):
-            km = np.stack([k.values[seg.reps] for k in self.m_kernels])
-            kM = np.stack([k.values[seg.reps] for k in self.M_kernels])
+            km, kM = self._kernels_at(seg.reps)
             n = km.shape[1]
-            # vars: (x in simplex, t); min t s.t. t >= <kM_i - km_j, x> for all i,j
-            rows = []
-            for i in range(kM.shape[0]):
-                for j in range(km.shape[0]):
-                    # <kM_i - km_j, x>_p - t <= 0, so t >= the (i, j) gap
-                    rows.append(np.append(
-                        seg.rows.probs * (kM[i] - km[j]) / seg.prob, -1.0))
-            lp = LinearProgram(
+            # vars: (x in simplex, t); min t s.t. t >= <kM_i - km_j, x>_p for
+            # every (i, j), one row each: <kM_i - km_j, x>_p - t <= 0
+            gaps = (kM[:, None] - km[None]).reshape(-1, n)
+            rows = np.hstack([seg.rows.probs * gaps / seg.prob, -np.ones((len(gaps), 1))])
+            res = solve_lp(LinearProgram(
                 c=np.append(np.zeros(n), 1.0), sense="min",
                 a_eq=[np.append(np.ones(n), 0.0)], b_eq=[1.0],
-                a_ub=rows, b_ub=[0.0] * len(rows),
-                bounds=[(0.0, np.inf)] * n + [(-np.inf, np.inf)])
-            res = solve_lp(lp)
-            if res.status != "optimal" or res.value < -VALUE_TOL:
+                a_ub=rows, b_ub=np.zeros(len(rows)),
+                bounds=[(0.0, np.inf)] * n + [(-np.inf, np.inf)]))
+            if res.status != "optimal":
+                raise LpStatusError("dominance LP", (self.level_a, self.level_b), a,
+                                    res.status, why="it is always feasible and bounded")
+            if res.value < -VALUE_TOL:
                 raise BoundsError(
                     f"minorant exceeds majorant on block {a} of level {self.level_a}"
                     f" (gap {res.value:.3e})")
+
+    def _kernels_at(self, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The minorant and the majorant kernels at atoms ``reps``, stacked
+        one kernel per row."""
+        return (np.stack([k.values[reps] for k in self.m_kernels]),
+                np.stack([k.values[reps] for k in self.M_kernels]))
 
     @classmethod
     def linear(cls, space: FilteredSpace, level_b: int, level_a: int,
@@ -422,6 +429,12 @@ def check_sandwich(op: PolyhedralOperator, bounds: BoundPair) -> SandwichReport:
     The feasible triples form a cone, so the per-piece inequality either
     holds everywhere or scales into an arbitrarily large violation; with the
     normalization row added, optimal value zero certifies the former.
+
+    Each block builds one program over (bp, bm, Y, Z, tM, um); each piece
+    only sets its objective, and its LP is solved cold, so the result has
+    the bits of a freshly built program whatever the block solved before.
+    Blocks are taken in order and pieces in order within a block; the first
+    violation is reported.
     """
     if bounds.space is not op.space:
         raise ValueError("bounds and operator live on different spaces")
@@ -443,63 +456,38 @@ def check_sandwich(op: PolyhedralOperator, bounds: BoundPair) -> SandwichReport:
     penalties = op._penalties()
     for a, sg in enumerate(space._segments(op.level_b, op.level_a)):
         bmat = op.domain.block_bases[a][sg.rows.firsts, :]  # segment basis values
-        d = bmat.shape[1]
-        n = sg.ids.size
-        km = np.stack([k.values[sg.reps] for k in bounds.m_kernels])
-        kM = np.stack([k.values[sg.reps] for k in bounds.M_kernels])
+        d, n = bmat.shape[1], sg.ids.size
+        km, kM = bounds._kernels_at(sg.reps)
         pw = sg.rows.probs / sg.prob
+        nM, nm = len(kM), len(km)
+        y, z = 2 * d, 2 * d + n            # the first Y and Z columns
+        # vars: bp(d), bm(d), Y(n), Z(n), tM, um
+        a_ub = np.zeros((n + nM + nm + 1, 2 * d + 2 * n + 2))
+        # Z + B(bp - bm) - Y <= 0, atomwise
+        a_ub[:n, :z + n] = np.hstack([bmat, -bmat, -np.eye(n), np.eye(n)])
+        # tM >= <k, Y> for every majorant kernel
+        a_ub[n:n + nM, y:z], a_ub[n:n + nM, -2] = pw * kM, -1.0
+        # um >= <-k, Z> for every minorant kernel
+        a_ub[n + nM:-1, z:-2], a_ub[n + nM:-1, -1] = (-pw) * km, -1.0
+        # normalization keeps the cone program bounded
+        a_ub[-1, :-2] = 1.0
+        lp = LinearProgram(c=np.zeros(a_ub.shape[1]), sense="min", a_ub=a_ub,
+                           b_ub=np.append(np.zeros(n + nM + nm), 1.0),
+                           bounds=[(0.0, np.inf)] * (z + n) + [(-np.inf, np.inf)] * 2)
         for j, pc in enumerate(op.pieces):
-            fj = pc.density.values[sg.reps]
-            # vars: bp(d), bm(d), Y(n), Z(n), tM, um
-            nv = 2 * d + 2 * n + 2
-            def seg(*parts):
-                row = np.zeros(nv)
-                off = 0
-                for width, chunk in parts:
-                    if chunk is not None:
-                        row[off:off + width] = chunk
-                    off += width
-                return row
-            c = seg((d, -(bmat.T @ (pw * fj))), (d, bmat.T @ (pw * fj)),
-                    (n, None), (n, None), (1, [1.0]), (1, [1.0]))
-            a_ub = []
-            b_ub = []
-            # Z + B(bp - bm) - Y <= 0, atomwise
-            for i in range(n):
-                a_ub.append(seg((d, bmat[i]), (d, -bmat[i]),
-                                (n, -np.eye(n)[i]), (n, np.eye(n)[i]),
-                                (1, None), (1, None)))
-                b_ub.append(0.0)
-            # tM >= <k, Y> for every majorant kernel
-            for krow in kM:
-                a_ub.append(seg((d, None), (d, None), (n, pw * krow),
-                                (n, None), (1, [-1.0]), (1, None)))
-                b_ub.append(0.0)
-            # um >= <-k, Z> for every minorant kernel
-            for krow in km:
-                a_ub.append(seg((d, None), (d, None), (n, None),
-                                (n, -pw * krow), (1, None), (1, [-1.0])))
-                b_ub.append(0.0)
-            # normalization keeps the cone program bounded
-            a_ub.append(seg((d, np.ones(d)), (d, np.ones(d)),
-                            (n, np.ones(n)), (n, np.ones(n)),
-                            (1, None), (1, None)))
-            b_ub.append(1.0)
-            bnds = [(0.0, np.inf)] * (2 * d + 2 * n) + [(-np.inf, np.inf)] * 2
-            res = solve_lp(LinearProgram(c=c, sense="min", a_ub=a_ub, b_ub=b_ub,
-                                         bounds=bnds))
+            g = bmat.T @ (pw * pc.density.values[sg.reps])
+            res = solve_lp(lp.with_objective(
+                np.concatenate([-g, g, np.zeros(2 * n), [1.0, 1.0]])))
             if res.status != "optimal":
                 raise LpStatusError("sandwich LP", (op.level_a, op.level_b), a,
                                     res.status, piece=j)
             if res.value < -VALUE_TOL:
                 scale = (penalties[a, j] + 1.0) / (-res.value)
-                z = res.x
-                beta = (z[:d] - z[d:2 * d]) * scale
+                beta = (res.x[:d] - res.x[d:y]) * scale
                 # witness values per segment, zero off the block
                 seg_vals = np.zeros((3, space._layout[op.level_b].probs.size))
-                seg_vals[:, sg.ids] = (bmat @ beta,
-                                       z[2 * d + n:2 * d + 2 * n] * scale,
-                                       z[2 * d:2 * d + n] * scale)
+                seg_vals[:, sg.ids] = (bmat @ beta, res.x[z:z + n] * scale,
+                                       res.x[y:z] * scale)
                 atom_vals = space._layout[op.level_b].broadcast(seg_vals)
                 witness = tuple(RandomVariable(v, op.level_b) for v in atom_vals)
                 return SandwichReport(holds=False, block=a, piece=j,

@@ -149,10 +149,14 @@ def _build_space(block: dict) -> FilteredSpace:
         raise ScenarioError("$.space", str(err)) from err
 
 
-def _domain(space: FilteredSpace, generators: dict, s: int, t: int) -> Subspace:
-    if t in generators:
-        return span_closure(space, t, s, generators[t])
-    return full_space(space, t, s)
+def _domain(space: FilteredSpace, generators: dict, s: int, t: int,
+            path: str) -> Subspace:
+    try:
+        if t in generators:
+            return span_closure(space, t, s, generators[t])
+        return full_space(space, t, s)
+    except MeasurabilityError as err:
+        raise ScenarioError(path, str(err)) from err
 
 
 def build_scenario(doc: dict) -> Scenario:
@@ -194,7 +198,7 @@ def build_scenario(doc: dict) -> Scenario:
                                          f"{path}.pieces[{j}].penalty"),
                           s, f"{path}.pieces[{j}].penalty")
             pieces.append(Piece(density, penalty))
-        ops[(s, t)] = PolyhedralOperator(_domain(space, generators, s, t),
+        ops[(s, t)] = PolyhedralOperator(_domain(space, generators, s, t, path),
                                          tuple(pieces))
 
     bounds = {}

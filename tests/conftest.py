@@ -7,6 +7,7 @@ the JSON path.
 
 from __future__ import annotations
 
+import math
 import pathlib
 from types import SimpleNamespace
 
@@ -25,7 +26,7 @@ from sandwichext import (
     solve_lp,
     span_closure,
 )
-from sandwichext.lp import _Vertex
+from sandwichext.lp import LpResult, _simplex
 
 # The same examples on every run and machine: drawn from a fixed seed per
 # test, with no example database to replay earlier failures. Each test's own
@@ -73,23 +74,31 @@ def fresh_program(lp):
 
 
 def fresh_warm_solve(lp, basis):
-    """What ``solve_lp(lp, warm=True)`` gives when ``lp``'s form kept ``basis``:
-    the warm solve of the program built anew, whose form is given a kept
-    vertex on ``basis`` computed here from that new form: B^-1 of the basic
-    columns, u[cols] = B^-1 b and x = shift + umat @ u. A ``basis`` of None
-    is no kept vertex, so the solve is cold."""
+    """What ``solve_lp(lp, warm=True)`` gives when ``lp``'s form kept ``basis``,
+    worked out here on the program built anew, without ``solve_lp``'s warm
+    path: the simplex's phase 2 (``_simplex``) from the vertex on ``basis``,
+    given B^-1 of its basic columns, and the result read off where it ends:
+    u[cols] = B^-1 b, x = shift + umat @ u, ``c @ x``, its passes, duals and
+    marks. A first pass that finds the vertex optimal ends on it after one
+    pass, with that x. A ``basis`` of None is no kept vertex, so the solve
+    is cold."""
     fresh = fresh_program(lp)
-    if basis is not None:
-        form = fresh._form
-        rows, cols = map(list, basis)
-        a, b = form.amat[rows], form.bvec[rows]
-        binv = np.linalg.inv(a[:, cols])
-        u = np.zeros(form.amat.shape[1])
-        u[cols] = binv @ b
-        x = form.shift + form.umat @ u[:form.var.size]
-        x.setflags(write=False)
-        form.last = _Vertex(basis, binv, a, b, np.array(cols, dtype=np.intp), x)
-    return solve_lp(fresh, warm=True)
+    if basis is None:
+        return solve_lp(fresh, warm=True)
+    form = fresh._form
+    rows, cols = map(list, basis)
+    a, b = form.amat[rows], form.bvec[rows]
+    status, cols, xb, y, passes, _, marks, _ = _simplex(
+        a, b, form.cost(fresh.c), cols, form.twin, 0, np.linalg.inv(a[:, cols]))
+    if status == "unbounded":
+        return LpResult("unbounded", -form.sgn * math.inf, iterations=passes)
+    u = np.zeros(form.amat.shape[1])
+    u[cols] = xb
+    x = form.shift + form.umat @ u[:form.var.size]
+    x.setflags(write=False)
+    const = float(form.sgn * (fresh.c @ form.shift))
+    return LpResult("optimal", float(fresh.c @ x), x, float(form.sgn * (y @ b + const)),
+                    None, passes, (tuple(rows), tuple(cols)), (marks, form))
 
 
 def fixture_path(name: str) -> pathlib.Path:

@@ -7,12 +7,15 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sandwichext
 import sandwichext.extension
+import sandwichext.operators
 from conftest import ROOT, fixture_path
 from sandwichext import LpResult, PolytopeError, load_scenario
+from sandwichext.lp import LpError
 from sandwichext.cli import _pair_label, main
 
 FIXTURES = ["fix_a.json", "fix_b.json", "fix_c_linear.json",
@@ -289,6 +292,44 @@ def test_lp_status_failure_exits_2_with_its_message(capsys, monkeypatch):
         "sandwich: solver error: pair (0, 1): extension block program on block 0 "
         "of level 0 came back infeasible; the sandwich precondition should rule "
         "this out\n")
+
+
+@pytest.mark.parametrize("error", [LpError("simplex iteration cap exceeded"),
+                                   np.linalg.LinAlgError("Singular matrix")])
+def test_raw_solver_faults_exit_2_with_one_line(error, capsys, monkeypatch):
+    # a raw LP or linear-algebra fault, here out of the dominance LP that
+    # loading the polyhedral bounds solves, ends in one line on stderr
+    def fails(lp, warm=False):
+        raise error
+
+    monkeypatch.setattr(sandwichext.operators, "solve_lp", fails)
+    rc = main(["report", "--input", str(ROOT / "tests" / "golden" / "polyhedral_tree.json")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"sandwich: solver error: {error}\n"
+
+
+def test_domain_basis_failing_measurability_exits_2_naming_the_operator(tmp_path, capsys):
+    # every second of 8 atoms has 1e-9 of its sibling's mass; the scenario
+    # is valid, but the computed basis of the (0, 1) domain varies by a few
+    # 1e-12 inside a level-1 block, which the measurability check rejects
+    probs = np.tile([1.0, 1e-9], 4)
+    doc = {"schema_version": "1", "name": "skewed",
+           "space": {"probs": list(probs / probs.sum()),
+                     "partitions": [[list(range(k * 2 ** (3 - t), (k + 1) * 2 ** (3 - t)))
+                                     for k in range(2 ** t)] for t in range(4)],
+                     "times": [0.0, 1.0, 2.0, 3.0]},
+           "grid": [0, 1],
+           "operators": [{"from": 0, "to": 1,
+                          "pieces": [{"density": 1.0, "penalty": 0.0}]}],
+           "bounds": [{"from": 0, "to": 1, "kind": "linear", "m0": 0.5, "M0": 1.5}],
+           "tasks": [{"command": "validate"}]}
+    rc = main(["report", "--input", write_doc(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("sandwich: input error: $.operators[0]: values vary by ")
+    assert captured.err.endswith(" on block (0, 1, 2, 3) of level 1\n")
+    assert captured.err.count("\n") == 1
 
 
 def test_seed_env_controls_sampled_checks(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sandwichext.operators
+from conftest import fresh_program, same_lp_result
 from oracles import scipy_density_margin
 from sandwichext.lp import FEAS_TOL, LpError
 from sandwichext import (
@@ -144,6 +145,29 @@ def test_polyhedral_dominance_rejects_crossing_envelopes():
             [space.rv([1.0, 1.0])])
 
 
+@pytest.mark.parametrize("status", ["infeasible", "unbounded"])
+def test_dominance_lp_status_other_than_optimal_is_typed(status, monkeypatch):
+    # the dominance LP is always feasible and bounded, so any other status
+    # is a solver fault, named by LP, pair, block and status
+    space = binom()
+    kernels = ([space.rv(np.full(4, 0.5))], [space.rv(np.full(4, 1.5))])
+    BoundPair.polyhedral(space, 2, 1, *kernels)        # one LP per level-1 block
+    calls = []
+
+    def second_fails(lp, warm=False):
+        calls.append(1)
+        if len(calls) == 2:
+            return LpResult(status, np.nan if status == "infeasible" else -np.inf)
+        return solve_lp(lp, warm=warm)
+
+    monkeypatch.setattr(sandwichext.operators, "solve_lp", second_fails)
+    with pytest.raises(LpStatusError, match=(
+            f"dominance LP on block 1 of level 1 came back {status}")) as info:
+        BoundPair.polyhedral(space, 2, 1, *kernels)
+    assert (info.value.lp, info.value.levels, info.value.block, info.value.piece,
+            info.value.status) == ("dominance LP", (1, 2), 1, None, status)
+
+
 def test_polyhedral_dominance_accepts_pointwise_crossing():
     # kernels cross atomwise yet the envelopes stay ordered in expectation
     space = FilteredSpace([1.0 / 3.0, 2.0 / 3.0], [[[0, 1]], [[0], [1]]], [0, 1])
@@ -171,15 +195,22 @@ def test_sandwich_certified_by_block_programs(two_atom):
     assert rep.holds and not rep.fast_path
 
 
-def test_sandwich_lp_status_other_than_optimal_is_named(monkeypatch):
-    # two blocks of two atoms, two pieces: one LP per block and piece
-    space = FilteredSpace(np.full(4, 0.25), [[[0, 1, 2, 3]], [[0, 1], [2, 3]],
-                                             [[0], [1], [2], [3]]], [0.0, 1.0, 2.0])
+def two_blocks_two_pieces(tilt):
+    """Two level-1 blocks of two atoms each, an operator at (1, 2) with the
+    unit piece and the piece of density ``tilt``, and polyhedral bounds."""
+    space = binom()
     op = PolyhedralOperator(full_space(space, 2, 1), (
         Piece(space.rv([1.0, 1.0, 1.0, 1.0]), space.rv(np.zeros(4), level=1)),
-        Piece(space.rv([1.5, 0.5, 0.5, 1.5]), space.rv(np.full(4, 0.25), level=1))))
+        Piece(space.rv(tilt), space.rv([0.25, 0.25, 0.1, 0.1], level=1))))
     bounds = BoundPair.polyhedral(
-        space, 2, 1, [space.rv(np.full(4, 0.5))], [space.rv(np.full(4, 1.5))])
+        space, 2, 1, [space.rv(np.full(4, 0.5)), space.rv([0.6, 0.4, 0.5, 0.5])],
+        [space.rv(np.full(4, 1.5)), space.rv([1.4, 1.6, 1.5, 1.5])])
+    return space, op, bounds
+
+
+def test_sandwich_lp_status_other_than_optimal_is_named(monkeypatch):
+    # two blocks, two pieces: one LP per block and piece
+    _, op, bounds = two_blocks_two_pieces([1.5, 0.5, 0.5, 1.5])
     assert check_sandwich(op, bounds).holds
     calls = []
 
@@ -197,6 +228,26 @@ def test_sandwich_lp_status_other_than_optimal_is_named(monkeypatch):
     assert (info.value.lp, info.value.levels, info.value.block, info.value.piece,
             info.value.status) == ("sandwich LP", (1, 2), 1, 1, "infeasible")
     assert str(info.value).startswith("pair (1, 2): ")
+
+
+def test_sandwich_solves_one_program_per_block_cold(monkeypatch):
+    # per block, every piece's program is one program with the piece's
+    # objective, solved cold, so it has the bits of a freshly built program
+    _, op, bounds = two_blocks_two_pieces([1.5, 0.5, 0.5, 1.5])
+    calls = []
+
+    def recorded(lp, warm=False):
+        res = solve_lp(lp, warm=warm)
+        calls.append((lp, warm, res))
+        return res
+
+    monkeypatch.setattr(sandwichext.operators, "solve_lp", recorded)
+    assert check_sandwich(op, bounds).holds
+    assert [warm for _, warm, _ in calls] == [False] * 4
+    forms = [lp._form for lp, _, _ in calls]
+    assert forms[0] is forms[1] and forms[2] is forms[3] and forms[1] is not forms[2]
+    for lp, _, res in calls:
+        same_lp_result(res, solve_lp(fresh_program(lp)))
 
 
 def test_sandwich_violation_carries_checkable_witness():
@@ -217,6 +268,29 @@ def test_sandwich_violation_carries_checkable_witness():
                for pc in op.pieces)
     m_of = 0.8 * float(p @ Z.values)
     big_m = 1.2 * float(p @ Y.values)
+    assert m_of + x_of > big_m + 1e-6
+
+
+def test_sandwich_violation_on_a_later_block_and_piece_has_a_witness():
+    # the tilted piece sits inside both kernel hulls on block 0 and leaves
+    # them on block 1, the last block and piece the check reaches
+    space, op, bounds = two_blocks_two_pieces([1.2, 0.8, 1.9, 0.1])
+    rep = check_sandwich(op, bounds)
+    assert not rep.holds and rep.gap < 0.0
+    assert (rep.block, rep.piece) == (1, 1)
+    X, Z, Y = (v.values for v in rep.witness)
+    assert not np.any(np.r_[X[:2], Z[:2], Y[:2]])          # zero off block 1
+    assert np.all(Z >= -TOL) and np.all(Y >= -TOL)
+    assert np.all(Z + X <= Y + TOL)
+    p = space.probs[2:] / space.probs[2:].sum()
+
+    def means(vectors, payoff):
+        return [float(p @ (v.values[2:] * payoff[2:])) for v in vectors]
+
+    x_of = max(e - pc.penalty.values[2]
+               for e, pc in zip(means([pc.density for pc in op.pieces], X), op.pieces))
+    m_of = min(means(bounds.m_kernels, Z))
+    big_m = max(means(bounds.M_kernels, Y))
     assert m_of + x_of > big_m + 1e-6
 
 
