@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -396,7 +397,9 @@ def _render(doc: dict) -> str:
 # entry point
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="sandwich",
         description="Validate, extend and price operator scenarios.")

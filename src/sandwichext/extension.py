@@ -41,7 +41,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .lp import LinearProgram, LpResult, LpStatusError, _cost_tol, _pricing, solve_lp
+from .lp import (LinearProgram, LpError, LpResult, LpStatusError, _cost_tol, _pricing,
+                 solve_lp)
 from .operators import (BlockPolytope, BoundPair, DensityPolytope, CheckEntry,
                         PolyhedralOperator, PolytopeError, SandwichReport,
                         ValidationReport, check_sandwich)
@@ -53,6 +54,7 @@ EQ_RANK_TOL = 1e-10
 EVAL_MEMO_SIZE = 4096   # payoffs memoized per ExtendedOperator
 FACE_MEMO_SIZE = 64     # centered optimal faces memoized per block program
 TABLE_SIZE = 8          # optimal bases tabled per block program, and its miss cut-off
+CONJUGATE_MEMO_SIZE = 128   # conjugate values memoized per coarse block of an operator
 
 
 class DensityError(ValueError):
@@ -117,24 +119,44 @@ def conjugate(op: PolyhedralOperator, f: RandomVariable,
     an epigraph LP in the block coordinates of X; +inf when unbounded.
     The result is nonnegative because X = 0 is always admissible.
 
-    Each block's LP is the operator's template with f's objective. It is
-    solved cold on purpose: a cold solve on the shared standard form takes
-    the path of a freshly built program, so conjugates are the same bits
-    whatever was solved before, which the splice and locality checks compare.
+    Each block's value comes from ``_block_conjugate``, which memoizes it in
+    ``op``, so a conjugate mutates ``op``: use it from one thread at a time.
     """
-    space = op.space
     if check:
-        _check_density(space, op.level_a, op.level_b, f)
-    vals = np.empty(len(op._conjugate_lps))
-    for a, tmpl in enumerate(op._conjugate_lps):
-        res = solve_lp(tmpl.with_objective(op._conjugate_row(a, f.values)))
+        _check_density(op.space, op.level_a, op.level_b, f)
+    return PenaltyValue(op.space, op.level_a, [
+        _block_conjugate(op, a, f.values) for a in range(len(op._conjugate_lps))])
+
+
+def _block_conjugate(op: PolyhedralOperator, a: int, values: np.ndarray) -> float:
+    """The conjugate of ``op`` on coarse block ``a`` at density ``values``.
+
+    The block's LP is the operator's template with the density's objective.
+    It is solved cold on purpose: a cold solve on the shared standard form
+    takes the path of a freshly built program, so its value is a function
+    of the objective alone, the same bits whatever was solved before, which
+    the splice and locality checks compare. So the block memoizes its values
+    by the objective's bytes, in a least-recently-used memo of
+    ``CONJUGATE_MEMO_SIZE`` values, and a hit is the bits a solve would give.
+    A raw solver fault becomes an ``LpStatusError`` naming the block, and a
+    failed solve leaves no entry.
+    """
+    c = op._conjugate_row(a, values)
+
+    def solve() -> float:
+        levels = (op.level_a, op.level_b)
+        try:
+            res = solve_lp(op._conjugate_lps[a].with_objective(c))
+        except (LpError, np.linalg.LinAlgError) as err:
+            raise LpStatusError("conjugate LP", levels, a, type(err).__name__,
+                                why=str(err)) from err
         if res.status == "unbounded":
-            vals[a] = math.inf
-        elif res.status == "optimal":
-            vals[a] = max(res.value, 0.0)
-        else:
-            raise LpStatusError("conjugate LP", (op.level_a, op.level_b), a, res.status)
-    return PenaltyValue(space, op.level_a, vals)
+            return math.inf
+        if res.status != "optimal":
+            raise LpStatusError("conjugate LP", levels, a, res.status)
+        return max(res.value, 0.0)
+
+    return _memoized(op._conjugate_memos[a], c.tobytes(), CONJUGATE_MEMO_SIZE, solve)
 
 
 # --------------------------------------------------------------------------
@@ -532,16 +554,14 @@ def minimal_penalty(ext: ExtendedOperator, f: RandomVariable,
     The extension is the inf-convolution of the base operator with the
     polytope support function, so its conjugate is the base conjugate plus
     the polytope indicator: conjugate(base, f) where f is feasible, +inf on
-    blocks where it is not.
+    blocks where it is not. Membership is tested first, so a block outside
+    the polytope solves no conjugate LP.
     """
     space = ext.space
     _check_density(space, ext.level_a, ext.base.level_b, f)
-    base = conjugate(ext.base, f, check=False)
-    vals = np.array(base.by_block)
-    for a, member in enumerate(ext.polytope.block_members(f, tol)):
-        if not member:
-            vals[a] = math.inf
-    return PenaltyValue(space, ext.level_a, vals)
+    return PenaltyValue(space, ext.level_a, [
+        _block_conjugate(ext.base, a, f.values) if member else math.inf
+        for a, member in enumerate(ext.polytope.block_members(f, tol))])
 
 
 def verify_representation(op: PolyhedralOperator, n_payoffs: int = 20,

@@ -71,7 +71,10 @@ class PolyhedralOperator:
 
     It holds one conjugate LP per coarse block, built on first use, whose
     standard form every conjugate of the operator shares; conjugates solve
-    it cold (see ``extension.conjugate``).
+    it cold, and each block memoizes the values it solved, by objective (see
+    ``extension.conjugate``). So even a read (a conjugate) mutates the
+    instance, and every system ``Scenario.subsystem`` builds from one
+    scenario shares it: use it from one thread at a time.
     """
 
     domain: Subspace
@@ -120,6 +123,12 @@ class PolyhedralOperator:
             b_ub=penalties[a],
             bounds=[(-np.inf, np.inf)] * (self.domain.block_bases[a].shape[1] + 1))
             for a in range(len(penalties)))
+
+    @cached_property
+    def _conjugate_memos(self) -> tuple[dict, ...]:
+        """Per coarse block, the conjugate values solved on it, keyed by the
+        bytes of their LP objective (see ``extension._block_conjugate``)."""
+        return tuple({} for _ in self._conjugate_lps)
 
     def _conjugate_row(self, a: int, values: np.ndarray) -> np.ndarray:
         """[B^T(pw f), -1] on coarse block ``a``: the block expectation of f

@@ -47,8 +47,39 @@ def _json_path(parts) -> str:
     return out
 
 
+def _plain_number(v) -> bool:
+    return type(v) is int or type(v) is float
+
+
+def _plain_vec(v) -> bool:
+    return type(v) is list and len(v) > 0 and all(map(_plain_number, v))
+
+
+# per shared definition of the schema's ``$defs``, a test that an instance
+# plainly satisfies it; JSON true is a bool, which ``type(v) is int``
+# rejects, as "number" does
+_PLAIN = {
+    "#/$defs/vec": _plain_vec,
+    "#/$defs/numvec": lambda v: _plain_number(v) or _plain_vec(v),
+    "#/$defs/level": lambda v: type(v) is int and v >= 0,
+}
+_stock_ref = jsonschema.Draft202012Validator.VALIDATORS["$ref"]
+
+
+def _ref(validator, ref, instance, schema):
+    """``$ref`` in one pass where the instance plainly satisfies its target;
+    everything else, valid or not, goes to the stock keyword, so every error
+    and its message stay as the stock validator gives them."""
+    plain = _PLAIN.get(ref)
+    if plain is None or not plain(instance):
+        yield from _stock_ref(validator, ref, instance, schema)
+
+
+_Validator = jsonschema.validators.extend(jsonschema.Draft202012Validator, {"$ref": _ref})
+
+
 def _check_schema(doc) -> None:
-    validator = jsonschema.Draft202012Validator(_schema())
+    validator = _Validator(_schema())
     errors = sorted(validator.iter_errors(doc),
                     key=lambda e: ([str(p) for p in e.absolute_path], e.message))
     if errors:

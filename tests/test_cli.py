@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -307,6 +308,28 @@ def test_raw_solver_faults_exit_2_with_one_line(error, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err == f"sandwich: solver error: {error}\n"
+
+
+@pytest.mark.parametrize("error", [LpError("simplex iteration cap exceeded"),
+                                   np.linalg.LinAlgError("Singular matrix")],
+                         ids=["LpError", "LinAlgError"])
+def test_conjugate_solver_faults_exit_2_naming_pair_and_block(error, capsys, monkeypatch):
+    # a raw fault out of a conjugate LP (the only extension LPs with no
+    # equality rows and every variable free) names its LP, pair and block
+    solve_lp = sandwichext.extension.solve_lp
+
+    def conjugates_fail(lp, warm=False):
+        if lp.a_eq is None and all(b == (-math.inf, math.inf) for b in lp.bounds):
+            raise error
+        return solve_lp(lp, warm=warm)
+
+    monkeypatch.setattr(sandwichext.extension, "solve_lp", conjugates_fail)
+    rc = main(["report", "--input", str(ROOT / "tests" / "golden" / "polyhedral_tree.json")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert re.fullmatch(rf"sandwich: solver error: pair \(\d+, \d+\): conjugate LP on block "
+                        rf"\d+ of level \d+ came back {type(error).__name__}; {error}\n",
+                        captured.err)
 
 
 def test_domain_basis_failing_measurability_exits_2_naming_the_operator(tmp_path, capsys):

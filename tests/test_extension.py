@@ -26,6 +26,7 @@ from sandwichext import (
     conjugate,
     density_set,
     extend_system,
+    full_space,
     load_scenario,
     maximal_extension,
     minimal_penalty,
@@ -35,6 +36,7 @@ from sandwichext import (
     verify_representation,
 )
 from sandwichext.extension import TABLE_SIZE, _BlockProgram
+from sandwichext.lp import LpError
 
 TOL = 1e-9
 VALUE_TOL = 1e-7
@@ -96,11 +98,33 @@ def source_id(source):
     return source if isinstance(source, str) else "tree-%d-%d-%s" % source
 
 
+def _cold_conjugate(op, a, values):
+    """Block ``a``'s conjugate from a freshly built program, solved cold."""
+    lp = op._conjugate_lps[a].with_objective(op._conjugate_row(a, values))
+    res = solve_lp(fresh_program(lp))
+    return math.inf if res.status == "unbounded" else max(res.value, 0.0)
+
+
+def _recorded_conjugate_solves(monkeypatch, op):
+    """Record the block of every conjugate LP of ``op`` that is solved."""
+    forms = [lp._form for lp in op._conjugate_lps]
+    blocks = []
+
+    def recording(lp, **kwargs):
+        if lp._form in forms:
+            blocks.append(forms.index(lp._form))
+        return solve_lp(lp, **kwargs)
+
+    monkeypatch.setattr(sandwichext.extension, "solve_lp", recording)
+    return blocks
+
+
 @pytest.mark.parametrize("source", SOURCES, ids=source_id)
 def test_conjugates_are_the_bits_of_freshly_built_programs(source, monkeypatch):
     # the representation and cocycle checks compare conjugates bit for bit,
     # so a block's shared LP is solved cold: whatever came before, every
-    # conjugate LP gives the bits of a new program built from its data
+    # conjugate, solved or off the block's memo, is the bits of a new
+    # program built from its data, and each (block, objective) is solved once
     system = _tree_or_fixture(source)
     calls = []
 
@@ -122,8 +146,109 @@ def test_conjugates_are_the_bits_of_freshly_built_programs(source, monkeypatch):
         history = rng.integers(0, len(family), 3 * len(family))
         del calls[:]
         for i in history:
-            conjugate(op, space.rv(family[i], op.level_b))
-        assert len(calls) == history.size * blocks.probs.size
+            got = conjugate(op, space.rv(family[i], op.level_b)).by_block
+            cold = [_cold_conjugate(op, a, family[i]) for a in range(blocks.probs.size)]
+            assert got.tobytes() == np.array(cold).tobytes()
+        distinct = {(a, op._conjugate_row(a, family[i]).tobytes())
+                    for i in history for a in range(blocks.probs.size)}
+        assert len(calls) == len(distinct) < history.size * blocks.probs.size
+
+
+def _two_block_space():
+    """Four uniform atoms in two level-1 blocks of two."""
+    return FilteredSpace(np.full(4, 0.25), [[[0, 1, 2, 3]], [[0, 1], [2, 3]],
+                                            [[0], [1], [2], [3]]], [0.0, 1.0, 2.0])
+
+
+def _twin_blocks():
+    """An operator with the same local data on both blocks of
+    ``_two_block_space``, so a density equal on both gives both blocks one
+    objective row; the second piece costs 0.1 on block 0 and 0.3 on block 1."""
+    space = _two_block_space()
+    op = PolyhedralOperator(full_space(space, 2, 1), (
+        Piece(space.rv(np.ones(4)), space.rv(np.zeros(4), level=1)),
+        Piece(space.rv([1.5, 0.5, 1.5, 0.5]), space.rv([0.1, 0.1, 0.3, 0.3], level=1))))
+    return space, op
+
+
+def test_block_memos_are_per_block():
+    # equal objective rows on two blocks with different penalties: each
+    # block's memo gives its own value, which a memo shared across blocks
+    # would not
+    space, op = _twin_blocks()
+    f = space.rv([1.2, 0.8, 1.2, 0.8], level=2)     # 0.4 of the second piece
+    assert op._conjugate_row(0, f.values).tobytes() == op._conjugate_row(1, f.values).tobytes()
+    for _ in range(2):
+        got = conjugate(op, f).by_block
+        assert got == pytest.approx([0.04, 0.12], abs=TOL)
+        assert got.tobytes() == np.array([_cold_conjugate(op, a, f.values)
+                                          for a in (0, 1)]).tobytes()
+
+
+def test_conjugate_memo_is_a_bounded_lru(monkeypatch):
+    monkeypatch.setattr(sandwichext.extension, "CONJUGATE_MEMO_SIZE", 2)
+    space, op = _twin_blocks()
+    solves = _recorded_conjugate_solves(monkeypatch, op)
+    fs = [space.rv(np.tile([1.0 + w / 2, 1.0 - w / 2], 2), level=2) for w in (0.2, 0.4, 0.6)]
+    keys = [op._conjugate_row(0, f.values).tobytes() for f in fs]
+    first = [conjugate(op, f).by_block.tobytes() for f in fs[:2]]
+    assert solves == [0, 1, 0, 1]
+    assert conjugate(op, fs[0]).by_block.tobytes() == first[0]    # a hit refreshes fs[0]
+    assert solves == [0, 1, 0, 1]
+    conjugate(op, fs[2])                                          # evicts fs[1]
+    assert [list(memo) for memo in op._conjugate_memos] == [[keys[0], keys[2]]] * 2
+    del solves[:]
+    assert conjugate(op, fs[0]).by_block.tobytes() == first[0]
+    assert solves == []
+    # an evicted objective is solved again, to the same bits
+    assert conjugate(op, fs[1]).by_block.tobytes() == first[1]
+    assert solves == [0, 1]
+    assert [list(memo) for memo in op._conjugate_memos] == [[keys[0], keys[1]]] * 2
+
+
+def test_minimal_penalty_solves_no_conjugate_off_the_polytope(monkeypatch):
+    # a constants-only domain makes the conjugate finite at every density,
+    # and the box [0.5, 1.25] of block 1 leaves the density out there only
+    space = _two_block_space()
+    op = PolyhedralOperator(span_closure(space, 2, 1, []), (
+        Piece(space.rv(np.ones(4)), space.rv(np.zeros(4), level=1)),))
+    bounds = BoundPair.linear(space, 2, 1, space.rv(np.full(4, 0.5)),
+                              space.rv([1.5, 1.5, 1.25, 1.25]))
+    ext = maximal_extension(op, bounds)
+    f = space.rv([1.4, 0.6, 1.4, 0.6], level=2)
+    assert list(ext.polytope.block_members(f)) == [True, False]
+    cold = [_cold_conjugate(op, a, f.values) for a in (0, 1)]
+    assert all(map(math.isfinite, cold))
+    solves = _recorded_conjugate_solves(monkeypatch, op)
+    got = minimal_penalty(ext, f).by_block
+    assert solves == [0]
+    assert got.tobytes() == np.array([cold[0], math.inf]).tobytes()
+
+
+@pytest.mark.parametrize("error", [LpError("simplex iteration cap exceeded"),
+                                   np.linalg.LinAlgError("Singular matrix")],
+                         ids=["LpError", "LinAlgError"])
+def test_conjugate_solver_faults_are_typed_and_leave_no_entry(error, monkeypatch):
+    system = load_scenario(fixture_path("fix_refine.json")).system
+    op = extend_system(system).step(1).base
+    f = op.pieces[0].density
+
+    def fails(lp, warm=False):
+        raise error
+
+    monkeypatch.setattr(sandwichext.extension, "solve_lp", fails)
+    with pytest.raises(LpStatusError, match=(
+            rf"^pair \({op.level_a}, {op.level_b}\): conjugate LP on block 0 of level "
+            rf"{op.level_a} came back {type(error).__name__}; {error}$")) as info:
+        conjugate(op, f)
+    assert (info.value.levels, info.value.block, info.value.status) == (
+        (op.level_a, op.level_b), 0, type(error).__name__)
+    assert info.value.__cause__ is error
+    assert not any(op._conjugate_memos)
+    monkeypatch.undo()
+    got = conjugate(op, f).by_block
+    assert got.tobytes() == np.array([_cold_conjugate(op, a, f.values)
+                                      for a in range(got.size)]).tobytes()
 
 
 def test_extension_rejects_broken_sandwich():

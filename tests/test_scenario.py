@@ -1,8 +1,11 @@
 import copy
 import json
 
+import jsonschema
 import numpy as np
 import pytest
+
+import sandwichext.scenario as scenario
 
 from conftest import fixture_path
 from sandwichext import (
@@ -63,6 +66,50 @@ def test_schema_violations_report_first_path(tmp_path):
     assert exc.value.path == "$"
     with pytest.raises(OSError):
         load_scenario(tmp_path / "absent.json")
+
+
+def _set(path, value):
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+SCHEMA_EDITS = {
+    "fixture": lambda doc: None,
+    "true-in-vec": _set(("space", "probs", 0), True),
+    "empty-vec": _set(("space", "times"), []),
+    "string-numvec": _set(("operators", 0, "pieces", 0, "density"), "1"),
+    "true-numvec": _set(("operators", 0, "pieces", 0, "penalty"), True),
+    "level-minus-one": _set(("operators", 0, "from"), -1),
+    "level-float-one": _set(("grid", 1), 1.0),
+}
+
+
+@pytest.mark.parametrize("edit", SCHEMA_EDITS)
+def test_schema_fast_path_matches_the_stock_validator(edit):
+    # the one-pass $ref path accepts only what the stock validator accepts,
+    # and leaves the first error's path and message as the stock one gives
+    # the one-pass tests mirror these definitions
+    assert scenario._schema()["$defs"] == {
+        "vec": {"type": "array", "minItems": 1, "items": {"type": "number"}},
+        "numvec": {"oneOf": [{"type": "number"}, {"$ref": "#/$defs/vec"}]},
+        "level": {"type": "integer", "minimum": 0}}
+    doc = load_doc("fix_a.json")
+    SCHEMA_EDITS[edit](doc)
+    stock = jsonschema.Draft202012Validator(scenario._schema())
+    errors = sorted(stock.iter_errors(doc),
+                    key=lambda e: ([str(p) for p in e.absolute_path], e.message))
+    if not errors:
+        assert edit in ("fixture", "level-float-one")
+        scenario._check_schema(doc)
+        return
+    with pytest.raises(ScenarioError) as exc:
+        scenario._check_schema(doc)
+    assert exc.value.path == scenario._json_path(list(errors[0].absolute_path))
+    assert str(exc.value) == f"{exc.value.path}: {errors[0].message}"
 
 
 def test_space_and_grid_rejections():
