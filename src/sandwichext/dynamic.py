@@ -163,17 +163,9 @@ def validate_system(system: OperatorSystem) -> ValidationReport:
             inner = ops.get((t, u))
             if outer is None or inner is None:
                 continue
-            worst_dev = 0.0
-            skipped = 0
-            for X in long_op.domain.basis:
-                try:
-                    two = outer.evaluate(inner.evaluate(X))
-                except DomainError:
-                    skipped += 1
-                    continue
-                one = long_op.evaluate(X)
-                worst_dev = max(worst_dev,
-                                float(np.abs(two.values - one.values).max()))
+            worst_dev, skipped = _max_deviation(
+                long_op.domain.basis, lambda X: outer.evaluate(inner.evaluate(X)),
+                long_op.evaluate)
             entries.append(CheckEntry(
                 f"consistency_{s}_{t}_{u}", worst_dev <= VALUE_TOL,
                 f"max deviation {worst_dev:.3e}; {skipped} basis payoffs "
@@ -183,23 +175,28 @@ def validate_system(system: OperatorSystem) -> ValidationReport:
     for (s, t), op in sorted(ops.items()):
         if t == T or (s, T) not in ops:
             continue
-        full = ops[(s, T)]
-        worst_dev = 0.0
-        skipped = 0
-        for X in op.domain.basis:
-            try:
-                whole = full.evaluate(X)
-            except DomainError:
-                skipped += 1
-                continue
-            dev = np.abs(whole.values - op.evaluate(X).values)
-            worst_dev = max(worst_dev, float(dev.max()))
+        worst_dev, skipped = _max_deviation(op.domain.basis, ops[(s, T)].evaluate,
+                                            op.evaluate)
         entries.append(CheckEntry(
             f"restriction_{s}_{t}", worst_dev <= VALUE_TOL,
             f"max deviation from the ({s}, {T}) operator {worst_dev:.3e}; "
             f"{skipped} skipped"))
 
     return ValidationReport(tuple(entries))
+
+
+def _max_deviation(payoffs, tried, reference) -> tuple[float, int]:
+    """Worst atomwise |tried(X) - reference(X)| over the payoffs, and how
+    many payoffs ``tried`` skipped by raising :class:`DomainError`."""
+    worst, skipped = 0.0, 0
+    for X in payoffs:
+        try:
+            got = tried(X)
+        except DomainError:
+            skipped += 1
+            continue
+        worst = max(worst, float(np.abs(got.values - reference(X).values).max()))
+    return worst, skipped
 
 
 @dataclass(eq=False)
@@ -389,7 +386,7 @@ def check_cocycle_and_local(ext: ExtendedSystem, r: int, s: int, t: int,
 
     def penalties(step_g):
         return [minimal_penalty(
-            ext.step(k), space.rv(step_g[k - i], system.grid[k + 1])).atomwise()
+            ext.step(k), RandomVariable(step_g[k - i], system.grid[k + 1])).atomwise()
             for k in range(i, j)]
 
     worst = 0.0

@@ -574,8 +574,7 @@ def verify_representation(op: PolyhedralOperator, n_payoffs: int = 20,
     value, and the best candidate reaches it: with minimal penalties the
     pieces are self-representing.
     """
-    space = op.space
-    blocks = space._layout[op.level_a]
+    blocks = op.space._layout[op.level_a]
     rng = np.random.default_rng(seed)
     family = [pc.density for pc in op.pieces]
     dens = op._densities()
@@ -590,7 +589,7 @@ def verify_representation(op: PolyhedralOperator, n_payoffs: int = 20,
     for _ in range(n_payoffs):
         coeff = rng.normal(0.0, 1.0, op.domain.dim)
         xv = sum(ck * b.values for ck, b in zip(coeff, op.domain.basis))
-        X = space.rv(xv, op.level_b)
+        X = RandomVariable(xv, op.level_b)
         target = op.scores(X).max(axis=1)
         # an infinite penalty scores -inf and drops out of both maxima
         scores = blocks.means(fam * X.values) - pens

@@ -5,6 +5,9 @@ Vectors are arrays ordered by atom index; partitions are arrays of arrays of
 atom indices; operators and bounds are tagged with their grid pair. Loading
 validates against the schema first and then rebuilds the in-memory objects,
 so every structural defect is reported with the JSON path that caused it.
+Every vector read from the document is checked for measurability at its
+declared level; the domain bases built from them are measurable by
+construction and are not checked again.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .dynamic import GridError, OperatorSystem, SystemStructureError
 from .operators import BoundPair, BoundsError, Piece, PolyhedralOperator
 from .spaces import FilteredSpace, MeasurabilityError, RandomVariable, SpaceError
-from .subspaces import Subspace, full_space, span_closure
+from .subspaces import full_space, span_closure
 
 SCHEMA_VERSION = "1"
 
@@ -180,16 +183,6 @@ def _build_space(block: dict) -> FilteredSpace:
         raise ScenarioError("$.space", str(err)) from err
 
 
-def _domain(space: FilteredSpace, generators: dict, s: int, t: int,
-            path: str) -> Subspace:
-    try:
-        if t in generators:
-            return span_closure(space, t, s, generators[t])
-        return full_space(space, t, s)
-    except MeasurabilityError as err:
-        raise ScenarioError(path, str(err)) from err
-
-
 def build_scenario(doc: dict) -> Scenario:
     """Validate against the schema and rebuild the in-memory objects."""
     _check_schema(doc)
@@ -229,8 +222,9 @@ def build_scenario(doc: dict) -> Scenario:
                                          f"{path}.pieces[{j}].penalty"),
                           s, f"{path}.pieces[{j}].penalty")
             pieces.append(Piece(density, penalty))
-        ops[(s, t)] = PolyhedralOperator(_domain(space, generators, s, t, path),
-                                         tuple(pieces))
+        domain = (span_closure(space, t, s, generators[t]) if t in generators
+                  else full_space(space, t, s))
+        ops[(s, t)] = PolyhedralOperator(domain, tuple(pieces))
 
     bounds = {}
     for i, item in enumerate(doc["bounds"]):

@@ -28,7 +28,9 @@ class Subspace:
     ``block_bases[a]`` holds, for block ``a`` of the coarse level, a matrix of
     shape (block size, local dimension) whose columns are orthonormal for the
     local inner product sum_w p_w u_w v_w. The global basis is the union of
-    the zero-extended columns.
+    the zero-extended columns. Each column must be exactly constant on the
+    level_b blocks, as :func:`span_closure` builds it; it is wrapped as a
+    level_b random variable without a measurability re-check.
     """
 
     space: FilteredSpace
@@ -50,7 +52,7 @@ class Subspace:
             col += mat.shape[1]
         object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "_basis_rvs", tuple(
-            self.space.rv(v, self.level_b) for v in matrix.T))
+            RandomVariable(v, self.level_b) for v in matrix.T))
 
     @property
     def dim(self) -> int:
@@ -97,6 +99,11 @@ def span_closure(space: FilteredSpace, level_b: int, level_a: int,
     generator into per-block pieces, so the result is the blockwise span of
     the restricted generators together with the block constants. With no
     generators this yields exactly the level_a measurable payoffs.
+
+    Each block is reduced on one row per level_b segment, weighted by the
+    segment's mass, and the reduced rows are broadcast to the segment's
+    atoms. The basis is therefore exactly level_b measurable whatever the
+    atom masses; generators are read at each segment's representative atom.
     """
     lb = space.check_level(level_b)
     la = space.check_level(level_a)
@@ -106,19 +113,14 @@ def span_closure(space: FilteredSpace, level_b: int, level_a: int,
         if g.level > lb:
             raise LevelError("generator finer than level_b")
 
+    cols = np.column_stack([np.ones(space.n_atoms)] + [g.values for g in generators])
     bases = []
-    for block in space.blocks(la):
-        ix = list(block)
-        w = space.probs[ix]
-        cols = [np.ones(len(ix))]
-        cols.extend(g.values[ix] for g in generators)
-        raw = np.column_stack(cols)
+    for sg in space._segments(lb, la):
         # weighted Gram reduction through an SVD of sqrt(p)-scaled columns
-        sq = np.sqrt(w)[:, None]
-        u, s, _ = np.linalg.svd(sq * raw, full_matrices=False)
+        sq = np.sqrt(sg.rows.probs)[:, None]
+        u, s, _ = np.linalg.svd(sq * cols[sg.reps], full_matrices=False)
         rank = int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
-        local = u[:, :rank] / sq
-        bases.append(local)
+        bases.append((u[:, :rank] / sq)[sg.rows.index])
     return Subspace(space, lb, la, tuple(bases))
 
 

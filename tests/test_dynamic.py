@@ -385,3 +385,14 @@ def test_extend_system_checks_each_declared_sandwich_once(monkeypatch):
         del calls[:]
         extend_system(system)
         assert sorted(calls) == sorted(system.declared_ops())
+
+
+@pytest.mark.parametrize("shape, seed", [
+    *[(treegen.Shape(2, 6, "linear"), seed) for seed in (3, 16, 23, 85, 92, 100)],
+    (treegen.Shape(2, 3, "polyhedral", long_unit=True), 92)],
+    ids=lambda v: v if isinstance(v, int) else "%d-%d-%s" % (v.b, v.T, v.bounds))
+def test_generated_systems_validate_on_their_first_draw(shape, seed):
+    # these draws used to be redrawn: their domain bases varied by 1e-12 to
+    # 1e-11 inside a block, which the measurability check rejected
+    _, system, attempt = treegen.accepted_system(sandwichext, shape, seed)
+    assert attempt == 0

@@ -20,6 +20,7 @@ from sandwichext import (
     LpStatusError,
     Piece,
     PolyhedralOperator,
+    RandomVariable,
     SandwichViolation,
     attain,
     cond_expectation,
@@ -35,7 +36,7 @@ from sandwichext import (
     span_closure,
     verify_representation,
 )
-from sandwichext.extension import TABLE_SIZE, _BlockProgram
+from sandwichext.extension import TABLE_SIZE, _BlockProgram, _mix_on_blocks
 from sandwichext.lp import LpError
 
 TOL = 1e-9
@@ -152,6 +153,30 @@ def test_conjugates_are_the_bits_of_freshly_built_programs(source, monkeypatch):
         distinct = {(a, op._conjugate_row(a, family[i]).tobytes())
                     for i in history for a in range(blocks.probs.size)}
         assert len(calls) == len(distinct) < history.size * blocks.probs.size
+
+
+@pytest.mark.parametrize("source", FIXTURES + [GOLDEN_TREE], ids=source_id)
+def test_conjugate_splice_on_separate_operators_is_the_blockwise_pick(source):
+    # conjugates are local: a blockwise splice of two densities has, on each
+    # block, the conjugate of the density it took there. Each density is
+    # priced on its own copy of the operator, so no block memo is shared and
+    # every value comes from a solve
+    system = _tree_or_fixture(source)
+    rng = np.random.default_rng(SEED + 5)
+    space = system.space
+    for op in system.declared_ops().values():
+        blocks = space._layout[op.level_a]
+        family = np.stack([pc.density.values for pc in op.pieces] + [np.ones(space.n_atoms)])
+        f1, f2 = (_mix_on_blocks(blocks, family, rng) for _ in range(2))
+
+        def priced(values):
+            fresh = PolyhedralOperator(op.domain, op.pieces)
+            return conjugate(fresh, RandomVariable(values, op.level_b)).by_block
+
+        c1, c2 = priced(f1), priced(f2)
+        for pick in (np.arange(blocks.probs.size) % 2, rng.integers(0, 2, blocks.probs.size)):
+            spliced = np.where(blocks.broadcast(pick) == 0, f1, f2)
+            assert priced(spliced).tobytes() == np.where(pick == 0, c1, c2).tobytes()
 
 
 def _two_block_space():

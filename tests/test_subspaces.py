@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sandwichext import (
+    BoundPair,
     FilteredSpace,
     LevelError,
     Piece,
     PolyhedralOperator,
+    RandomVariable,
     full_space,
     indicator,
+    maximal_extension,
     span_closure,
 )
 
@@ -99,3 +104,71 @@ def test_membership_does_not_depend_on_payoff_scale(scale):
     np.testing.assert_allclose(op.evaluate(member).values, scale / 4.0, rtol=1e-12)
     if scale >= 1.0:
         assert not sub.contains(space.rv(scale * np.array([0.0, 0.0, 1.0, 0.0])))
+
+
+@st.composite
+def skewed_trees(draw):
+    """A b-ary tree whose atom masses span nine decades, so sibling masses
+    differ by ratios down to 1e-9, with a pair of levels and a seed."""
+    b, T = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    n = b ** T
+    decades = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    raw = 10.0 ** -np.array(decades, dtype=float)
+    levels = [[list(range(k * b ** (T - t), (k + 1) * b ** (T - t)))
+               for k in range(b ** t)] for t in range(T + 1)]
+    space = FilteredSpace(raw / raw.sum(), levels, list(range(T + 1)))
+    level_a = draw(st.integers(0, T - 1))
+    level_b = draw(st.integers(level_a + 1, T))
+    return space, level_b, level_a, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(skewed_trees(), st.integers(0, 3))
+def test_span_closure_is_exact_on_skewed_masses(case, n_gens):
+    space, lb, la, seed = case
+    rng = np.random.default_rng(seed)
+    fine = space._layout[lb]
+    gens = [RandomVariable(fine.broadcast(rng.normal(size=fine.probs.size)), lb)
+            for _ in range(n_gens)]
+    if n_gens >= 2:     # a dependent generator adds no dimension
+        gens.append(RandomVariable(gens[0].values - 2.0 * gens[1].values, lb))
+    sub = span_closure(space, lb, la, gens)
+    mat = np.column_stack([v.values for v in sub.basis])
+    # measurable by construction: no spread at all on level_b blocks
+    assert not fine.spread(mat.T).any()
+    np.testing.assert_allclose(mat.T @ (space.probs[:, None] * mat), np.eye(sub.dim),
+                               rtol=0, atol=1e-12)
+    assert sub.contains(RandomVariable(np.ones(space.n_atoms), lb))
+    for g in gens:
+        assert sub.contains(g)
+        for a in range(space._layout[la].probs.size):
+            cut = g.values * (space._layout[la].index == a)
+            assert sub.contains(RandomVariable(cut, lb))
+    # the maximal extension restricted to the domain is the base operator
+    op = tilted_operator(space, lb, la, sub, rng)
+    n = space.n_atoms
+    ext = maximal_extension(op, BoundPair.linear(
+        space, lb, la, RandomVariable(np.full(n, 0.25), lb),
+        RandomVariable(np.full(n, 2.0), lb)))
+    for _ in range(3):
+        X = RandomVariable(mat @ rng.normal(size=sub.dim), lb)
+        tol = 1e-7 * max(1.0, float(np.abs(X.values).max()))
+        np.testing.assert_allclose(ext.evaluate(X).values, op.evaluate(X).values,
+                                   rtol=0, atol=tol)
+
+
+def tilted_operator(space, lb, la, domain, rng, n_pieces=3):
+    """Pieces with densities 1 + u / 2 for level_b payoffs u of zero block
+    mean and sup norm at most one, so every density lies in [0.5, 1.5]
+    whatever the masses; penalties have a zero floor on every block."""
+    fine, coarse = space._layout[lb], space._layout[la]
+    pens = rng.uniform(0.0, 0.5, size=(n_pieces, coarse.probs.size))
+    pens -= pens.min(axis=0)
+    pieces = []
+    for pen in pens:
+        h = fine.broadcast(rng.normal(size=fine.probs.size))
+        u = h - coarse.broadcast(coarse.means(h))
+        u /= max(1.0, float(np.abs(u).max()))
+        pieces.append(Piece(RandomVariable(1.0 + u / 2.0, lb),
+                            RandomVariable(coarse.broadcast(pen), la)))
+    return PolyhedralOperator(domain, tuple(pieces))
