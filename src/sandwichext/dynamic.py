@@ -26,12 +26,11 @@ import numpy as np
 
 from .extension import (ExtendedOperator, PenaltyValue, _assemble, _mix_on_blocks,
                         attain, minimal_penalty)
-from .operators import (BoundPair, CheckEntry, DomainError, PolyhedralOperator,
-                        ValidationReport, check_mM1, check_sandwich,
+from .operators import (VALUE_TOL, BoundPair, CheckEntry, DomainError,
+                        PolyhedralOperator, ValidationReport, check_mM1, check_sandwich,
                         validate_operator)
 from .spaces import FilteredSpace, LevelError, RandomVariable
 
-VALUE_TOL = 1e-9
 WEIGHT_FLOOR = 1e-300
 
 

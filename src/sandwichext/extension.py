@@ -41,8 +41,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .lp import (LinearProgram, LpError, LpResult, LpStatusError, _cost_tol, _pricing,
-                 solve_lp)
+from .lp import (FEAS_TOL, LinearProgram, LpError, LpResult, LpStatusError, _cost_tol,
+                 _pricing, solve_lp)
 from .operators import (BlockPolytope, BoundPair, DensityPolytope, CheckEntry,
                         PolyhedralOperator, PolytopeError, SandwichReport,
                         ValidationReport, check_sandwich)
@@ -176,8 +176,7 @@ def _block_rows(bounds: BoundPair, sg: _Segments):
                       for i in reps]
         a_eq = np.asarray(sp, dtype=float)[None, :]
         b_eq = np.array([pa])
-        a_ub = None
-        b_ub = None
+        a_ub = b_ub = None
     else:
         km, kM = bounds._kernels_at(reps)
         nm, nM = len(km), len(kM)
@@ -197,25 +196,31 @@ def _block_rows(bounds: BoundPair, sg: _Segments):
     return n_lift, a_eq, b_eq, a_ub, b_ub, var_bounds
 
 
-def density_set(bounds: BoundPair, space: FilteredSpace | None = None) -> DensityPolytope:
-    """Build the per-block density polytope and certify nonemptiness.
+def density_set(bounds: BoundPair) -> DensityPolytope:
+    """Build the per-block density polytope and certify that it is nonempty.
 
-    Raises PolytopeError naming the first empty block.
+    A linear block, the box [m0, M0] cut by the unit-mean budget, is nonempty
+    exactly when E[m0 | A] <= 1 <= E[M0 | A], tested within ``FEAS_TOL`` as
+    ``contains_on_block`` tests the budget; a polyhedral block is certified by
+    the status of a phase-1 LP. Raises PolytopeError naming the first empty block.
     """
-    space = space or bounds.space
     blocks = []
-    for a, sg in enumerate(space._segments(bounds.level_b, bounds.level_a)):
+    for a, sg in enumerate(bounds.space._segments(bounds.level_b, bounds.level_a)):
         n_lift, a_eq, b_eq, a_ub, b_ub, var_bounds = _block_rows(bounds, sg)
-        res = solve_lp(LinearProgram(
-            c=np.zeros(sg.ids.size + n_lift), sense="min", a_eq=a_eq, b_eq=b_eq,
-            a_ub=a_ub, b_ub=b_ub, bounds=var_bounds))
-        if res.status != "optimal":
+        if bounds.kind == "linear":
+            mean_lo, mean_hi = np.array(var_bounds).T @ a_eq[0] / sg.prob
+            empty = mean_lo > 1.0 + FEAS_TOL or mean_hi < 1.0 - FEAS_TOL
+        else:
+            empty = solve_lp(LinearProgram(
+                c=np.zeros(sg.ids.size + n_lift), sense="min", a_eq=a_eq, b_eq=b_eq,
+                a_ub=a_ub, b_ub=b_ub, bounds=var_bounds)).status != "optimal"
+        if empty:
             raise PolytopeError(
                 f"density polytope empty on block {a} of level {bounds.level_a}",
                 level_a=bounds.level_a, block=a)
         blocks.append(BlockPolytope(
             seg=sg, n_lift=n_lift, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-            var_bounds=tuple(var_bounds), feasible_point=res.x))
+            var_bounds=tuple(var_bounds)))
     return DensityPolytope(bounds=bounds, blocks=tuple(blocks))
 
 

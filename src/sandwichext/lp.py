@@ -5,8 +5,8 @@ A u = b, u >= 0. The column with the most negative reduced cost enters
 (Dantzig); a run of degenerate pivots hands over to Bland's least-index rule
 until a pivot moves, so it cannot cycle. Problems in this package are tiny
 (tens of variables), so each pass inverts the basis matrix once and reuses
-the inverse for the basic solution, the duals and the entering column; there
-is no tableau drift to manage.
+the inverse for the duals, the entering column and the basic solution of the
+ratio test; there is no tableau drift to manage.
 
 Phase 1 starts each row on its slack where that keeps coefficient +1 and
 adds artificials for the other rows only; without them it is skipped.
@@ -282,8 +282,9 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
     pricing, or Bland's while the last BLAND_AFTER pivots stepped <= FEAS_TOL.
     Each pass is ``_pricing``'s test with tol = ``_cost_tol(c)``, so an
     accepted vertex is within tol * |u*|_1 of an optimum u*.
-    Returns (status, basis, x_basic, y, iterations, j, d, B^-1): 'optimal'
-    with d flagging reduced costs > tol, 'unbounded' with entering j, ray d."""
+    Returns (status, basis, B^-1, y, iterations, d, j), the basis an intp
+    array: 'optimal' with d flagging reduced costs > tol, 'unbounded' with
+    ray d and entering j. The basic solution is B^-1 b, left to the caller."""
     tol = _cost_tol(c)
     it, stalled = start_iter, 0
     basis = np.array(basis, dtype=np.intp)     # a list index is converted on every use
@@ -293,17 +294,16 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
         it += 1
         if binv is None:
             binv = np.linalg.inv(a[:, basis])
-        xb = binv @ b
         y, reduced, entering, optimal = _pricing(a, c, basis, binv, twin, tol,
                                                  stalled >= BLAND_AFTER)
         if optimal:
-            return "optimal", basis.tolist(), xb, y, it, None, reduced > tol, binv
+            return "optimal", basis, binv, y, it, reduced > tol, None
         d = binv @ a[:, entering]
         # a few rows: the ratio test runs on Python floats
         ratios = [(x / di, bi, i) for i, (x, di, bi) in enumerate(
-            zip(xb.tolist(), d.tolist(), basis.tolist())) if di > PIVOT_TOL]
+            zip((binv @ b).tolist(), d.tolist(), basis.tolist())) if di > PIVOT_TOL]
         if not ratios:
-            return "unbounded", basis.tolist(), xb, y, it, entering, d, binv
+            return "unbounded", basis, binv, y, it, d, entering
         theta = min(ratios)[0]
         stalled = stalled + 1 if theta <= FEAS_TOL else 0
         # Bland: among minimal ratios leave the smallest basic variable index
@@ -336,11 +336,11 @@ def solve_lp(lp: LinearProgram, warm: bool = False) -> LpResult:
     else:
         a1 = np.hstack([amat, np.eye(m)[:, form.need]])
         c1 = np.concatenate([np.zeros(n_s), np.ones(a1.shape[1] - n_s)])
-        status, basis, xb, y, iters, _, _, _ = _simplex(
+        status, basis, binv1, y, iters, _, _ = _simplex(
             a1, bvec, c1, form.start.tolist(), form.twin, 0, np.eye(m))
         if status != "optimal":              # phase 1 is always bounded below
             raise LpError("phase 1 reported unbounded")
-        if float(c1[basis] @ xb) > FEAS_TOL:
+        if float(c1[basis] @ (binv1 @ bvec)) > FEAS_TOL:
             cert = _farkas_certificate(form, y)
             return LpResult("infeasible", math.nan, None, None, cert, iters)
         # Drive artificials out or drop redundant rows. The phase-1 objective
@@ -352,48 +352,44 @@ def solve_lp(lp: LinearProgram, warm: bool = False) -> LpResult:
         for i in range(m):
             if basis[i] >= n_s:
                 row = np.linalg.solve(a1[:, basis].T, np.eye(m)[i]) @ amat
-                row[[bi for bi in basis if bi < n_s]] = 0.0
+                row[basis[basis < n_s]] = 0.0
                 cand = np.flatnonzero(np.abs(row) > DROP_TOL)
                 if cand.size:
-                    basis[i] = int(cand[0])
+                    basis[i] = cand[0]
                 else:
                     keep[i] = False
         rows = np.flatnonzero(keep).tolist()
-        basis = [basis[i] for i in rows]
+        basis = basis[rows]
 
     # --- phase 2 -----------------------------------------------------------
     a2, b2 = (amat[rows], bvec[rows]) if last is None else (last.a, last.b)
-    status, basis, xb, y, iters, enter, d, binv = _simplex(
+    status, basis, binv, y, iters, d, enter = _simplex(
         a2, b2, cost, basis, form.twin, iters, binv)
-    if last is not None and iters == 1 and status == "optimal":   # on the kept vertex
-        form.last = last
-        return LpResult("optimal", float(lp.c @ last.x), last.x,
-                        float(sgn * (y @ b2 + const)), None, 1, last.basis, (d, form))
-    u = np.zeros(n_s)
-    u[basis] = xb
-    x_here = form.shift + form.umat @ u[:n_u]
-    if status == "unbounded":
-        ray_u = np.zeros(n_s)
-        ray_u[enter] = 1.0
-        ray_u[basis] = -d
-        cert = {"kind": "ray", "ray": form.umat @ ray_u[:n_u], "from_point": x_here}
-        return LpResult("unbounded", -sgn * _INF, None, None, cert, iters)
-
-    # loud failure beats a silently corrupted answer: a basis bad enough to
-    # break feasibility at this scale of problem is a bug, not an outcome
-    (a_eq, b_eq), (a_ub, b_ub) = form.eq, form.ub
-    resid = max(np.abs(a_eq @ x_here - b_eq).max(initial=0.0),
-                (a_ub @ x_here - b_ub).max(initial=0.0),
-                (form.lo - x_here).max(), (x_here - form.hi).max(), 0.0)
-    if resid > 1e-6:
-        raise LpError(f"optimal basis fails feasibility re-check ({resid:.3e})")
-
-    x_here.setflags(write=False)
-    value = float(lp.c @ x_here)
-    dual_objective = float(sgn * (y @ b2 + const))
-    found = (tuple(rows), tuple(basis))
-    form.last = _Vertex(found, binv, a2, b2, np.array(basis, dtype=np.intp), x_here)
-    return LpResult("optimal", value, x_here, dual_objective, None, iters, found, (d, form))
+    if status == "optimal" and last is not None and iters == 1:   # on the kept vertex
+        vertex = last
+    else:
+        u = np.zeros(n_s)
+        u[basis] = binv @ b2
+        x_here = form.shift + form.umat @ u[:n_u]
+        if status == "unbounded":
+            ray_u = np.zeros(n_s)
+            ray_u[enter] = 1.0
+            ray_u[basis] = -d
+            cert = {"kind": "ray", "ray": form.umat @ ray_u[:n_u], "from_point": x_here}
+            return LpResult("unbounded", -sgn * _INF, None, None, cert, iters)
+        # loud failure beats a silently corrupted answer: a basis bad enough to
+        # break feasibility at this scale of problem is a bug, not an outcome
+        (a_eq, b_eq), (a_ub, b_ub) = form.eq, form.ub
+        resid = max(np.abs(a_eq @ x_here - b_eq).max(initial=0.0),
+                    (a_ub @ x_here - b_ub).max(initial=0.0),
+                    (form.lo - x_here).max(), (x_here - form.hi).max(), 0.0)
+        if resid > 1e-6:
+            raise LpError(f"optimal basis fails feasibility re-check ({resid:.3e})")
+        x_here.setflags(write=False)
+        vertex = _Vertex((tuple(rows), tuple(basis.tolist())), binv, a2, b2, basis, x_here)
+    form.last = vertex
+    return LpResult("optimal", float(lp.c @ vertex.x), vertex.x, float(sgn * (y @ b2 + const)),
+                    None, iters, vertex.basis, (d, form))
 
 
 def _farkas_certificate(form: _StandardForm, y_std: np.ndarray) -> dict:

@@ -529,7 +529,6 @@ class BlockPolytope:
     a_ub: np.ndarray | None
     b_ub: np.ndarray | None
     var_bounds: tuple[tuple[float, float], ...]
-    feasible_point: np.ndarray
 
     @property
     def n_f(self) -> int:

@@ -88,17 +88,17 @@ def fresh_warm_solve(lp, basis):
     form = fresh._form
     rows, cols = map(list, basis)
     a, b = form.amat[rows], form.bvec[rows]
-    status, cols, xb, y, passes, _, marks, _ = _simplex(
+    status, cols, binv, y, passes, marks, _ = _simplex(
         a, b, form.cost(fresh.c), cols, form.twin, 0, np.linalg.inv(a[:, cols]))
     if status == "unbounded":
         return LpResult("unbounded", -form.sgn * math.inf, iterations=passes)
     u = np.zeros(form.amat.shape[1])
-    u[cols] = xb
+    u[cols] = binv @ b
     x = form.shift + form.umat @ u[:form.var.size]
     x.setflags(write=False)
     const = float(form.sgn * (fresh.c @ form.shift))
     return LpResult("optimal", float(fresh.c @ x), x, float(form.sgn * (y @ b + const)),
-                    None, passes, (tuple(rows), tuple(cols)), (marks, form))
+                    None, passes, (tuple(rows), tuple(cols.tolist())), (marks, form))
 
 
 def fixture_path(name: str) -> pathlib.Path:
@@ -240,8 +240,13 @@ def random_polyhedral(space, level_b, level_a, rng, max_pieces=3,
 
 
 def enclosing_bounds(space, level_b, level_a, op, slack=(0.8, 1.25)):
-    """Constant linear bounds wide enough to dominate every piece atomwise,
-    so the sandwich holds along the fast path."""
+    """Constant linear bounds around every piece density: ``slack`` times its
+    minimum and maximum, with the lower bound clipped to [1e-2, 0.9] and the
+    upper raised to at least 1.5. Below 1e-2 / slack[0] (0.0125 by default)
+    the floor binds: a density in [1e-2, 0.0125) is enclosed with less room
+    than ``slack`` asks, and one below 1e-2 is not enclosed at all, so there
+    the bounds need not dominate the piece and ``check_sandwich``'s fast path is
+    not guaranteed."""
     dens = np.stack([pc.density.values for pc in op.pieces])
     lo = float(np.clip(slack[0] * dens.min(), 1e-2, 0.9))
     hi = float(max(slack[1] * dens.max(), 1.5))

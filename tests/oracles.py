@@ -53,6 +53,21 @@ def scipy_conjugate(op, f_values) -> np.ndarray:
     return np.array(out)
 
 
+def scipy_box_budget_feasible(probs, lower, upper) -> bool:
+    """Whether some f with lo <= f <= hi has E[f] = 1 on one block.
+
+    scipy's LP over the atoms, with the budget row in conditional weights
+    (probs / their sum), so that its feasibility tolerance is relative to the
+    block's mass.
+    """
+    p = np.asarray(probs, dtype=float)
+    res = optimize.linprog(np.zeros(p.size), A_eq=[p / p.sum()], b_eq=[1.0],
+                           bounds=list(zip(lower, upper)), method="highs")
+    if res.status not in (0, 2):
+        raise RuntimeError(f"box-budget oracle LP status {res.status}")
+    return res.status == 0
+
+
 def box_budget_vertices(lower, upper, probs) -> np.ndarray:
     """All vertices of {lo <= f <= hi, E[f] = 1} on one block.
 

@@ -20,6 +20,7 @@ from sandwichext import (
     LpStatusError,
     Piece,
     PolyhedralOperator,
+    PolytopeError,
     RandomVariable,
     SandwichViolation,
     attain,
@@ -431,12 +432,76 @@ def test_verify_representation_on_fixture_ops(two_atom, three_atom):
                 "conjugate_splice_exact"} <= names
 
 
-def test_polytope_feasible_points_are_members(two_atom, three_atom):
-    for bundle in (two_atom, three_atom):
-        poly = density_set(bundle.bounds)
-        for a, bp in enumerate(poly.blocks):
-            assert poly.contains_on_block(
-                a, bp.seg.rows.broadcast(bp.feasible_point[:bp.n_f]))
+def _first_empty_block(bounds):
+    """The block ``density_set`` names empty, or None when it builds."""
+    try:
+        density_set(bounds)
+    except PolytopeError as err:
+        return err.block
+    return None
+
+
+def _scipy_first_empty_block(bounds):
+    space = bounds.space
+    for a, block in enumerate(space.blocks(bounds.level_a)):
+        ix = list(block)
+        if not oracles.scipy_box_budget_feasible(
+                space.probs[ix], bounds.m0.values[ix], bounds.M0.values[ix]):
+            return a
+    return None
+
+
+def _two_block_box(probs, m0, M0):
+    """Linear bounds on atoms ``probs`` in two level-1 blocks, the first of
+    two atoms."""
+    n = len(probs)
+    space = FilteredSpace(probs=np.array(probs), levels=[
+        [list(range(n))], [[0, 1], list(range(2, n))], [[i] for i in range(n)]],
+        time_labels=[0.0, 1.0, 2.0])
+    return BoundPair.linear(space, 2, 1, space.rv(m0), space.rv(M0))
+
+
+def test_linear_polytope_emptiness_matches_scipy(two_atom, three_atom):
+    linear = [two_atom.bounds, three_atom.bounds] + [
+        bounds for name in FIXTURES
+        for bounds in load_scenario(fixture_path(name)).system.bounds.values()
+        if bounds.kind == "linear"]
+    assert len(linear) > 2
+    for bounds in linear:
+        assert _first_empty_block(bounds) is None
+        assert _scipy_first_empty_block(bounds) is None
+    # seeded random boxes, none within 1e-6 of the budget's edge
+    rng = np.random.default_rng(SEED)
+    seen = set()
+    for _ in range(60):
+        n = int(rng.integers(3, 7))
+        probs = rng.uniform(0.1, 1.0, size=n)
+        probs /= probs.sum()
+        m0 = rng.uniform(0.0, 1.3, size=n)
+        M0 = m0 + rng.uniform(0.0, 1.5, size=n)
+        bounds = _two_block_box(probs, m0, M0)
+        blocks = [list(block) for block in bounds.space.blocks(1)]
+        if min(abs(probs[ix] @ k[ix] / probs[ix].sum() - 1.0)
+               for ix in blocks for k in (m0, M0)) < 1e-6:
+            continue
+        verdict = _first_empty_block(bounds)
+        assert verdict == _scipy_first_empty_block(bounds)
+        seen.add(verdict)
+    assert seen == {None, 0, 1}
+    # edges: a budget met exactly at one end of the box is nonempty, as phase 1
+    # said; one missed by 1e-6 relative is empty; so is m0 = 1.5 on a block of
+    # mass 1e-9, whose absolute miss 5e-10 is within FEAS_TOL
+    quarter = [0.25] * 4
+    cases = [(quarter, [0.5, 0.5, 0.5, 0.5], [1.0, 1.0, 2.0, 2.0], None),
+             (quarter, [1.0, 1.0, 0.5, 0.5], [2.0, 2.0, 2.0, 2.0], None),
+             (quarter, [0.5, 0.5, 0.5, 0.5], [1.0 - 1e-6, 1.0 - 1e-6, 2.0, 2.0], 0),
+             (quarter, [1.0 + 1e-6, 1.0 + 1e-6, 0.5, 0.5], [2.0, 2.0, 2.0, 2.0], 0),
+             ([5e-10, 5e-10, 0.5 - 5e-10, 0.5 - 5e-10], [1.5, 1.5, 0.5, 0.5],
+              [2.0, 2.0, 2.0, 2.0], 0)]
+    for probs, m0, M0, empty in cases:
+        bounds = _two_block_box(probs, m0, M0)
+        assert _first_empty_block(bounds) == empty
+        assert _scipy_first_empty_block(bounds) == empty
 
 
 def test_evaluation_memo_is_a_bounded_lru(three_atom, monkeypatch):

@@ -69,6 +69,25 @@ def test_unbounded_with_improving_ray():
     # the ray must keep feasibility and strictly improve the objective
     assert np.all(np.asarray(lp.a_ub) @ ray <= 1e-12)
     assert float(np.asarray(lp.c) @ ray) < -1e-9
+    _assert_feasible_ray(lp, res.certificate)
+    # a warm solve that pivots off the kept vertex (0, 0) before it finds the
+    # ray: x0 - x1 <= 2, min -x0 - x1 goes to (2, 0), then along (1, 1)
+    lp = LinearProgram(c=[1.0, 1.0], a_ub=[[1.0, -1.0]], b_ub=[2.0])
+    assert solve_lp(lp).status == "optimal"
+    warm = solve_lp(lp.with_objective([-1.0, -1.0]), warm=True)
+    assert (warm.status, warm.value, warm.iterations) == ("unbounded", -math.inf, 2)
+    np.testing.assert_allclose(warm.certificate["from_point"], [2.0, 0.0], atol=1e-12)
+    _assert_feasible_ray(lp, warm.certificate)
+
+
+def _assert_feasible_ray(lp, cert):
+    """``from_point`` and ``from_point + s * ray``, s up to 1e3, are feasible."""
+    lo, hi = np.array(lp.bounds).T
+    for s in (0.0, 1.0, 10.0, 1e3):
+        x = cert["from_point"] + s * cert["ray"]
+        tol = 1e-9 * (1.0 + s)
+        assert np.all(np.asarray(lp.a_ub) @ x <= np.asarray(lp.b_ub) + tol)
+        assert np.all(lo - tol <= x) and np.all(x <= hi + tol)
 
 
 def test_infeasible_with_farkas_certificate():
