@@ -208,7 +208,7 @@ class ExtendedSystem:
     block program, a bounded memo of centered faces, a bounded table of the
     optimal bases ``evaluate`` reads values off (dropped after ``TABLE_SIZE``
     misses in a row) and the vertex record its LP's standard form keeps for
-    the next warm solve. Evaluating and pricing mutate that state, so use
+    the next warm solve, and per step the tables stacked for one test. Evaluating and pricing mutate that state, so use
     an instance from one thread at a time.
     """
 

@@ -38,11 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import chain, count
 
 import numpy as np
 
 from .lp import (FEAS_TOL, LinearProgram, LpError, LpResult, LpStatusError, _cost_tol,
-                 _pricing, solve_lp)
+                 _stacked_pricing, solve_lp)
 from .operators import (BlockPolytope, BoundPair, DensityPolytope, CheckEntry,
                         PolyhedralOperator, PolytopeError, SandwichReport,
                         ValidationReport, check_sandwich)
@@ -138,25 +139,32 @@ def _block_conjugate(op: PolyhedralOperator, a: int, values: np.ndarray) -> floa
     the splice and locality checks compare. So the block memoizes its values
     by the objective's bytes, in a least-recently-used memo of
     ``CONJUGATE_MEMO_SIZE`` values, and a hit is the bits a solve would give.
-    A raw solver fault becomes an ``LpStatusError`` naming the block, and a
-    failed solve leaves no entry.
+    A raw solver fault becomes an ``LpStatusError`` naming the block (see
+    ``_solved``), and a failed solve leaves no entry.
     """
     c = op._conjugate_row(a, values)
 
     def solve() -> float:
-        levels = (op.level_a, op.level_b)
-        try:
-            res = solve_lp(op._conjugate_lps[a].with_objective(c))
-        except (LpError, np.linalg.LinAlgError) as err:
-            raise LpStatusError("conjugate LP", levels, a, type(err).__name__,
-                                why=str(err)) from err
-        if res.status == "unbounded":
-            return math.inf
-        if res.status != "optimal":
-            raise LpStatusError("conjugate LP", levels, a, res.status)
-        return max(res.value, 0.0)
+        res = _solved("conjugate LP", (op.level_a, op.level_b), a,
+                      op._conjugate_lps[a].with_objective(c), ok=("optimal", "unbounded"))
+        return math.inf if res.status == "unbounded" else max(res.value, 0.0)
 
     return _memoized(op._conjugate_memos[a], c.tobytes(), CONJUGATE_MEMO_SIZE, solve)
+
+
+def _solved(name: str, levels: tuple[int, int], block: int, lp: LinearProgram,
+            warm: bool = False, ok: tuple[str, ...] = ("optimal",), why: str = "") -> LpResult:
+    """``solve_lp(lp, warm=warm)``, whose status must be one of ``ok``.
+    Otherwise an ``LpStatusError`` names the LP, the pair, the block and the
+    status, or the error class of a raw solver fault (``LpError`` or
+    ``LinAlgError``) with its message."""
+    try:
+        res = solve_lp(lp, warm=warm)
+    except (LpError, np.linalg.LinAlgError) as err:
+        raise LpStatusError(name, levels, block, type(err).__name__, why=str(err)) from err
+    if res.status not in ok:
+        raise LpStatusError(name, levels, block, res.status, why=why)
+    return res
 
 
 # --------------------------------------------------------------------------
@@ -211,9 +219,10 @@ def density_set(bounds: BoundPair) -> DensityPolytope:
             mean_lo, mean_hi = np.array(var_bounds).T @ a_eq[0] / sg.prob
             empty = mean_lo > 1.0 + FEAS_TOL or mean_hi < 1.0 - FEAS_TOL
         else:
-            empty = solve_lp(LinearProgram(
-                c=np.zeros(sg.ids.size + n_lift), sense="min", a_eq=a_eq, b_eq=b_eq,
-                a_ub=a_ub, b_ub=b_ub, bounds=var_bounds)).status != "optimal"
+            lp = LinearProgram(c=np.zeros(sg.ids.size + n_lift), sense="min", a_eq=a_eq,
+                               b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, bounds=var_bounds)
+            empty = _solved("density set LP", (bounds.level_a, bounds.level_b), a, lp,
+                            ok=("optimal", "infeasible")).status != "optimal"
         if empty:
             raise PolytopeError(
                 f"density polytope empty on block {a} of level {bounds.level_a}",
@@ -263,12 +272,13 @@ class _BlockProgram:
     vertex record the solve left as its form's kept vertex (B^-1, the kept
     rows and the read-only solution ``x``, which does not depend on the
     objective); the constraints never change, so nothing is checked again.
-    ``lookup`` prices the entries with the simplex's own optimality test, so
-    a hit is exactly a warm solve from that record that stops after one
-    pass; its value is that solve's ``c @ x``, and the record becomes the
-    form's kept vertex, as after that solve. The table is an LRU of at most
-    ``TABLE_SIZE`` entries. ``TABLE_SIZE`` missed lookups in a row drop it
-    for good: the block's optimal bases outnumber it, and its lookups would
+    The extension prices every entry of its live tables at once with the
+    simplex's own optimality test (``_TableStack``), and ``take`` reads the
+    block's verdicts: a hit is exactly a warm solve from that record that
+    stops after one pass; its value is that solve's ``c @ x``, and the record
+    becomes the form's kept vertex, as after that solve. The table is an LRU
+    of at most ``TABLE_SIZE`` entries. ``TABLE_SIZE`` misses in a row drop it
+    for good: the block's optimal bases outnumber it, and its tests would
     only add cost. ``attain`` neither reads nor fills it.
     """
 
@@ -278,41 +288,39 @@ class _BlockProgram:
     levels: tuple[int, int]     # the extension's level pair (s, t)
     faces: dict = field(default_factory=dict, repr=False)
     table: dict = field(default_factory=dict, repr=False)
-    misses: int = 0             # table lookups missed in a row
+    misses: int = 0             # table tests missed in a row
 
     @cached_property
     def lp(self) -> LinearProgram:
         return self.make_lp()
 
-    def objective(self, x_reps: np.ndarray) -> np.ndarray:
+    def program(self, x_reps: np.ndarray) -> LinearProgram:
         c = self.lp.c.copy()
         c[:self.poly.n_f] = self.weights * x_reps
-        return c
+        return self.lp.with_objective(c)
 
-    def program(self, x_reps: np.ndarray) -> LinearProgram:
-        return self.lp.with_objective(self.objective(x_reps))
-
-    def lookup(self, x_reps: np.ndarray) -> float | None:
-        """The value at ``x_reps`` off the first tabled basis optimal for it,
-        testing the form's kept vertex first, then the newest; None on a miss.
-        A hit becomes the newest entry and the form's kept vertex."""
-        c = self.objective(x_reps)
+    def take(self, rows: dict, priced: list) -> float | None:
+        """The value off the first tabled basis optimal for the payoff,
+        trying the form's kept vertex first, then the newest; None on a miss,
+        which is counted. ``rows`` maps the table's keys to their places in
+        ``priced``, which holds an entry's value where its basis passed the
+        test and None where it failed. A hit becomes the newest entry and
+        the form's kept vertex."""
         form = self.lp._form
-        cost = form.cost(c)
-        tol = _cost_tol(cost)
-        kept = self.table.get(form.last.basis) if form.last else None
-        rest = [e for e in reversed(self.table.values()) if e is not kept]
-        for vertex in [kept] + rest if kept else rest:
-            if _pricing(vertex.a, cost, vertex.cols, vertex.binv, form.twin, tol)[3]:
-                self.table[vertex.basis] = self.table.pop(vertex.basis)
-                form.last = vertex
+        order = reversed(self.table)
+        if form.last is not None and form.last.basis in rows:
+            order = chain((form.last.basis,), order)
+        for key in order:
+            value = priced[rows[key]]
+            if value is not None:
+                self.table[key] = form.last = self.table.pop(key)
                 self.misses = 0
-                return float(c @ vertex.x)
+                return value
         self.misses += 1
         return None
 
     def remember(self, res: LpResult) -> None:
-        """Table the vertex the solve ``res`` that followed a missed lookup
+        """Table the vertex the solve ``res`` that followed a missed test
         left kept, or drop the table on the ``TABLE_SIZE``-th miss in a row."""
         if self.misses >= TABLE_SIZE:
             self.table.clear()
@@ -320,6 +328,55 @@ class _BlockProgram:
         self.table[res.basis] = self.lp._form.last
         if len(self.table) > TABLE_SIZE:
             del self.table[next(iter(self.table))]
+
+
+class _TableStack:
+    """Every entry of an extension's live basis tables, stacked so that one
+    optimality test per payoff prices them all.
+
+    Entries are grouped by the shape of their kept rows and their block's
+    number of density variables. A group stacks, per entry, the kept rows,
+    B^-1, the basic columns and the solution ``x``, and its block's penalty
+    objective, segment weights and representatives. The block programs of
+    an extension share one standard-form layout (sense max, every variable
+    bounded below), so a group's costs are its first form's ``cost``.
+    ``rows[a]`` maps block ``a``'s table keys to their places in ``priced``;
+    it is None for a dropped table. A hit only reorders a table, so the
+    stack stands until a table gains, loses or drops entries.
+    """
+
+    def __init__(self, programs: list[_BlockProgram]):
+        self.rows = [None if prog.misses >= TABLE_SIZE else {} for prog in programs]
+        groups: dict = {}
+        for prog, rows in zip(programs, self.rows):
+            for key, vertex in prog.table.items() if rows is not None else ():
+                groups.setdefault((vertex.a.shape, prog.poly.n_f), []).append(
+                    (prog, rows, key, vertex))
+        self.groups = []
+        places = count()
+        for group in groups.values():
+            for _, rows, key, _ in group:
+                rows[key] = next(places)
+            progs, _, _, vertices = zip(*group)
+            self.groups.append((progs[0].lp._form, progs[0].poly.n_f, *map(np.array, (
+                [v.a for v in vertices], [v.binv for v in vertices],
+                [v.cols for v in vertices], [v.x for v in vertices],
+                [p.lp.c for p in progs], [p.weights for p in progs],
+                [p.poly.seg.reps for p in progs]))))
+
+    def priced(self, x: np.ndarray) -> list:
+        """Per entry, the value ``c @ x`` of the objective ``c`` of payoff
+        ``x`` where ``_pricing`` finds its basis optimal, else None; each
+        stacked product has the bits of the one-entry product."""
+        out = []
+        for form, n_f, a, binv, cols, xs, c, weights, reps in self.groups:
+            c = c.copy()
+            c[:, :n_f] = weights * x[reps]
+            cost = form.cost(c)
+            _, optimal = _stacked_pricing(a, cost, cols, binv, form.twin, _cost_tol(cost))
+            values = np.matmul(c[:, None], xs[:, :, None])[:, 0, 0]
+            out += [v if ok else None for v, ok in zip(values.tolist(), optimal.tolist())]
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,11 +393,14 @@ class ExtendedOperator:
     Callable on every fine-level payoff; restriction to the original domain
     reproduces the base operator. Evaluation results are memoized per payoff
     vector in a least-recently-used memo of ``EVAL_MEMO_SIZE`` entries. On a
-    memo miss each block's value is read off its program's table of optimal
-    bases when an entry passes the simplex's optimality test for the payoff;
+    memo miss one stacked pass (``_TableStack``) prices every entry of every
+    live table of optimal bases with the simplex's optimality test for the
+    payoff, and each block's value is read off its first passing entry;
     otherwise the block solves warm and tables the basis it ends on. A table
     holds at most ``TABLE_SIZE`` bases, least recently used first out, and
     ``TABLE_SIZE`` misses in a row drop it for good (see ``_BlockProgram``).
+    The first evaluate builds the stack; one that changes a table drops it,
+    and the next evaluate builds it anew.
     ``attain`` solves every block program again, and memoizes per block the
     centered point of each optimal face it reaches, in a least-recently-used
     memo of ``FACE_MEMO_SIZE`` faces. Each block program's LP keeps its
@@ -357,6 +417,7 @@ class ExtendedOperator:
     polytope: DensityPolytope
     _programs: list[_BlockProgram] = field(default_factory=list, repr=False)
     _eval_cache: dict = field(default_factory=dict, repr=False)
+    _stack: _TableStack | None = field(default=None, repr=False)
 
     @property
     def space(self) -> FilteredSpace:
@@ -379,32 +440,30 @@ class ExtendedOperator:
     __call__ = evaluate
 
     def _solve(self, X: RandomVariable) -> RandomVariable:
-        by_block = np.array([self._block_value(a, X.values)
-                             for a in range(len(self._programs))])
+        """Each block's value at ``X``: off its table where one passed the
+        stacked test, else a warm solve that a live table then keeps."""
+        if self._stack is None:
+            self._stack = _TableStack(self._programs)
+        stack = self._stack
+        priced = stack.priced(X.values)
+        by_block = np.empty(len(self._programs))
+        for a, (prog, rows) in enumerate(zip(self._programs, stack.rows)):
+            value = None if rows is None else prog.take(rows, priced)
+            if value is None:
+                res = self._solve_block(a, X.values)
+                if rows is not None:
+                    prog.remember(res)
+                    self._stack = None
+                value = res.value
+            by_block[a] = value
         return RandomVariable(
             self.space._layout[self.level_a].broadcast(by_block), self.level_a)
 
-    def _block_value(self, a: int, x: np.ndarray) -> float:
-        """Block ``a``'s value at payoff ``x``: off its table, or a warm solve
-        that the table then keeps."""
-        prog = self._programs[a]
-        if prog.misses >= TABLE_SIZE:
-            return self._solve_block(a, x).value
-        value = prog.lookup(x[prog.poly.seg.reps])
-        if value is None:
-            res = self._solve_block(a, x)
-            prog.remember(res)
-            value = res.value
-        return value
-
     def _solve_block(self, a: int, x: np.ndarray) -> LpResult:
         prog = self._programs[a]
-        res = solve_lp(prog.program(x[prog.poly.seg.reps]), warm=True)
-        if res.status != "optimal":
-            raise LpStatusError(
-                "extension block program", (self.level_a, self.level_b), a, res.status,
-                why="the sandwich precondition should rule this out")
-        return res
+        return _solved("extension block program", prog.levels, a,
+                       prog.program(x[prog.poly.seg.reps]), warm=True,
+                       why="the sandwich precondition should rule this out")
 
 
 def maximal_extension(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOperator:
@@ -526,10 +585,8 @@ def _center_on_face(prog: _BlockProgram, res: LpResult, block: int) -> np.ndarra
     slack = np.maximum(h - g @ z0, 0.0)
 
     def solve(c, a, b, bounds):
-        out = solve_lp(LinearProgram(c=c, sense="max", a_ub=a, b_ub=b, bounds=bounds))
-        if out.status != "optimal":
-            raise LpStatusError("centering LP", prog.levels, block, out.status)
-        return out.x
+        return _solved("centering LP", prog.levels, block,
+                       LinearProgram(c=c, sense="max", a_ub=a, b_ub=b, bounds=bounds)).x
 
     # max sum t over 0 <= t <= 1 and g N w + t <= alpha * slack, alpha >= 1:
     # scaling by alpha lifts every slack that can be positive on the face to

@@ -24,7 +24,9 @@ one tuple, read once per solve and replaced whole, so programs sharing a
 form may be solved from several threads. ``_pricing`` is the optimality test
 each simplex pass makes: applied to a record and a new objective's
 ``_StandardForm.cost``, it tells without a solve whether a warm solve from
-that record would stop at once, on the record's x.
+that record would stop at once, on the record's x. ``_stacked_pricing`` is
+the same test over a stack of records, each row with its own costs, and
+``cost`` and ``_cost_tol`` take such stacks too.
 
 Determinism: the same sequence of calls gives the same bytes. A warm solve
 may end on a different vertex of a non-unique optimum than a cold one, with
@@ -189,12 +191,15 @@ class _StandardForm:
         self.start = np.arange(var.size - m_eq, var.size - m_eq + m)
         self.start[need] = np.arange(amat.shape[1], amat.shape[1] + need.sum())
         self.sgn = 1.0 if lp.sense == "min" else -1.0   # derived programs keep the sense
+        self.scale = self.sgn * sign                      # phase 2's cost per u, per unit of c
         self.last = None       # the _Vertex of the last optimal solve
 
     def cost(self, c: np.ndarray) -> np.ndarray:
-        """Phase 2's costs of objective ``c``, a minimization over the columns."""
-        return np.concatenate([self.sgn * c[self.var] * self.sign,
-                               np.zeros(self.amat.shape[1] - self.var.size)])
+        """Phase 2's costs of objective ``c``, a minimization over the columns;
+        ``c`` may stack objectives along leading axes."""
+        cost = np.zeros((*c.shape[:-1], self.amat.shape[1]))
+        cost[..., :self.var.size] = c.take(self.var, -1) * self.scale
+        return cost
 
     @cached_property
     def slot(self) -> np.ndarray:
@@ -252,8 +257,11 @@ class LpResult:
         return tight
 
 
-def _cost_tol(c: np.ndarray) -> float:
-    """Reduced costs below -COST_TOL * max(1, |c|max) count as improving."""
+def _cost_tol(c: np.ndarray):
+    """Reduced costs below -COST_TOL * max(1, |c|max) count as improving; a
+    stack of costs gets one tolerance per row."""
+    if c.ndim > 1:
+        return COST_TOL * np.abs(c).max(axis=-1, initial=1.0)
     return COST_TOL * max(1.0, max(map(abs, c.tolist())))   # floats: a short vector
 
 
@@ -274,6 +282,24 @@ def _pricing(a: np.ndarray, c: np.ndarray, basis: np.ndarray, binv: np.ndarray,
         reduced[twin[basis]] = 0.0
     entering = int((reduced < -tol).argmax() if bland else reduced.argmin())
     return y, reduced, entering, reduced[entering] >= -tol
+
+
+def _stacked_pricing(a: np.ndarray, c: np.ndarray, basis: np.ndarray, binv: np.ndarray,
+                     twin: np.ndarray | None, tol: np.ndarray):
+    """``_pricing``'s optimality test over a leading axis of rows, each row a
+    basis of its own: constraint rows ``a[r]``, costs ``c[r]``, basic columns
+    ``basis[r]``, inverse ``binv[r]`` and tolerance ``tol[r]``, with one
+    ``twin`` for all. Returns the reduced costs and the optimal flags, each
+    row's the bits of ``_pricing``'s: the stacked ``np.matmul`` runs the
+    same vector-matrix product per row.
+    """
+    at = np.arange(len(c))[:, None]
+    y = np.matmul(c[at, basis][:, None], binv)
+    reduced = c - np.matmul(y, a)[:, 0]
+    reduced[at, basis] = 0.0
+    if twin is not None:
+        reduced[at, twin[basis]] = 0.0
+    return reduced, reduced.min(axis=1) >= -tol
 
 
 def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],

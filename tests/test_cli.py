@@ -332,6 +332,29 @@ def test_conjugate_solver_faults_exit_2_naming_pair_and_block(error, capsys, mon
                         captured.err)
 
 
+@pytest.mark.parametrize("error", [LpError("simplex iteration cap exceeded"),
+                                   np.linalg.LinAlgError("Singular matrix")],
+                         ids=["LpError", "LinAlgError"])
+def test_block_program_solver_faults_exit_2_naming_pair_and_block(error, capsys, monkeypatch):
+    # a raw fault out of a block program, the extension's one warm LP, names
+    # its LP, pair, block and error class
+    solve_lp = sandwichext.extension.solve_lp
+
+    def block_programs_fail(lp, warm=False):
+        if warm:
+            raise error
+        return solve_lp(lp)
+
+    monkeypatch.setattr(sandwichext.extension, "solve_lp", block_programs_fail)
+    rc = main(["price", "--input", str(fixture_path("fix_a.json")), "--from", "0",
+               "--to", "1", "--payoff", "up2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (
+        "sandwich: solver error: pair (0, 1): extension block program on block 0 of "
+        f"level 0 came back {type(error).__name__}; {error}\n")
+
+
 def test_skewed_mass_scenario_gets_a_passing_report(tmp_path, capsys):
     # every second of 8 atoms has 1e-9 of its sibling's mass, so a basis
     # reduced atom by atom would vary by a few 1e-12 inside a level-1 block;

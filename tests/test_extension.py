@@ -38,7 +38,7 @@ from sandwichext import (
     verify_representation,
 )
 from sandwichext.extension import TABLE_SIZE, _BlockProgram, _mix_on_blocks
-from sandwichext.lp import LpError
+from sandwichext.lp import LpError, _cost_tol, _pricing
 
 TOL = 1e-9
 VALUE_TOL = 1e-7
@@ -599,6 +599,58 @@ def test_centering_lp_status_other_than_optimal_is_typed_and_located(monkeypatch
         "centering LP", (step.level_a, step.level_b), 0, "unbounded")
 
 
+@pytest.mark.parametrize("error", [LpError("simplex iteration cap exceeded"),
+                                   np.linalg.LinAlgError("Singular matrix")],
+                         ids=["LpError", "LinAlgError"])
+def test_block_and_centering_solver_faults_are_typed_and_located(error, monkeypatch):
+    # a raw fault out of a block program (solved warm, by evaluate and
+    # attain) or out of a centering LP (solved cold; at a zero payoff block
+    # 0's optimal face on this step is more than a point) names its LP,
+    # pair, block and error class
+    system = load_scenario(fixture_path("fix_refine.json")).system
+    step = extend_system(system).step(1)
+    X = system.space.rv(np.zeros(system.space.n_atoms), step.level_b)
+    levels = (step.level_a, step.level_b)
+    for name, faulty, calls in (("centering LP", False, [attain]),
+                                ("extension block program", True,
+                                 [attain, ExtendedOperator.evaluate])):
+        def fails(lp, warm=False, faulty=faulty):
+            if warm == faulty:
+                raise error
+            return solve_lp(lp, warm=warm)
+
+        monkeypatch.setattr(sandwichext.extension, "solve_lp", fails)
+        for call in calls:
+            with pytest.raises(LpStatusError, match=(
+                    rf"^pair \({levels[0]}, {levels[1]}\): {name} on block 0 of level "
+                    rf"{levels[0]} came back {type(error).__name__}; {error}$")) as info:
+                call(step, X)
+            assert (info.value.lp, info.value.levels, info.value.block, info.value.piece,
+                    info.value.status) == (name, levels, 0, None, type(error).__name__)
+            assert info.value.__cause__ is error
+
+
+@pytest.mark.parametrize("error", [LpError("simplex iteration cap exceeded"),
+                                   np.linalg.LinAlgError("Singular matrix")],
+                         ids=["LpError", "LinAlgError"])
+def test_density_set_solver_faults_are_typed_and_located(error, monkeypatch):
+    # a polyhedral block is certified nonempty by a phase-1 LP, whose raw
+    # fault names its LP, the bounds' pair, the block and the error class
+    system = _tree_or_fixture(GOLDEN_TREE)
+    bounds = system.bounds[(system.grid[0], system.grid[1])]
+    assert bounds.kind == "polyhedral"
+
+    def fails(lp, warm=False):
+        raise error
+
+    monkeypatch.setattr(sandwichext.extension, "solve_lp", fails)
+    with pytest.raises(LpStatusError, match=(
+            rf"^pair \({bounds.level_a}, {bounds.level_b}\): density set LP on block 0 of "
+            rf"level {bounds.level_a} came back {type(error).__name__}; {error}$")) as info:
+        density_set(bounds)
+    assert info.value.__cause__ is error
+
+
 def _recorded_block_solves(monkeypatch):
     """Record (block, result) of every block program solve."""
     solves = []
@@ -801,21 +853,35 @@ def test_warm_extension_matches_a_fresh_one_and_the_oracles(case, history):
             assert abs(priced - value[ix[0]]) <= 1e-8 * scale
 
 
-def _recorded_lookups(monkeypatch):
-    """Record (program, value, foreign) of every table lookup; ``foreign``
-    marks a hit on an entry other than the form's kept pair."""
-    lookups = []
-    lookup = _BlockProgram.lookup
+def _recorded_takes(monkeypatch):
+    """Record (program, value, foreign) of every block's reading of the
+    stacked table test; ``foreign`` marks a hit on an entry other than the
+    form's kept pair."""
+    takes = []
+    take = _BlockProgram.take
 
-    def recording(prog, x_reps):
+    def recording(prog, rows, priced):
         form = prog.lp._form
         kept = form.last and form.last.basis
-        value = lookup(prog, x_reps)
-        lookups.append((prog, value, value is not None and form.last.basis != kept))
+        value = take(prog, rows, priced)
+        takes.append((prog, value, value is not None and form.last.basis != kept))
         return value
 
-    monkeypatch.setattr(_BlockProgram, "lookup", recording)
-    return lookups
+    monkeypatch.setattr(_BlockProgram, "take", recording)
+    return takes
+
+
+def _recorded_payoffs(monkeypatch):
+    """Record the payoff of every evaluate that reaches the block programs."""
+    payoffs = []
+    solve = ExtendedOperator._solve
+
+    def recording(ext, X):
+        payoffs.append(X.values)
+        return solve(ext, X)
+
+    monkeypatch.setattr(ExtendedOperator, "_solve", recording)
+    return payoffs
 
 
 def _table_free(monkeypatch, fn, *args):
@@ -853,7 +919,7 @@ def _mixed_operations(system, rng, n_ops=24):
             yield scale, op
 
 
-TABLE_SOURCES = SOURCES + [GOLDEN_TREE]
+TABLE_SOURCES = SOURCES + [GOLDEN_TREE, (2, 4, "linear")]
 
 
 @pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)
@@ -865,31 +931,42 @@ def test_evaluate_off_the_tables_matches_a_table_free_extension(source, monkeypa
     # rounds differently, and later warm solves restart from there
     system = _tree_or_fixture(source)
     ext, ref = extend_system(system), extend_system(system)
-    lookups = _recorded_lookups(monkeypatch)
+    takes = _recorded_takes(monkeypatch)
     for scale, op in _mixed_operations(system, np.random.default_rng(SEED + 7)):
         for got, want in zip(op(ext), _table_free(monkeypatch, op, ref)):
             if got.tobytes() != want.tobytes():
-                assert any(foreign for _, _, foreign in lookups)
+                assert any(foreign for _, _, foreign in takes)
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
-    assert any(value is not None for _, value, _ in lookups)
+    assert any(value is not None for _, value, _ in takes)
 
 
 @pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)
 def test_table_hits_are_the_bits_of_a_fresh_warm_solve(source, monkeypatch):
-    # a hit's basis is optimal by the simplex's own test, so a warm solve
-    # from it stops after one pass on the same x and value; the hit leaves
-    # that pair kept for the next warm solve
+    # a block's verdict is the first entry, the kept pair first and then the
+    # newest, whose basis the simplex's own test ``_pricing`` finds optimal,
+    # and a miss when there is none. So a warm solve from a hit stops after
+    # one pass on the same x and value; the hit leaves that pair kept for
+    # the next warm solve
     system = _tree_or_fixture(source)
     ext = extend_system(system)
-    lookup = _BlockProgram.lookup
+    take = _BlockProgram.take
+    payoffs = _recorded_payoffs(monkeypatch)
     hits = []
 
-    def checked(prog, x_reps):
-        value = lookup(prog, x_reps)
+    def checked(prog, rows, priced):
+        x_reps = payoffs[-1][prog.poly.seg.reps]
+        form = prog.lp._form
+        cost = form.cost(prog.program(x_reps).c)
+        kept = form.last and prog.table.get(form.last.basis)
+        first = next((vertex for vertex in [kept] * bool(kept) + list(reversed(
+            prog.table.values())) if _pricing(vertex.a, cost, vertex.cols, vertex.binv,
+                                              form.twin, _cost_tol(cost))[3]), None)
+        value = take(prog, rows, priced)
+        assert (value is None) == (first is None)
         if value is not None:
             hits.append(value)
             vertex = next(reversed(prog.table.values()))   # a hit is the newest
-            assert prog.lp._form.last is vertex
+            assert prog.lp._form.last is vertex is first
             fresh = fresh_warm_solve(prog.program(x_reps), vertex.basis)
             assert fresh.iterations == 1 and fresh.basis == vertex.basis
             assert fresh.x.tobytes() == vertex.x.tobytes()
@@ -897,28 +974,34 @@ def test_table_hits_are_the_bits_of_a_fresh_warm_solve(source, monkeypatch):
             assert not vertex.x.flags.writeable
         return value
 
-    monkeypatch.setattr(_BlockProgram, "lookup", checked)
-    for _, op in _mixed_operations(system, np.random.default_rng(SEED + 8)):
+    monkeypatch.setattr(_BlockProgram, "take", checked)
+    rng = np.random.default_rng(SEED + 8)
+    for _, op in _mixed_operations(system, rng):
         op(ext)
+    # at a constant payoff E[f X | block] is the same for every density, so
+    # several tabled bases can be optimal and the order of the tests decides
+    space, s, t = system.space, system.grid[0], system.grid[-1]
+    for level in rng.normal(size=6):
+        ext.evaluate(s, t, space.rv(np.full(space.n_atoms, level), t))
     assert hits
 
 
 def test_table_is_a_bounded_lru(monkeypatch):
-    # per block: a hit becomes the newest entry, a missed lookup's solve is
+    # per block: a hit becomes the newest entry, a missed test's solve is
     # added as the newest, past TABLE_SIZE the oldest goes, and TABLE_SIZE
-    # misses in a row drop the table and end its lookups
+    # misses in a row drop the table and end its tests
     monkeypatch.setattr(sandwichext.extension, "TABLE_SIZE", 2)
     system = _tree_or_fixture(GOLDEN_TREE)
     ext = extend_system(system)
-    lookup, remember = _BlockProgram.lookup, _BlockProgram.remember
+    take, remember = _BlockProgram.take, _BlockProgram.remember
     model = {}                  # per program: [keys oldest first, misses in a row]
     evicted = reordered = 0
 
-    def looked_up(prog, x_reps):
+    def taken(prog, rows, priced):
         nonlocal reordered
         order, misses = model.setdefault(id(prog), [[], 0])
         assert misses < 2                       # a dropped table is not consulted
-        value = lookup(prog, x_reps)
+        value = take(prog, rows, priced)
         if value is None:
             model[id(prog)][1] += 1
         else:
@@ -943,7 +1026,7 @@ def test_table_is_a_bounded_lru(monkeypatch):
                 evicted += 1
         assert list(prog.table) == order
 
-    monkeypatch.setattr(_BlockProgram, "lookup", looked_up)
+    monkeypatch.setattr(_BlockProgram, "take", taken)
     monkeypatch.setattr(_BlockProgram, "remember", remembered)
     for _, op in _mixed_operations(system, np.random.default_rng(SEED + 9), 80):
         op(ext)
@@ -957,16 +1040,60 @@ def test_tables_of_blocks_that_keep_missing_are_dropped(monkeypatch):
     system = _tree_or_fixture((12, 2, "linear"))
     space, t = system.space, system.grid[-1]
     step, ref = extend_system(system).step(1), extend_system(system).step(1)
-    lookups = _recorded_lookups(monkeypatch)
+    takes = _recorded_takes(monkeypatch)
     rng = np.random.default_rng(SEED + 10)
     for _ in range(2 * TABLE_SIZE):
         X = space.rv(rng.normal(size=space.n_atoms), t)
         assert (step.evaluate(X).values.tobytes()
                 == _table_free(monkeypatch, ref.evaluate, X).values.tobytes())
-    missed = [[value is None for prog, value, _ in lookups if prog is p]
+    missed = [[value is None for prog, value, _ in takes if prog is p]
               for p in step._programs]
     assert missed == [[True] * TABLE_SIZE] * len(step._programs)
     assert all(not prog.table for prog in step._programs)
+    assert step._stack.rows == [None] * len(step._programs) and not step._stack.groups
+
+
+def test_stacks_are_built_by_evaluate_from_the_live_tables():
+    # set-up builds no stack; a stack that stands after an operation holds
+    # one row per entry of every live table and none for a dropped one
+    system = _tree_or_fixture((2, 4, "linear"))
+    ext = extend_system(system)
+    steps = [ext.step(k) for k in range(len(system.adjacent_pairs))]
+    assert all(step._stack is None for step in steps)
+    seen = 0
+    for _, op in _mixed_operations(system, np.random.default_rng(SEED + 12), 40):
+        op(ext)
+        for step in (step for step in steps if step._stack is not None):
+            seen += 1
+            live = [prog for prog in step._programs if prog.misses < TABLE_SIZE]
+            assert sum(len(group[2]) for group in step._stack.groups) == sum(
+                len(prog.table) for prog in live)
+            assert [None if rows is None else set(rows) for rows in step._stack.rows] == [
+                set(p.table) if p.misses < TABLE_SIZE else None for p in step._programs]
+    assert seen
+
+
+def test_blocks_of_two_shapes_stack_in_two_groups_off_the_twin_bits(monkeypatch):
+    # level-1 blocks of 2 and 3 atoms give block programs of two shapes, so
+    # one extension's tables stack in two groups, priced in one pass; every
+    # value is the bits of an extension without tables
+    probs = np.array([0.1, 0.25, 0.2, 0.3, 0.15])
+    space = FilteredSpace(probs, [[list(range(5))], [[0, 1], [2, 3, 4]],
+                                  [[i] for i in range(5)]], [0, 1, 2])
+    rng = np.random.default_rng(SEED + 13)
+    op = random_polyhedral(space, 2, 1, rng,
+                           domain=span_closure(space, 2, 1, [space.rv(rng.normal(size=5))]))
+    bounds = enclosing_bounds(space, 2, 1, op)
+    ext, ref = maximal_extension(op, bounds), maximal_extension(op, bounds)
+    takes = _recorded_takes(monkeypatch)
+    centers = [rng.normal(size=5) for _ in range(3)]
+    for k in range(30):
+        X = space.rv(centers[k % 3] + 1e-3 * rng.normal(size=5))
+        assert (ext.evaluate(X).values.tobytes()
+                == _table_free(monkeypatch, ref.evaluate, X).values.tobytes())
+    assert len({group[2].shape for group in ext._stack.groups}) == 2
+    assert all(any(value is not None for p, value, _ in takes if p is prog)
+               for prog in ext._programs)
 
 
 @pytest.mark.parametrize("name", FIXTURES)

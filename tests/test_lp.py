@@ -4,13 +4,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (fixture_path, fresh_program, fresh_warm_solve, mapped_tight,
                       same_lp_result)
 from sandwichext import (LinearProgram, LpResult, extend_system, load_scenario, solve_lp,
                          support_function)
 import sandwichext.lp
-from sandwichext.lp import InfeasibleRegionError, LpError
+from sandwichext.lp import InfeasibleRegionError, LpError, _cost_tol, _pricing, _stacked_pricing
 
 VALUE_TOL = 1e-10
 DUAL_TOL = 1e-8
@@ -352,6 +354,59 @@ def test_free_variable_twins_never_share_a_basis(gaps):
     assert res.value == pytest.approx(ref.fun, abs=1e-12)
     assert abs(res.value - res.dual_objective) < DUAL_TOL
     assert not res.tight[[len(g) + n, len(g) + 2 * n + 1]].any()     # t's bounds are infinite
+
+
+@st.composite
+def stacked_bases(draw):
+    """Rows of one shape for ``_stacked_pricing``: per row constraint rows,
+    costs, m basic columns and their inverse, the first ``2 * pairs``
+    columns free-variable twins (u+, u-: opposite columns and costs), and
+    ``_cost_tol``'s tolerance, which ``edge`` rows replace by their most
+    negative reduced cost, so that it lies exactly at -tol."""
+    m = draw(st.integers(1, 4))
+    n = m + draw(st.integers(0, 5))
+    k = draw(st.integers(1, 6))
+    pairs = draw(st.integers(0, n // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-9, 1.0, 1e9]))
+    twin = None
+    a = rng.normal(size=(k, m, n))
+    c = rng.normal(size=(k, n)) * scale
+    if pairs:
+        twin = np.arange(n)
+        twin[0:2 * pairs:2], twin[1:2 * pairs:2] = range(1, 2 * pairs, 2), range(0, 2 * pairs, 2)
+        a[..., 1:2 * pairs:2], c[:, 1:2 * pairs:2] = -a[..., 0:2 * pairs:2], -c[:, 0:2 * pairs:2]
+    basis = np.stack([rng.permutation(n)[:m] for _ in range(k)])
+    blocks = np.take_along_axis(a, basis[:, None, :], axis=2)
+    assume(np.all(np.abs(np.linalg.det(blocks)) > 1e-6))
+    binv = np.stack([np.linalg.inv(b) for b in blocks])
+    tol = _cost_tol(c)
+    for r in range(k):
+        if draw(st.booleans()):
+            worst = _pricing(a[r], c[r], basis[r], binv[r], twin, tol[r])[1].min()
+            if worst < 0:
+                tol[r] = -worst
+    return a, c, basis, binv, twin, tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=stacked_bases())
+def test_stacked_pricing_is_pricing_row_by_row(case):
+    # the stacked test of the basis tables decides each row as the simplex's
+    # own test would: the same tolerance, reduced costs and optimal flag,
+    # bit for bit, with twins of basic free variables priced at 0 and a
+    # reduced cost exactly at -tol still optimal
+    a, c, basis, binv, twin, tol = case
+    reduced, optimal = _stacked_pricing(a, c, basis, binv, twin, tol)
+    for r in range(len(c)):
+        assert np.float64(_cost_tol(c[r])).tobytes() == _cost_tol(c)[r].tobytes()
+        _, want, _, ok = _pricing(a[r], c[r], basis[r], binv[r], twin, tol[r])
+        assert reduced[r].tobytes() == want.tobytes()
+        assert optimal[r] == ok == (want.min() >= -tol[r])
+        below = np.nextafter(tol[r], 0.0)
+        assert (_stacked_pricing(a[r:r + 1], c[r:r + 1], basis[r:r + 1], binv[r:r + 1], twin,
+                                 np.array([below]))[1][0]
+                == _pricing(a[r], c[r], basis[r], binv[r], twin, below)[3])
 
 
 def _random_program(rng):
