@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, count
+from itertools import count
 
 import numpy as np
 
@@ -174,14 +174,16 @@ def _solved(name: str, levels: tuple[int, int], block: int, lp: LinearProgram,
 def _block_rows(bounds: BoundPair, sg: _Segments):
     """H-description pieces over z = (f, lam, mu) for one block.
 
-    Density variables are per level_b segment of the block.
+    Density variables are per level_b segment of the block. A linear box top
+    is clipped at pa / sp_i, which the budget and f >= 0 imply, so a block
+    program keeps no row for a top far above every feasible density.
     """
     reps, sp, pa = sg.reps, sg.rows.probs, sg.prob
     n = len(reps)
     if bounds.kind == "linear":
         n_lift = 0
-        var_bounds = [(float(bounds.m0.values[i]), float(bounds.M0.values[i]))
-                      for i in reps]
+        var_bounds = [(float(bounds.m0.values[i]), float(min(bounds.M0.values[i], pa / p)))
+                      for i, p in zip(reps, sp)]
         a_eq = np.asarray(sp, dtype=float)[None, :]
         b_eq = np.array([pa])
         a_ub = b_ub = None
@@ -304,18 +306,23 @@ class _BlockProgram:
         trying the form's kept vertex first, then the newest; None on a miss,
         which is counted. ``rows`` maps the table's keys to their places in
         ``priced``, which holds an entry's value where its basis passed the
-        test and None where it failed. A hit becomes the newest entry and
-        the form's kept vertex."""
-        form = self.lp._form
-        order = reversed(self.table)
-        if form.last is not None and form.last.basis in rows:
-            order = chain((form.last.basis,), order)
-        for key in order:
-            value = priced[rows[key]]
-            if value is not None:
-                self.table[key] = form.last = self.table.pop(key)
+        test and None where it failed. A hit becomes the newest entry (it
+        stays put if it is one) and the form's kept vertex."""
+        form, table = self.lp._form, self.table
+        kept = None if form.last is None else rows.get(form.last.basis)
+        if kept is not None and priced[kept] is not None:
+            if next(reversed(table.values())) is not form.last:
+                table[form.last.basis] = form.last = table.pop(form.last.basis)
+            self.misses = 0
+            return priced[kept]
+        for age, (key, vertex) in enumerate(reversed(table.items())):
+            place = rows[key]
+            if place != kept and priced[place] is not None:
+                if age:
+                    table[key] = table.pop(key)
+                form.last = vertex
                 self.misses = 0
-                return value
+                return priced[place]
         self.misses += 1
         return None
 
@@ -483,13 +490,12 @@ def _assemble(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOperator:
     penalties = op._penalties()
     for a, bp in enumerate(polytope.blocks):
         sg = bp.seg
-        bmat = op.domain.block_bases[a][sg.rows.firsts, :]   # segment basis values
-        d = bmat.shape[1]
-        n = bp.n_f
-        nj = len(op.pieces)
+        bmat = op.domain.block_bases[a][sg.rows.firsts, 1:]   # past the block constant
+        d, n, nj = bmat.shape[1], bp.n_f, len(op.pieces)
         fmat = dens[:, sg.reps].T                    # n x J
         wb = bmat.T * sg.rows.probs[None, :]         # d x n, rows <B_k, sp . >
-        # equalities: polytope rows, theta simplex, subspace matching
+        # equalities: polytope rows, theta simplex, subspace matching off the
+        # constant, whose row would restate the first two: independent rows
         k, nz = len(bp.b_eq), bp.n_vars
         eq_mat = np.zeros((k + 1 + d, nz + nj))
         eq_mat[:k, :nz] = bp.a_eq
@@ -497,18 +503,11 @@ def _assemble(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOperator:
         eq_mat[k + 1:, :n], eq_mat[k + 1:, nz:] = wb, -(wb @ fmat)
         eq_vec = np.zeros(k + 1 + d)
         eq_vec[:k], eq_vec[k] = bp.b_eq, 1.0
-        # the matching row along the constant direction restates budget and
-        # simplex rows up to float noise; near-dependent equalities poison
-        # simplex bases, so only an independent subset is kept
-        keep: list[int] = []
-        for r in range(eq_mat.shape[0]):
-            if np.linalg.matrix_rank(eq_mat[keep + [r]], tol=EQ_RANK_TOL) > len(keep):
-                keep.append(r)
         ub_rows = None if bp.a_ub is None else np.hstack(
             [bp.a_ub, np.zeros((bp.a_ub.shape[0], nj))])
         make_lp = partial(
             LinearProgram, c=np.concatenate([np.zeros(n + bp.n_lift), -penalties[a]]),
-            sense="max", a_eq=eq_mat[keep], b_eq=eq_vec[keep], a_ub=ub_rows, b_ub=bp.b_ub,
+            sense="max", a_eq=eq_mat, b_eq=eq_vec, a_ub=ub_rows, b_ub=bp.b_ub,
             bounds=list(bp.var_bounds) + [(0.0, math.inf)] * nj)
         ext._programs.append(_BlockProgram(
             poly=bp, make_lp=make_lp, weights=sg.rows.probs / sg.prob,
@@ -662,12 +661,10 @@ def verify_representation(op: PolyhedralOperator, n_payoffs: int = 20,
     # their penalties exactly
     splice_exact = True
     if len(family) >= 2:
-        f1, f2 = family[0], family[1]
         pick = rng.integers(0, 2, blocks.probs.size)
-        mixed = np.where(blocks.broadcast(pick) == 0, f1.values, f2.values)
+        mixed = np.where(blocks.broadcast(pick) == 0, family[0].values, family[1].values)
         pv = conjugate(op, RandomVariable(mixed, op.level_b))
-        expected = np.where(pick == 0, penalties[0].by_block,
-                            penalties[1].by_block)
+        expected = np.where(pick == 0, penalties[0].by_block, penalties[1].by_block)
         splice_exact = np.array_equal(pv.by_block, expected)
 
     entries = (

@@ -27,10 +27,10 @@ class Subspace:
 
     ``block_bases[a]`` holds, for block ``a`` of the coarse level, a matrix of
     shape (block size, local dimension) whose columns are orthonormal for the
-    local inner product sum_w p_w u_w v_w. The global basis is the union of
-    the zero-extended columns. Each column must be exactly constant on the
-    level_b blocks, as :func:`span_closure` builds it; it is wrapped as a
-    level_b random variable without a measurability re-check.
+    local inner product sum_w p_w u_w v_w, column 0 the block constant
+    1 / sqrt(P(a)). The global basis is the union of the zero-extended
+    columns. Each column must be exactly constant on the level_b blocks.
+    :func:`span_closure` builds both and nothing re-checks them.
     """
 
     space: FilteredSpace
@@ -104,6 +104,8 @@ def span_closure(space: FilteredSpace, level_b: int, level_a: int,
     segment's mass, and the reduced rows are broadcast to the segment's
     atoms. The basis is therefore exactly level_b measurable whatever the
     atom masses; generators are read at each segment's representative atom.
+    Each block basis leads with the normalized constant; the generators not
+    zero on the block, projected off it, are reduced by an SVD.
     """
     lb = space.check_level(level_b)
     la = space.check_level(level_a)
@@ -113,14 +115,23 @@ def span_closure(space: FilteredSpace, level_b: int, level_a: int,
         if g.level > lb:
             raise LevelError("generator finer than level_b")
 
-    cols = np.column_stack([np.ones(space.n_atoms)] + [g.values for g in generators])
+    gens = np.array([g.values for g in generators]).reshape(-1, space.n_atoms)
     bases = []
     for sg in space._segments(lb, la):
-        # weighted Gram reduction through an SVD of sqrt(p)-scaled columns
-        sq = np.sqrt(sg.rows.probs)[:, None]
-        u, s, _ = np.linalg.svd(sq * cols[sg.reps], full_matrices=False)
+        # in sqrt(p)-scaled rows the constant is the unit vector e; dropping
+        # zero generators gives equal blocks equal bits, and projecting twice
+        # keeps nearly constant ones orthogonal ("twice is enough")
+        sq = np.sqrt(sg.rows.probs)
+        e = sq / np.sqrt(sg.prob)
+        gen = gens[:, sg.reps].T
+        gen = sq[:, None] * gen[:, gen.any(axis=0)]
+        for _ in range(2):
+            gen = gen - np.outer(e, e @ gen)
+        u, s, _ = np.linalg.svd(gen, full_matrices=False)
         rank = int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
-        bases.append((u[:, :rank] / sq)[sg.rows.index])
+        local = np.column_stack([np.full(sq.size, 1.0 / np.sqrt(sg.prob)),
+                                 u[:, :rank] / sq[:, None]])
+        bases.append(local[sg.rows.index])
     return Subspace(space, lb, la, tuple(bases))
 
 

@@ -316,6 +316,60 @@ def test_restriction_to_domain_reproduces_base(three_atom):
         np.testing.assert_allclose(ext_val.values, base_val.values, atol=VALUE_TOL)
 
 
+def _nine_atoms(masses):
+    """Nine atoms with relative ``masses``, in three level-1 blocks of three."""
+    return FilteredSpace(np.asarray(masses) / np.sum(masses),
+                         [[list(range(9))], [[0, 1, 2], [3, 4, 5], [6, 7, 8]],
+                          [[i] for i in range(9)]], [0, 1, 2])
+
+
+def _worst_domain_miss(op, bounds, coeffs):
+    """max |ext(X) - op(X)| / max(1, max|X|) over the domain payoffs with
+    basis coefficients ``coeffs``."""
+    ext = maximal_extension(op, bounds)
+    basis = np.column_stack([b.values for b in op.domain.basis])
+    worst = 0.0
+    for coef in coeffs:
+        X = op.space.rv(basis @ coef, level=op.level_b)
+        miss = np.abs(ext.evaluate(X).values - op.evaluate(X).values).max()
+        worst = max(worst, float(miss) / max(1.0, float(np.abs(X.values).max())))
+    return worst
+
+
+def test_box_tops_far_above_any_feasible_density_do_not_cost_digits():
+    # with one atom of mass 1e-9 the box tops (about 1.08e9) sit far above
+    # pa / sp_i (2 or 3) on the heavy atoms. Unclipped, their rows left
+    # the block programs about 1e-8 off in the budget row, and the extension
+    # missed the base operator on its domain by 2e-7 relative
+    space = _nine_atoms(np.r_[np.ones(8), 1e-9])
+    sub = span_closure(space, 2, 1, [space.rv(np.random.default_rng(0).normal(size=9))])
+    op = random_polyhedral(space, 2, 1, np.random.default_rng(0), domain=sub)
+    bounds = enclosing_bounds(space, 2, 1, op)
+    assert bounds.M0.values.max() > 1e9
+    coeffs = np.random.default_rng(1).normal(size=(3, sub.dim))
+    assert _worst_domain_miss(op, bounds, coeffs) <= 1e-9
+
+
+def test_piece_means_off_one_within_the_data_tolerance_keep_the_domain_values():
+    # piece densities whose block means are 1 +- 8e-10, within validation's
+    # VALUE_TOL: with the matching row along the constant kept, it restated
+    # the budget and simplex rows only to 8e-10, and the near-dependent row
+    # cost the extension up to 3e-8 on the base operator's own domain
+    misses = []
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        space = _nine_atoms(rng.dirichlet(np.ones(9)))
+        sub = span_closure(space, 2, 1, [space.rv(rng.normal(size=9))])
+        drawn = random_polyhedral(space, 2, 1, np.random.default_rng(seed), domain=sub)
+        scale = 1.0 + (8e-10 if seed % 2 else -8e-10)
+        op = PolyhedralOperator(sub, tuple(
+            Piece(space.rv(pc.density.values * scale, level=2), pc.penalty)
+            for pc in drawn.pieces))
+        coeffs = np.random.default_rng(100 + seed).normal(size=(5, sub.dim)) * 5
+        misses.append(_worst_domain_miss(op, enclosing_bounds(space, 2, 1, op), coeffs))
+    assert max(misses) <= 2e-9, misses
+
+
 def test_evaluate_level_guard_and_memoization(three_atom):
     ext = maximal_extension(three_atom.op, three_atom.bounds)
     space = three_atom.space
@@ -920,6 +974,18 @@ def _mixed_operations(system, rng, n_ops=24):
 
 
 TABLE_SOURCES = SOURCES + [GOLDEN_TREE, (2, 4, "linear")]
+
+
+@pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)
+def test_block_program_equalities_are_independent_by_construction(source):
+    # the polytope rows, the theta row and one matching row per domain basis
+    # column past the leading block constant: no row is selected away, and
+    # the rows have full rank
+    for ext in extend_system(_tree_or_fixture(source)).extensions.values():
+        for a, prog in enumerate(ext._programs):
+            a_eq = prog.lp.a_eq
+            assert a_eq.shape[0] == prog.poly.b_eq.size + ext.base.domain.block_dim(a)
+            assert np.linalg.matrix_rank(a_eq) == a_eq.shape[0]
 
 
 @pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)

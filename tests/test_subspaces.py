@@ -52,6 +52,22 @@ def test_span_closure_includes_constants_and_splits_generators():
     assert sub.contains(space.rv(cut))
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-9])
+def test_nearly_constant_generators_keep_the_basis_orthonormal(eps):
+    # a generator's part orthogonal to the block constant is eps of it;
+    # one projection leaves that part up to 3e-7 off orthogonal to the
+    # constant at eps = 1e-9, and the second restores rounding level
+    rng = np.random.default_rng(SEED)
+    space = FilteredSpace(rng.dirichlet(np.ones(9)),
+                          [[list(range(9))], [[0, 1, 2], [3, 4, 5], [6, 7, 8]],
+                           [[i] for i in range(9)]], [0, 1, 2])
+    sub = span_closure(space, 2, 1, [space.rv(1.0 + eps * rng.normal(size=9))])
+    mat = np.column_stack([v.values for v in sub.basis])
+    assert sub.dim == 6
+    np.testing.assert_allclose(mat.T @ (space.probs[:, None] * mat), np.eye(6),
+                               rtol=0, atol=1e-12)
+
+
 def test_contains_rejects_finer_levels():
     space = binom()
     sub = full_space(space, 1, 0)
@@ -138,6 +154,10 @@ def test_span_closure_is_exact_on_skewed_masses(case, n_gens):
     assert not fine.spread(mat.T).any()
     np.testing.assert_allclose(mat.T @ (space.probs[:, None] * mat), np.eye(sub.dim),
                                rtol=0, atol=1e-12)
+    # each block basis leads with the normalized block constant
+    for block, local in zip(space.blocks(la), sub.block_bases):
+        np.testing.assert_allclose(local[:, 0], 1.0 / np.sqrt(space.probs[list(block)].sum()),
+                                   rtol=1e-14, atol=0)
     assert sub.contains(RandomVariable(np.ones(space.n_atoms), lb))
     for g in gens:
         assert sub.contains(g)
