@@ -261,10 +261,12 @@ def _coarse_grid_from_tasks(scenario: Scenario):
 def _run_command(args, scenario: Scenario, seed: int) -> dict:
     doc = {"schema_version": SCHEMA_VERSION, "scenario_name": scenario.name,
            "seed": seed, "command": args.command}
+    ext_box = {}
 
-    @cache
     def ext_factory() -> ExtendedSystem:
-        return _extend_or_stop(scenario)
+        if "ext" not in ext_box:
+            ext_box["ext"] = _extend_or_stop(scenario)
+        return ext_box["ext"]
 
     sections = []
     try:

@@ -128,8 +128,13 @@ def validate_system(system: OperatorSystem) -> ValidationReport:
     entries = []
     ops = system.declared_ops()
     terminal = system.one_step_ops[system.adjacent_pairs[-1]]
-    nested = all(terminal.domain.contains(b) for op in ops.values() if op is not terminal
-                 for b in op.domain.basis)
+    nested = True
+    for pair, op in ops.items():
+        if op is terminal:
+            continue
+        for b in op.domain.basis:
+            if not terminal.domain.contains(b):
+                nested = False
     entries.append(CheckEntry(
         "domains_nested", nested,
         "every declared domain sits inside the terminal domain"))
@@ -398,8 +403,10 @@ def check_cocycle_and_local(ext: ExtendedSystem, r: int, s: int, t: int,
             weight = weight * g
         a_st_atoms = space._layout[s].broadcast(a_st)
         rhs = a_rs + space._layout[r].means(_weighted(weight, a_st_atoms))
-        inf_mismatch |= bool(np.any(np.isinf(lhs) != np.isinf(rhs)))
-        fin = ~(np.isinf(lhs) & np.isinf(rhs))
+        both_inf = np.isinf(lhs) & np.isinf(rhs)
+        if np.any(np.isinf(lhs) != np.isinf(rhs)):
+            inf_mismatch = True
+        fin = ~both_inf
         if np.any(fin):
             worst = max(worst, float(np.abs(lhs[fin] - rhs[fin]).max()))
 
@@ -448,10 +455,11 @@ class RefinementReport:
 def _same_op(a: PolyhedralOperator, b: PolyhedralOperator) -> bool:
     if len(a.pieces) != len(b.pieces) or a.domain.dim != b.domain.dim:
         return False
-    return (all(np.allclose(pa.density.values, pb.density.values, atol=1e-12)
-                and np.allclose(pa.penalty.values, pb.penalty.values, atol=1e-12)
-                for pa, pb in zip(a.pieces, b.pieces))
-            and all(b.domain.contains(x) for x in a.domain.basis))
+    for pa, pb in zip(a.pieces, b.pieces):
+        if not (np.allclose(pa.density.values, pb.density.values, atol=1e-12)
+                and np.allclose(pa.penalty.values, pb.penalty.values, atol=1e-12)):
+            return False
+    return all(b.domain.contains(x) for x in a.domain.basis)
 
 
 def _same_bounds(a: BoundPair, b: BoundPair) -> bool:

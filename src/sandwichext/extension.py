@@ -661,10 +661,12 @@ def verify_representation(op: PolyhedralOperator, n_payoffs: int = 20,
     # their penalties exactly
     splice_exact = True
     if len(family) >= 2:
+        f1, f2 = family[0], family[1]
         pick = rng.integers(0, 2, blocks.probs.size)
-        mixed = np.where(blocks.broadcast(pick) == 0, family[0].values, family[1].values)
+        mixed = np.where(blocks.broadcast(pick) == 0, f1.values, f2.values)
         pv = conjugate(op, RandomVariable(mixed, op.level_b))
-        expected = np.where(pick == 0, penalties[0].by_block, penalties[1].by_block)
+        expected = np.where(pick == 0, penalties[0].by_block,
+                            penalties[1].by_block)
         splice_exact = np.array_equal(pv.by_block, expected)
 
     entries = (
