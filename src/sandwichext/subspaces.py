@@ -105,7 +105,8 @@ def span_closure(space: FilteredSpace, level_b: int, level_a: int,
     atoms. The basis is therefore exactly level_b measurable whatever the
     atom masses; generators are read at each segment's representative atom.
     Each block basis leads with the normalized constant; the generators not
-    zero on the block, projected off it, are reduced by an SVD.
+    zero on the block, projected off it, are reduced by an SVD, cut at
+    RANK_TOL times their norm before the projection (floored at 1).
     """
     lb = space.check_level(level_b)
     la = space.check_level(level_a)
@@ -125,10 +126,13 @@ def span_closure(space: FilteredSpace, level_b: int, level_a: int,
         e = sq / np.sqrt(sg.prob)
         gen = gens[:, sg.reps].T
         gen = sq[:, None] * gen[:, gen.any(axis=0)]
+        # the rank cut scales with the generators, not with what projecting
+        # them leaves: rounding noise off a large block constant is no column
+        size = float(np.linalg.norm(gen))
         for _ in range(2):
             gen = gen - np.outer(e, e @ gen)
         u, s, _ = np.linalg.svd(gen, full_matrices=False)
-        rank = int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
+        rank = int(np.sum(s > RANK_TOL * max(1.0, size)))
         local = np.column_stack([np.full(sq.size, 1.0 / np.sqrt(sg.prob)),
                                  u[:, :rank] / sq[:, None]])
         bases.append(local[sg.rows.index])

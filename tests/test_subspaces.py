@@ -68,6 +68,26 @@ def test_nearly_constant_generators_keep_the_basis_orthonormal(eps):
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_large_generators_constant_on_blocks_add_no_direction(seed):
+    # projecting 1e9 x (a level-1 payoff) off each block constant leaves
+    # rounding noise near 1e-7, far above RANK_TOL; measured against the
+    # generator's own size it is no direction, while a part 1e-3 of it
+    # off the constant is one
+    rng = np.random.default_rng(seed)
+    space = FilteredSpace(rng.dirichlet(np.ones(9)),
+                          [[list(range(9))], [[0, 1, 2], [3, 4, 5], [6, 7, 8]],
+                           [[i] for i in range(9)]], [0, 1, 2])
+    level_a = np.repeat(rng.normal(size=3), 3)
+    sub = span_closure(space, 2, 1, [space.rv(1e9 * level_a)])
+    assert sub.dim == 3
+    assert not sub.contains(space.rv(rng.normal(size=9)))
+    v = rng.normal(size=9)
+    sub = span_closure(space, 2, 1, [space.rv(1e9 * level_a * (1.0 + 1e-3 * v))])
+    assert sub.dim == 6
+    assert sub.contains(space.rv(level_a * v))
+
+
 def test_contains_rejects_finer_levels():
     space = binom()
     sub = full_space(space, 1, 0)
