@@ -491,7 +491,9 @@ def _assemble(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOperator:
     for a, bp in enumerate(polytope.blocks):
         sg = bp.seg
         bmat = op.domain.block_bases[a][sg.rows.firsts, 1:]   # past the block constant
-        d, n, nj = bmat.shape[1], bp.n_f, len(op.pieces)
+        d = bmat.shape[1]
+        n = bp.n_f
+        nj = len(op.pieces)
         fmat = dens[:, sg.reps].T                    # n x J
         wb = bmat.T * sg.rows.probs[None, :]         # d x n, rows <B_k, sp . >
         # equalities: polytope rows, theta simplex, subspace matching off the
