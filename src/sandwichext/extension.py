@@ -42,11 +42,10 @@ from itertools import count
 
 import numpy as np
 
-from .lp import (FEAS_TOL, LinearProgram, LpError, LpResult, LpStatusError, _cost_tol,
-                 _stacked_pricing, solve_lp)
+from .lp import FEAS_TOL, LinearProgram, LpResult, _cost_tol, _stacked_pricing, solve_lp
 from .operators import (BlockPolytope, BoundPair, DensityPolytope, CheckEntry,
                         PolyhedralOperator, PolytopeError, SandwichReport,
-                        ValidationReport, check_sandwich)
+                        ValidationReport, _solved, check_sandwich)
 from .spaces import FilteredSpace, LevelError, RandomVariable, _Blocks, _Segments
 
 CONJ_TOL = 1e-9
@@ -145,26 +144,11 @@ def _block_conjugate(op: PolyhedralOperator, a: int, values: np.ndarray) -> floa
     c = op._conjugate_row(a, values)
 
     def solve() -> float:
-        res = _solved("conjugate LP", (op.level_a, op.level_b), a,
+        res = _solved(solve_lp, "conjugate LP", (op.level_a, op.level_b), a,
                       op._conjugate_lps[a].with_objective(c), ok=("optimal", "unbounded"))
         return math.inf if res.status == "unbounded" else max(res.value, 0.0)
 
     return _memoized(op._conjugate_memos[a], c.tobytes(), CONJUGATE_MEMO_SIZE, solve)
-
-
-def _solved(name: str, levels: tuple[int, int], block: int, lp: LinearProgram,
-            warm: bool = False, ok: tuple[str, ...] = ("optimal",), why: str = "") -> LpResult:
-    """``solve_lp(lp, warm=warm)``, whose status must be one of ``ok``.
-    Otherwise an ``LpStatusError`` names the LP, the pair, the block and the
-    status, or the error class of a raw solver fault (``LpError`` or
-    ``LinAlgError``) with its message."""
-    try:
-        res = solve_lp(lp, warm=warm)
-    except (LpError, np.linalg.LinAlgError) as err:
-        raise LpStatusError(name, levels, block, type(err).__name__, why=str(err)) from err
-    if res.status not in ok:
-        raise LpStatusError(name, levels, block, res.status, why=why)
-    return res
 
 
 # --------------------------------------------------------------------------
@@ -223,7 +207,7 @@ def density_set(bounds: BoundPair) -> DensityPolytope:
         else:
             lp = LinearProgram(c=np.zeros(sg.ids.size + n_lift), sense="min", a_eq=a_eq,
                                b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, bounds=var_bounds)
-            empty = _solved("density set LP", (bounds.level_a, bounds.level_b), a, lp,
+            empty = _solved(solve_lp, "density set LP", (bounds.level_a, bounds.level_b), a, lp,
                             ok=("optimal", "infeasible")).status != "optimal"
         if empty:
             raise PolytopeError(
@@ -266,8 +250,8 @@ class _BlockProgram:
     is the extension's pair (s, t), which failures name. ``faces`` memoizes
     the read-only centered point of each optimal face, keyed by the bytes of
     the solve's ``x`` and ``tight``: besides the fixed constraints, they are
-    all that ``_center_on_face`` reads. It holds at most ``FACE_MEMO_SIZE``
-    faces.
+    all that ``_center_on_face`` reads, and a vertex face's point is its
+    snapped x. It holds at most ``FACE_MEMO_SIZE`` faces.
 
     ``table`` keeps, for ``evaluate``, the optimal bases the block's
     evaluate solves have ended on: per (kept rows, basic columns), the
@@ -468,7 +452,7 @@ class ExtendedOperator:
 
     def _solve_block(self, a: int, x: np.ndarray) -> LpResult:
         prog = self._programs[a]
-        return _solved("extension block program", prog.levels, a,
+        return _solved(solve_lp, "extension block program", prog.levels, a,
                        prog.program(x[prog.poly.seg.reps]), warm=True,
                        why="the sandwich precondition should rule this out")
 
@@ -522,7 +506,9 @@ def attain(ext: ExtendedOperator, X: RandomVariable) -> Attainment:
 
     The returned density satisfies, per block,
     E[f_X X | block] - penalty = extension value, and the penalty equals the
-    conjugate of the base operator at f_X.
+    conjugate of the base operator at f_X. A block's point comes from its face
+    memo; on a miss it is read off the block solve where
+    ``LpResult.single_vertex`` holds, and centered on the face otherwise.
     """
     if X.level > ext.level_b:
         raise LevelError("payoff finer than the extension level")
@@ -550,10 +536,12 @@ def _center_on_face(prog: _BlockProgram, res: LpResult, block: int) -> np.ndarra
     optimal face of block ``block``, whose solve gave ``res``.
 
     The face holds every constraint ``res.tight`` marks with equality: those
-    variables at their bounds, those ``a_ub`` rows as equalities. It is
-    written z = z0 + N w, N a null-space basis of the equalities over the
-    other variables; without N it is the point z0 and no LP runs. Otherwise
-    one LP (Freund, Roundy & Todd, 1985) finds which density-side slacks are
+    variables at their bounds, those ``a_ub`` rows as equalities. z0 is the
+    solve's x snapped to the marked bounds: the face when
+    ``res.single_vertex`` holds, returned with no SVD or LP. Else it is
+    z = z0 + N w, N a null-space basis of the equalities over the other
+    variables; without N it is the point z0 and no LP runs. Otherwise one LP
+    (Freund, Roundy & Todd, 1985) finds which density-side slacks are
     implicit equalities, judged relative to each slack row's scale, and a
     second maximizes the minimum of the others. The point is read-only, since
     ``attain`` memoizes it.
@@ -561,11 +549,13 @@ def _center_on_face(prog: _BlockProgram, res: LpResult, block: int) -> np.ndarra
     lp = prog.lp
     nv, n_f = lp.n_vars, prog.poly.n_f
     lo, hi = np.array(lp.bounds).T
-    a_ub = np.zeros((0, nv)) if lp.a_ub is None else lp.a_ub
     b_ub = np.zeros(0) if lp.b_ub is None else lp.b_ub
     rows, at_lo, at_hi = np.split(res.tight, [b_ub.size, b_ub.size + nv])
     z0 = np.where(at_lo, lo, np.where(at_hi, hi, res.x))
     z0.setflags(write=False)
+    if res.single_vertex:
+        return z0
+    a_ub = np.zeros((0, nv)) if lp.a_ub is None else lp.a_ub
     free = ~(at_lo | at_hi)
     _, sv, vt = np.linalg.svd(np.vstack([lp.a_eq, a_ub[rows]])[:, free])
     rank = int((sv > EQ_RANK_TOL * max(1.0, sv.max(initial=0.0))).sum())
@@ -586,7 +576,7 @@ def _center_on_face(prog: _BlockProgram, res: LpResult, block: int) -> np.ndarra
     slack = np.maximum(h - g @ z0, 0.0)
 
     def solve(c, a, b, bounds):
-        return _solved("centering LP", prog.levels, block,
+        return _solved(solve_lp, "centering LP", prog.levels, block,
                        LinearProgram(c=c, sense="max", a_ub=a, b_ub=b, bounds=bounds)).x
 
     # max sum t over 0 <= t <= 1 and g N w + t <= alpha * slack, alpha >= 1:

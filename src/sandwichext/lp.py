@@ -256,6 +256,14 @@ class LpResult:
         tight[form.slot] = on
         return tight
 
+    @property
+    def single_vertex(self) -> bool:
+        """Whether the optimum is this vertex alone: every nonbasic standard-form
+        column is priced above the tolerance. Never so with a free variable,
+        whose u+ and u- columns are never both priced above it."""
+        on = None if self._priced is None else self._priced[0]
+        return on is not None and int(np.count_nonzero(on)) == on.size - len(self.basis[1])
+
 
 def _cost_tol(c: np.ndarray):
     """Reduced costs below -COST_TOL * max(1, |c|max) count as improving; a

@@ -31,12 +31,31 @@ from functools import cached_property
 
 import numpy as np
 
-from .lp import LinearProgram, LpStatusError, solve_lp
+from .lp import LinearProgram, LpError, LpResult, LpStatusError, solve_lp
 from .spaces import FilteredSpace, LevelError, RandomVariable, _Segments
 from .subspaces import Subspace
 
 VALUE_TOL = 1e-9
 DATA_TOL = 1e-12
+
+
+def _solved(solve, name: str, levels: tuple[int, int], block: int, lp: LinearProgram,
+            warm: bool = False, ok: tuple[str, ...] = ("optimal",), piece: int | None = None,
+            why: str = "") -> LpResult:
+    """``solve(lp, warm=warm)``, whose status must be one of ``ok``: the one
+    place a library LP's failure is named. ``solve`` is the caller module's
+    own ``solve_lp`` binding, read at the call. Otherwise an ``LpStatusError``
+    names the LP, the pair, the block, the piece if given and the status, or
+    the error class of a raw solver fault (``LpError`` or ``LinAlgError``)
+    with its message."""
+    try:
+        res = solve(lp, warm=warm)
+    except (LpError, np.linalg.LinAlgError) as err:
+        raise LpStatusError(name, levels, block, type(err).__name__, piece,
+                            str(err)) from err
+    if res.status not in ok:
+        raise LpStatusError(name, levels, block, res.status, piece, why)
+    return res
 
 
 class DomainError(ValueError):
@@ -262,14 +281,12 @@ class BoundPair:
             # every (i, j), one row each: <kM_i - km_j, x>_p - t <= 0
             gaps = (kM[:, None] - km[None]).reshape(-1, n)
             rows = np.hstack([seg.rows.probs * gaps / seg.prob, -np.ones((len(gaps), 1))])
-            res = solve_lp(LinearProgram(
-                c=np.append(np.zeros(n), 1.0), sense="min",
-                a_eq=[np.append(np.ones(n), 0.0)], b_eq=[1.0],
-                a_ub=rows, b_ub=np.zeros(len(rows)),
-                bounds=[(0.0, np.inf)] * n + [(-np.inf, np.inf)]))
-            if res.status != "optimal":
-                raise LpStatusError("dominance LP", (self.level_a, self.level_b), a,
-                                    res.status, why="it is always feasible and bounded")
+            res = _solved(solve_lp, "dominance LP", (self.level_a, self.level_b), a,
+                          LinearProgram(c=np.append(np.zeros(n), 1.0), sense="min",
+                                        a_eq=[np.append(np.ones(n), 0.0)], b_eq=[1.0],
+                                        a_ub=rows, b_ub=np.zeros(len(rows)),
+                                        bounds=[(0.0, np.inf)] * n + [(-np.inf, np.inf)]),
+                          why="it is always feasible and bounded")
             if res.value < -VALUE_TOL:
                 raise BoundsError(
                     f"minorant exceeds majorant on block {a} of level {self.level_a}"
@@ -485,11 +502,9 @@ def check_sandwich(op: PolyhedralOperator, bounds: BoundPair) -> SandwichReport:
                            bounds=[(0.0, np.inf)] * (z + n) + [(-np.inf, np.inf)] * 2)
         for j, pc in enumerate(op.pieces):
             g = bmat.T @ (pw * pc.density.values[sg.reps])
-            res = solve_lp(lp.with_objective(
-                np.concatenate([-g, g, np.zeros(2 * n), [1.0, 1.0]])))
-            if res.status != "optimal":
-                raise LpStatusError("sandwich LP", (op.level_a, op.level_b), a,
-                                    res.status, piece=j)
+            res = _solved(solve_lp, "sandwich LP", (op.level_a, op.level_b), a,
+                          lp.with_objective(np.concatenate([-g, g, np.zeros(2 * n), [1.0, 1.0]])),
+                          piece=j)
             if res.value < -VALUE_TOL:
                 scale = (penalties[a, j] + 1.0) / (-res.value)
                 beta = (res.x[:d] - res.x[d:y]) * scale
@@ -620,12 +635,10 @@ class DensityPolytope:
         the vertex the block's last optimal solve kept.
         """
         bp = self.blocks[a]
-        res = solve_lp(self._membership_lps[a].with_objective(np.concatenate(
-            [bp.b_eq[1:], bp.a_ub[:, :bp.n_f] @ fs - bp.b_ub])), warm=True)
-        if res.status != "optimal":
-            raise LpStatusError("membership LP", (self.level_a, self.bounds.level_b), a,
-                                res.status, why="it is always feasible and bounded")
-        return res.value
+        return _solved(solve_lp, "membership LP", (self.level_a, self.bounds.level_b), a,
+                       self._membership_lps[a].with_objective(np.concatenate(
+                           [bp.b_eq[1:], bp.a_ub[:, :bp.n_f] @ fs - bp.b_ub])),
+                       warm=True, why="it is always feasible and bounded").value
 
     def block_members(self, f: RandomVariable, tol: float = 1e-9):
         """Membership verdict of every block in turn, computed lazily."""

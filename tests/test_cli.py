@@ -299,7 +299,8 @@ def test_lp_status_failure_exits_2_with_its_message(capsys, monkeypatch):
                                    np.linalg.LinAlgError("Singular matrix")])
 def test_raw_solver_faults_exit_2_with_one_line(error, capsys, monkeypatch):
     # a raw LP or linear-algebra fault, here out of the dominance LP that
-    # loading the polyhedral bounds solves, ends in one line on stderr
+    # loading the polyhedral bounds solves, ends in one line on stderr that
+    # names the LP, its pair and block, and the error class
     def fails(lp, warm=False):
         raise error
 
@@ -307,7 +308,9 @@ def test_raw_solver_faults_exit_2_with_one_line(error, capsys, monkeypatch):
     rc = main(["report", "--input", str(ROOT / "tests" / "golden" / "polyhedral_tree.json")])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err == f"sandwich: solver error: {error}\n"
+    assert captured.err == (
+        "sandwich: solver error: pair (0, 1): dominance LP on block 0 of level 0 came back "
+        f"{type(error).__name__}; {error}\n")
 
 
 @pytest.mark.parametrize("error", [LpError("simplex iteration cap exceeded"),

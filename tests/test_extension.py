@@ -370,6 +370,27 @@ def test_piece_means_off_one_within_the_data_tolerance_keep_the_domain_values():
     assert max(misses) <= 2e-9, misses
 
 
+def test_attained_densities_meet_the_budget_on_skewed_masses():
+    # every block's masses follow one pattern. A face that is the solve's
+    # vertex is read off the solve; centered through the unscaled SVD, the
+    # density of a segment of mass 1e-9 fell under the rank cut, was taken
+    # as free, and the centering LP moved block means off 1 by up to 0.6
+    misses, outside = [], 0
+    for pattern in ([1, 1, 1e-9], [1e-9] * 3, [1, 1e-6, 1e-9], [1, 1e-3, 1e-6], [1, 1, 1]):
+        space = _nine_atoms(np.tile(pattern, 3))
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            sub = span_closure(space, 2, 1, [space.rv(rng.normal(size=9))])
+            op = random_polyhedral(space, 2, 1, np.random.default_rng(seed), domain=sub)
+            ext = maximal_extension(op, enclosing_bounds(space, 2, 1, op))
+            for x in rng.normal(size=(3, 9)):
+                f = attain(ext, space.rv(x)).density
+                misses.append(np.abs(space._layout[1].means(f.values) - 1.0).max())
+                outside += sum(not member for member in ext.polytope.block_members(f, 1e-9))
+    assert len(misses) == 120
+    assert max(misses) <= 1e-9 and outside == 0, (max(misses), outside)
+
+
 def test_evaluate_level_guard_and_memoization(three_atom):
     ext = maximal_extension(three_atom.op, three_atom.bounds)
     space = three_atom.space
@@ -791,6 +812,55 @@ def test_face_memo_is_a_bounded_lru(monkeypatch):
             assert prog.faces[key].tobytes() == first.setdefault(
                 (a, key), prog.faces[key].tobytes())
     assert recentered > 0
+
+
+EXIT_SOURCES = FIXTURES + [GOLDEN_TREE] + [(b, 2, kind) for b in (2, 3, 12)
+                                           for kind in ("linear", "polyhedral")]
+
+
+@pytest.mark.parametrize("source", EXIT_SOURCES, ids=source_id)
+def test_single_vertex_faces_are_the_snapped_vertex_with_no_lp(source, monkeypatch):
+    # where every nonbasic column of the block solve is priced above the
+    # tolerance, the face is the solve's vertex: the equalities it holds
+    # leave no free direction, and it is returned with no centering LP
+    system = _tree_or_fixture(source)
+    ext = extend_system(system)
+    calls = _count_lps(monkeypatch)
+    center = sandwichext.extension._center_on_face
+    faces = []
+
+    def recording(prog, res, a):
+        del calls[:]
+        z = center(prog, res, a)
+        faces.append((prog, res, z, len(calls)))
+        return z
+
+    monkeypatch.setattr(sandwichext.extension, "_center_on_face", recording)
+    rng = np.random.default_rng(SEED + 7)
+    space = system.space
+    for k, (_, t) in enumerate(system.adjacent_pairs):
+        for vals in [np.zeros(space.n_atoms), *rng.normal(size=(16, space.n_atoms))]:
+            attain(ext.step(k), cond_expectation(space, space.rv(vals), t))
+    vertices = centered = 0
+    for prog, res, z, lps in faces:
+        if not res.single_vertex:
+            centered += lps > 0
+            continue
+        vertices += 1
+        lp = prog.lp
+        lo, hi = np.array(lp.bounds).T
+        m_ub = 0 if lp.a_ub is None else lp.a_ub.shape[0]
+        rows, at_lo, at_hi = np.split(res.tight, [m_ub, m_ub + lp.n_vars])
+        assert lps == 0
+        assert z.tobytes() == np.where(at_lo, lo, np.where(at_hi, hi, res.x)).tobytes()
+        eqs = lp.a_eq if lp.a_ub is None else np.vstack([lp.a_eq, lp.a_ub[rows]])
+        free = ~(at_lo | at_hi)
+        sv = np.linalg.svd(eqs[:, free], compute_uv=False)
+        assert (sv > 1e-10 * max(1.0, sv.max(initial=0.0))).sum() == free.sum()
+    if source == GOLDEN_TREE or source[-1] == "polyhedral":
+        assert centered > 0
+    else:
+        assert vertices > 0
 
 
 def _count_lps(monkeypatch):

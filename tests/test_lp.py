@@ -449,6 +449,56 @@ def test_tight_is_the_part_by_part_mapping_scattered_at_once():
     assert len(kinds) == 4          # boxed, lower-only, upper-only and free
 
 
+def _facet_program(rng):
+    """A feasible program whose objective, min -a_ub[0].x plus a combination
+    of the equality rows, is constant on the facet a_ub[0].x = b_ub[0]. A
+    planted point strictly inside every bound and other row lies on that
+    facet, and n >= m_eq + 2 leaves the facet a free direction there, so the
+    optimum is not unique."""
+    n = int(rng.integers(3, 7))
+    m_eq, m_ub = int(rng.integers(1, n - 1)), int(rng.integers(1, 3))
+    x0 = rng.uniform(0.2, 0.8, size=n)
+    bounds = tuple(((0.0, 2.0), (0.0, math.inf), (-math.inf, 1.5),
+                    (-math.inf, math.inf))[k] for k in rng.integers(0, 4, size=n))
+    a_eq, a_ub = rng.normal(size=(m_eq, n)), rng.normal(size=(m_ub, n))
+    b_ub = a_ub @ x0 + np.r_[0.0, rng.uniform(0.1, 0.5, size=m_ub - 1)]
+    return dict(c=-a_ub[0] + a_eq.T @ rng.normal(size=m_eq), a_eq=a_eq, b_eq=a_eq @ x0,
+                a_ub=a_ub, b_ub=b_ub, bounds=bounds)
+
+
+def test_single_vertex_optima_are_highs_optima_and_facet_objectives_are_not():
+    # where every nonbasic column is priced above the tolerance the optimum
+    # is unique, so HiGHS ends on the same x; an objective parallel to a
+    # facet leaves an optimal edge, and the property says so. Each program is
+    # solved cold and then warm with another objective; a facet objective
+    # comes first in half of its programs and second in the others
+    rng = np.random.default_rng(SEED + 11)
+    single = facets = 0
+    kinds = set()
+    for k in range(150):
+        spec = _random_program(rng) if k % 3 else _facet_program(rng)
+        specs = [spec, dict(spec, c=rng.normal(size=spec["c"].size))]
+        if k % 6 == 3:
+            specs.reverse()
+        lp = LinearProgram(**specs[0])
+        for warm, each in enumerate(specs):
+            res = solve_lp(lp.with_objective(each["c"]), warm=bool(warm))
+            if each is spec and k % 3 == 0:
+                assert res.status == "optimal" and not res.single_vertex
+                facets += 1
+            elif res.single_vertex:
+                ref = _highs(each)
+                assert res.status == "optimal" and ref.status == 0
+                np.testing.assert_allclose(res.x, ref.x, rtol=0,
+                                           atol=1e-9 * max(1.0, np.abs(ref.x).max()))
+                single += 1
+                kinds |= set(each["bounds"])
+    assert LpResult("unbounded", -math.inf).single_vertex is False
+    assert facets == 50 and single >= 80, (facets, single)
+    # a free variable's u+ and u- are never both marked, so no single vertex
+    assert kinds == {(0.0, 2.0), (0.0, math.inf), (-math.inf, 1.5)}
+
+
 def _nearby_objectives(rng, c, k=4):
     """Objectives at a few distances from ``c``: near ones mostly keep the
     optimal basis, far ones mostly move it."""

@@ -537,3 +537,38 @@ def test_membership_lp_status_other_than_optimal_is_named(monkeypatch):
     assert (info.value.lp, info.value.levels, info.value.block, info.value.piece,
             info.value.status) == ("membership LP", (0, 1), 0, None, "unbounded")
     assert str(info.value).startswith("pair (0, 1): membership LP on block 0")
+
+
+@pytest.mark.parametrize("error", [LpError("simplex iteration cap exceeded"),
+                                   np.linalg.LinAlgError("Singular matrix")],
+                         ids=["LpError", "LinAlgError"])
+def test_sandwich_and_membership_solver_faults_are_typed_and_located(error, monkeypatch):
+    # a raw fault out of the fourth sandwich LP (block 1, piece 1) or out of
+    # a membership LP names the LP, its pair, block and piece, and the error
+    # class, and keeps the fault as its cause
+    _, op, bounds = two_blocks_two_pieces([1.5, 0.5, 0.5, 1.5])
+    poly = density_set(bounds)
+    calls = []
+
+    def fourth_fails(lp, warm=False):
+        calls.append(1)
+        if len(calls) == 4:
+            raise error
+        return solve_lp(lp, warm=warm)
+
+    monkeypatch.setattr(sandwichext.operators, "solve_lp", fourth_fails)
+    with pytest.raises(LpStatusError) as info:
+        check_sandwich(op, bounds)
+    assert str(info.value) == (f"pair (1, 2): sandwich LP on block 1 of level 1, piece 1 "
+                               f"came back {type(error).__name__}; {error}")
+    assert info.value.__cause__ is error
+
+    def fails(lp, warm=False):
+        raise error
+
+    monkeypatch.setattr(sandwichext.operators, "solve_lp", fails)
+    with pytest.raises(LpStatusError) as info:
+        poly.contains_on_block(1, np.array([1.0, 1.0]))
+    assert str(info.value) == (f"pair (1, 2): membership LP on block 1 of level 1 "
+                               f"came back {type(error).__name__}; {error}")
+    assert info.value.__cause__ is error
