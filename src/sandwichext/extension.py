@@ -265,7 +265,7 @@ class _BlockProgram:
     becomes the form's kept vertex, as after that solve. The table is an LRU
     of at most ``TABLE_SIZE`` entries. ``TABLE_SIZE`` misses in a row drop it
     for good: the block's optimal bases outnumber it, and its tests would
-    only add cost. ``attain`` neither reads nor fills it.
+    only add cost. ``attain`` reads it for its warm starts and never fills it.
     """
 
     poly: BlockPolytope
@@ -285,30 +285,36 @@ class _BlockProgram:
         c[:self.poly.n_f] = self.weights * x_reps
         return self.lp.with_objective(c)
 
-    def take(self, rows: dict, priced: list) -> float | None:
-        """The value off the first tabled basis optimal for the payoff,
-        trying the form's kept vertex first, then the newest; None on a miss,
-        which is counted. ``rows`` maps the table's keys to their places in
-        ``priced``, which holds an entry's value where its basis passed the
-        test and None where it failed. A hit becomes the newest entry (it
-        stays put if it is one) and the form's kept vertex."""
-        form, table = self.lp._form, self.table
-        kept = None if form.last is None else rows.get(form.last.basis)
+    def passing(self, rows: dict, priced: list) -> tuple | None:
+        """(place, vertex record) of the first tabled basis optimal for the
+        payoff, trying the form's kept vertex first, then the newest; None if
+        none is. ``rows`` maps the table's keys to their places in ``priced``,
+        which holds an entry's value where its basis passed the test and None
+        where it failed. Changes nothing."""
+        last = self.lp._form.last
+        kept = None if last is None else rows.get(last.basis)
         if kept is not None and priced[kept] is not None:
-            if next(reversed(table.values())) is not form.last:
-                table[form.last.basis] = form.last = table.pop(form.last.basis)
-            self.misses = 0
-            return priced[kept]
-        for age, (key, vertex) in enumerate(reversed(table.items())):
+            return kept, last
+        for key, vertex in reversed(self.table.items()):
             place = rows[key]
             if place != kept and priced[place] is not None:
-                if age:
-                    table[key] = table.pop(key)
-                form.last = vertex
-                self.misses = 0
-                return priced[place]
-        self.misses += 1
+                return place, vertex
         return None
+
+    def take(self, rows: dict, priced: list) -> float | None:
+        """The value off the ``passing`` entry, or None on a miss, which is
+        counted. A hit becomes the newest entry (it stays put if it is one)
+        and the form's kept vertex."""
+        found = self.passing(rows, priced)
+        if found is None:
+            self.misses += 1
+            return None
+        place, vertex = found
+        if next(reversed(self.table.values())) is not vertex:
+            self.table[vertex.basis] = vertex = self.table.pop(vertex.basis)
+        self.lp._form.last = vertex
+        self.misses = 0
+        return priced[place]
 
     def remember(self, res: LpResult) -> None:
         """Table the vertex the solve ``res`` that followed a missed test
@@ -323,7 +329,8 @@ class _BlockProgram:
 
 class _TableStack:
     """Every entry of an extension's live basis tables, stacked so that one
-    optimality test per payoff prices them all.
+    optimality test per payoff prices them all; ``evaluate`` and ``attain``
+    each price it once per call.
 
     Entries are grouped by the shape of their kept rows and their block's
     number of density variables. A group stacks, per entry, the kept rows,
@@ -390,14 +397,16 @@ class ExtendedOperator:
     otherwise the block solves warm and tables the basis it ends on. A table
     holds at most ``TABLE_SIZE`` bases, least recently used first out, and
     ``TABLE_SIZE`` misses in a row drop it for good (see ``_BlockProgram``).
-    The first evaluate builds the stack; one that changes a table drops it,
-    and the next evaluate builds it anew.
-    ``attain`` solves every block program again, and memoizes per block the
-    centered point of each optimal face it reaches, in a least-recently-used
-    memo of ``FACE_MEMO_SIZE`` faces. Each block program's LP keeps its
-    standard form and the vertex record of its last optimal solve for the
-    next warm solve, which returns that record's solution as it is when its
-    first pass finds it optimal; the table's entries are those same records.
+    The first evaluate or attain builds the stack; an evaluate that changes
+    a table drops it, and the next call builds it anew.
+    ``attain`` solves every block program again, starting where it can on a
+    tabled basis that passes the stacked test (see ``attain``), and memoizes
+    per block the centered point of each optimal face it reaches, in a
+    least-recently-used memo of ``FACE_MEMO_SIZE`` faces. Each block
+    program's LP keeps its standard form and the vertex record of its last
+    optimal solve for the next warm solve, which returns that record's
+    solution as it is when its first pass finds it optimal; the table's
+    entries are those same records.
     Every solve or table hit replaces the kept record and updates a memo or
     table, so even a read (``evaluate`` or ``attain``) mutates the instance:
     use it from one thread at a time.
@@ -433,10 +442,8 @@ class ExtendedOperator:
     def _solve(self, X: RandomVariable) -> RandomVariable:
         """Each block's value at ``X``: off its table where one passed the
         stacked test, else a warm solve that a live table then keeps."""
-        if self._stack is None:
-            self._stack = _TableStack(self._programs)
+        priced = self._priced(X.values)
         stack = self._stack
-        priced = stack.priced(X.values)
         by_block = np.empty(len(self._programs))
         for a, (prog, rows) in enumerate(zip(self._programs, stack.rows)):
             value = None if rows is None else prog.take(rows, priced)
@@ -449,6 +456,12 @@ class ExtendedOperator:
             by_block[a] = value
         return RandomVariable(
             self.space._layout[self.level_a].broadcast(by_block), self.level_a)
+
+    def _priced(self, x: np.ndarray) -> list:
+        """The stacked test's verdicts for payoff ``x``; builds a missing stack."""
+        if self._stack is None:
+            self._stack = _TableStack(self._programs)
+        return self._stack.priced(x)
 
     def _solve_block(self, a: int, x: np.ndarray) -> LpResult:
         prog = self._programs[a]
@@ -509,6 +522,12 @@ def attain(ext: ExtendedOperator, X: RandomVariable) -> Attainment:
     conjugate of the base operator at f_X. A block's point comes from its face
     memo; on a miss it is read off the block solve where
     ``LpResult.single_vertex`` holds, and centered on the face otherwise.
+
+    Each block solve is warm. The stacked test of ``evaluate`` prices the live
+    tables first: where a block's kept vertex is tabled and fails it, the
+    solve starts on the newest tabled basis that passes (``_BlockProgram.passing``)
+    and stops after one pass; otherwise it starts on the kept vertex. The
+    tables, their misses and the stack are left as they are.
     """
     if X.level > ext.level_b:
         raise LevelError("payoff finer than the extension level")
@@ -517,8 +536,12 @@ def attain(ext: ExtendedOperator, X: RandomVariable) -> Attainment:
     f_seg = np.empty(fine.probs.size)
     values = np.empty(coarse.probs.size)
     pen = np.empty(coarse.probs.size)
-    for a, prog in enumerate(ext._programs):
-        poly = prog.poly
+    priced = ext._priced(X.values)
+    for a, (prog, rows) in enumerate(zip(ext._programs, ext._stack.rows)):
+        poly, form = prog.poly, prog.lp._form
+        found = rows and prog.passing(rows, priced)
+        if found and form.last.basis in rows:   # kept in the table: the first that passes
+            form.last = found[1]
         res = ext._solve_block(a, X.values)
         z = _memoized(prog.faces, res.x.tobytes() + res.tight.tobytes(),
                       FACE_MEMO_SIZE, partial(_center_on_face, prog, res, a))

@@ -56,6 +56,7 @@ FEAS_TOL = 1e-9
 COST_TOL = 1e-11        # times max(1, |c|max), see _simplex
 PIVOT_TOL = 1e-11
 DROP_TOL = 1e-8         # phase 1 drops a row whose entries off the basis all lie within this
+RESID_TOL = 1e-6        # times max(1, |b|max): an optimal basis's residual above it raises
 MAX_ITER = 1_000_000
 BLAND_AFTER = 10        # degenerate pivots in a row before Bland's rule takes over
 
@@ -186,6 +187,7 @@ class _StandardForm:
         self.flips = flips = np.where(bvec < 0, -1.0, 1.0)
         amat *= flips[:, None]
         self.bvec = bvec * flips
+        self.resid_tol = RESID_TOL * max(1.0, float(np.abs(bvec).max(initial=0.0)))
         # phase 1 starts each row on a +1 slack, or on an artificial where it ``need``s one
         self.need = need = np.r_[np.ones(m_eq, dtype=bool), flips[m_eq:] < 0]
         self.start = np.arange(var.size - m_eq, var.size - m_eq + m)
@@ -412,12 +414,12 @@ def solve_lp(lp: LinearProgram, warm: bool = False) -> LpResult:
             cert = {"kind": "ray", "ray": form.umat @ ray_u[:n_u], "from_point": x_here}
             return LpResult("unbounded", -sgn * _INF, None, None, cert, iters)
         # loud failure beats a silently corrupted answer: a basis bad enough to
-        # break feasibility at this scale of problem is a bug, not an outcome
+        # break feasibility at the scale of the data is a bug, not an outcome
         (a_eq, b_eq), (a_ub, b_ub) = form.eq, form.ub
         resid = max(np.abs(a_eq @ x_here - b_eq).max(initial=0.0),
                     (a_ub @ x_here - b_ub).max(initial=0.0),
                     (form.lo - x_here).max(), (x_here - form.hi).max(), 0.0)
-        if resid > 1e-6:
+        if resid > form.resid_tol:
             raise LpError(f"optimal basis fails feasibility re-check ({resid:.3e})")
         x_here.setflags(write=False)
         vertex = _Vertex((tuple(rows), tuple(basis.tolist())), binv, a2, b2, basis, x_here)

@@ -1044,6 +1044,7 @@ def _mixed_operations(system, rng, n_ops=24):
 
 
 TABLE_SOURCES = SOURCES + [GOLDEN_TREE, (2, 4, "linear")]
+NO_TABLED_STARTS = ["fix_c_linear.json"]   # one basis per block, optimal for every payoff
 
 
 @pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)
@@ -1120,6 +1121,132 @@ def test_table_hits_are_the_bits_of_a_fresh_warm_solve(source, monkeypatch):
     for level in rng.normal(size=6):
         ext.evaluate(s, t, space.rv(np.full(space.n_atoms, level), t))
     assert hits
+
+
+def _tabled_start(prog, kept, x_reps):
+    """The entry a block's ``attain`` solve starts on in place of its kept
+    vertex ``kept``: where ``kept`` is a tabled basis that ``_pricing`` finds
+    not optimal for the payoff, the newest tabled basis it finds optimal;
+    else None, and the solve starts on ``kept``."""
+    form = prog.lp._form
+    cost = form.cost(prog.program(x_reps).c)
+
+    def optimal(vertex):
+        return _pricing(vertex.a, cost, vertex.cols, vertex.binv, form.twin, _cost_tol(cost))[3]
+
+    if kept is None or kept.basis not in prog.table or optimal(kept):
+        return None
+    return next((vertex for vertex in reversed(prog.table.values()) if optimal(vertex)), None)
+
+
+def _recorded_attains(monkeypatch, check):
+    """Call ``check(ext, X, found, results)`` after every ``attain``, the
+    step attainments' and those of ``price``: ``found`` is the stack and, per
+    block, the kept vertex, the table's keys and the misses that the call
+    found, and ``results`` the block solves' results in block order."""
+    attained, solve = sandwichext.extension.attain, ExtendedOperator._solve_block
+    results = []
+
+    def recording_solve(ext, a, x):
+        results.append(solve(ext, a, x))
+        return results[-1]
+
+    def recording(ext, X):
+        found = ext._stack, [(prog.lp._form.last, list(prog.table), prog.misses)
+                             for prog in ext._programs]
+        results.clear()
+        out = attained(ext, X)
+        check(ext, X, found, list(results))
+        return out
+
+    monkeypatch.setattr(ExtendedOperator, "_solve_block", recording_solve)
+    monkeypatch.setattr(sandwichext.dynamic, "attain", recording)
+    monkeypatch.setitem(globals(), "attain", recording)
+
+
+@pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)
+def test_attain_starts_a_failed_tabled_kept_vertex_on_the_newest_passing_entry(
+        source, monkeypatch):
+    # where a block's kept vertex is a tabled basis that fails the stacked
+    # test and another passes, attain's solve starts on the newest that
+    # passes and stops there after one pass, with the bits of a warm solve
+    # from that basis on a freshly built program; every other block solves
+    # from its kept vertex as it was
+    switched = []
+
+    def check(ext, X, found, results):
+        for prog, (kept, _, _), res in zip(ext._programs, found[1], results):
+            x_reps = X.values[prog.poly.seg.reps]
+            start = _tabled_start(prog, kept, x_reps)
+            first = start or kept
+            same_lp_result(res, fresh_warm_solve(prog.program(x_reps), first and first.basis))
+            if start is not None:
+                switched.append(start)
+                assert res.iterations == 1 and res.basis == start.basis and res.x is start.x
+
+    _recorded_attains(monkeypatch, check)
+    system = _tree_or_fixture(source)
+    ext = extend_system(system)
+    rng = np.random.default_rng(SEED + 14)
+    for _, op in _mixed_operations(system, rng, 48):
+        op(ext)
+    # at a constant payoff several tabled bases can be optimal, and the
+    # order of the search decides
+    space, s, t = system.space, system.grid[0], system.grid[-1]
+    for level in rng.normal(size=6):
+        price(ext, s, t, space.rv(np.full(space.n_atoms, level), t))
+    assert switched or source in NO_TABLED_STARTS
+
+
+@pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)
+def test_attain_leaves_the_tables_the_misses_and_the_stack_as_they_are(source, monkeypatch):
+    # attain reads the tables for its starts: it adds, reorders and drops
+    # no entry, counts no miss, and keeps the stack it found; one it builds
+    # holds every entry of the live tables
+    stacks = []
+
+    def check(ext, X, found, results):
+        stack, blocks = found
+        assert [(list(prog.table), prog.misses) for prog in ext._programs] == [
+            (keys, misses) for _, keys, misses in blocks]
+        assert ext._stack is (stack or ext._stack) is not None
+        assert [None if rows is None else set(rows) for rows in ext._stack.rows] == [
+            set(prog.table) if prog.misses < TABLE_SIZE else None for prog in ext._programs]
+        stacks.append(stack)
+
+    _recorded_attains(monkeypatch, check)
+    system = _tree_or_fixture(source)
+    ext = extend_system(system)
+    space, s, t = system.space, system.grid[0], system.grid[-1]
+    rng = np.random.default_rng(SEED + 15)
+    price(ext, s, t, space.rv(rng.normal(size=space.n_atoms), t))   # builds the stacks
+    for _, op in _mixed_operations(system, rng, 48):
+        op(ext)
+    assert None in stacks and any(stack is not None for stack in stacks)
+
+
+@pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)
+def test_attain_off_the_tables_matches_a_table_free_extension(source, monkeypatch):
+    # as evaluate's: a twin with every table off gives the bits until a
+    # start on a tabled entry other than the kept vertex (or a table hit on
+    # one), whose basis the twin's solve may reach with its columns in
+    # another order, or not at all on a tie; past it they agree to rounding
+    system = _tree_or_fixture(source)
+    ext, ref = extend_system(system), extend_system(system)
+    takes, starts = _recorded_takes(monkeypatch), []
+
+    def check(ext, X, found, results):
+        starts.extend(_tabled_start(prog, kept, X.values[prog.poly.seg.reps]) is not None
+                      for prog, (kept, _, _) in zip(ext._programs, found[1]))
+
+    _recorded_attains(monkeypatch, check)
+    # the twin's tables are dropped before its attains read them
+    for scale, op in _mixed_operations(system, np.random.default_rng(SEED + 16), 48):
+        for got, want in zip(op(ext), _table_free(monkeypatch, op, ref)):
+            if got.tobytes() != want.tobytes():
+                assert any(starts) or any(foreign for _, _, foreign in takes)
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+    assert any(starts) or source in NO_TABLED_STARTS
 
 
 def test_table_is_a_bounded_lru(monkeypatch):

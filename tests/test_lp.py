@@ -811,6 +811,45 @@ def test_objective_scale_keeps_status_and_value_in_few_passes(monkeypatch):
     assert checked >= 40
 
 
+def _planted_programs(rng, scale, n_programs):
+    """Feasible programs over 8 variables in [0, 2 scale]: 4 equality rows
+    b = A x0 with x0 uniform in [0, scale]."""
+    for _ in range(n_programs):
+        a_eq, x0 = rng.normal(size=(4, 8)), rng.uniform(0.0, scale, size=8)
+        yield dict(c=rng.normal(size=8), a_eq=a_eq, b_eq=a_eq @ x0, a_ub=None, b_ub=None,
+                   bounds=((0.0, 2.0 * scale),) * 8)
+
+
+def test_feasibility_recheck_scales_with_the_data():
+    # right-hand sides near 1e12 leave residuals of about 1e-3 in an optimal
+    # basis from rounding alone, which an absolute bound took for a broken
+    # basis; measured against the data's scale every program solves, to
+    # HiGHS's value
+    rng = np.random.default_rng(SEED + 13)
+    for spec in _planted_programs(rng, 1e12, 200):
+        res, ref = solve_lp(LinearProgram(**spec)), _highs(spec)
+        assert res.status == "optimal" and ref.status == 0
+        assert res.value == pytest.approx(ref.fun, rel=1e-12)
+
+
+def test_a_perturbed_basis_inverse_fails_the_recheck_at_any_scale(monkeypatch):
+    # every inverse the simplex hands back is off by 1e-3 relative: the
+    # basic solution misses its rows by far more than rounding, at unit
+    # scale and at 1e12 alike
+    simplex = sandwichext.lp._simplex
+
+    def perturbed(*args, **kwargs):
+        status, basis, binv, *rest = simplex(*args, **kwargs)
+        return (status, basis, binv * (1.0 + 1e-3), *rest)
+
+    monkeypatch.setattr(sandwichext.lp, "_simplex", perturbed)
+    rng = np.random.default_rng(SEED + 14)
+    for scale in (1.0, 1e12):
+        for spec in _planted_programs(rng, scale, 20):
+            with pytest.raises(LpError, match="feasibility re-check"):
+                solve_lp(LinearProgram(**spec))
+
+
 def _face_programs(rng):
     """Random programs whose optimal face is often more than a vertex: the
     objective is a row normal, a bound direction, or has repeated entries."""

@@ -6,7 +6,10 @@ Run it in each checkout and compare the lines. Per benchmark workload and
 seed, a digest covers the first ``--payoffs`` outputs of the benchmark's
 evaluate stream (values) and price stream (values, densities, penalties),
 and on polyhedral-report the ``sandwich report`` bytes of the generated
-scenario. The last covers the report bytes of every fixture and
+scenario. A second digest, ``interleaved``, covers as many evaluates and
+prices taken in turn on a fresh set-up, the order in which the timed
+benchmark mixes them, so the basis tables are live while it prices. The
+last covers the report bytes of every fixture and
 ``tests/golden/polyhedral_tree.json``. ``bench/run.py`` is used as it is.
 """
 
@@ -31,16 +34,24 @@ def reports(bench, inputs) -> bytes:
     return repr(bench._report_round("same-answers", inputs)[1]).encode()
 
 
-def digest(bench, payoffs: int) -> str:
+def digest(bench, payoffs: int, interleaved: bool = False) -> str:
+    """The evaluate stream's first ``payoffs`` outputs, then the price
+    stream's; or, ``interleaved``, one evaluate and one price in turn."""
     out, ext, T = hashlib.sha256(), bench.setup(), bench.T
     evals, prices = bench.stream("evaluate"), bench.stream("price")
-    for _ in range(payoffs):
+
+    def evaluate():
         out.update(ext.evaluate(0, T, ext.space.rv(next(evals), T)).values.tobytes())
-    for _ in range(payoffs):
+
+    def price():
         res = run.sx.price(ext, 0, T, ext.space.rv(next(prices), T))
         for part in (res.value.values, res.density.values, res.penalty.by_block):
             out.update(part.tobytes())
-    if bench.wl.scenario_report:
+
+    for op in ([evaluate, price] * payoffs if interleaved else
+               [evaluate] * payoffs + [price] * payoffs):
+        op()
+    if bench.wl.scenario_report and not interleaved:
         out.update(reports(bench, [bench.scenario_path]))
     return out.hexdigest()
 
@@ -55,5 +66,6 @@ if __name__ == "__main__":
         for seed in args.seeds:
             bench = run.Bench(name, seed)
             print(f"{name} seed {seed} {digest(bench, args.payoffs)}")
+            print(f"{name} seed {seed} interleaved {digest(bench, args.payoffs, True)}")
     inputs = [*sorted(run.FIXTURES.glob("*.json")), ROOT / "tests/golden/polyhedral_tree.json"]
     print(f"reports {hashlib.sha256(reports(bench, inputs)).hexdigest()}")
