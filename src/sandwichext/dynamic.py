@@ -392,9 +392,11 @@ def check_cocycle_and_local(ext: ExtendedSystem, r: int, s: int, t: int,
     worst = 0.0
     inf_mismatch = False
     samples = [sample() for _ in range(n_samples)]
+    totals = []
     for step_g in samples:
         step_a = penalties(step_g)
         lhs = _cocycle_sum(space, r, step_g, step_a)
+        totals.append(lhs)
         a_rs = _cocycle_sum(space, r, step_g[:m - i], step_a[:m - i])
         a_st = _cocycle_sum(space, s, step_g[m - i:], step_a[m - i:])
         # E_Q[a_st | F_r] with the running product up to s as the weight
@@ -424,8 +426,7 @@ def check_cocycle_and_local(ext: ExtendedSystem, r: int, s: int, t: int,
         g = q2[k - i].copy()
         g[block0] = q1[k - i][block0]
         spliced.append(g)
-    p1 = _cocycle_sum(space, r, q1, penalties(q1))
-    p2 = _cocycle_sum(space, r, q2, penalties(q2))
+    p1, p2 = totals[0], totals[1 % len(samples)]
     ps = _cocycle_sum(space, r, spliced, penalties(spliced))
     ok = np.array_equal(ps[0], p1[0]) and all(
         np.array_equal(ps[a], p2[a]) for a in range(1, n_blocks_r))

@@ -36,6 +36,7 @@ density too.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import count
@@ -46,7 +47,7 @@ from .lp import FEAS_TOL, LinearProgram, LpResult, _cost_tol, _stacked_pricing, 
 from .operators import (BlockPolytope, BoundPair, DensityPolytope, CheckEntry,
                         PolyhedralOperator, PolytopeError, SandwichReport,
                         ValidationReport, _solved, check_sandwich)
-from .spaces import FilteredSpace, LevelError, RandomVariable, _Blocks, _Segments
+from .spaces import FilteredSpace, LevelError, RandomVariable, _Blocks, _Segments, _finite
 
 CONJ_TOL = 1e-9
 FACE_TOL = 1e-9
@@ -245,27 +246,25 @@ class _BlockProgram:
     The (f, lift) part is the block's density polytope ``poly``. ``lp``, built
     and checked by ``make_lp`` on the first solve, holds the constraints and
     the objective's penalty part -c_j; a payoff sets only the f part, through
-    ``weights``, so every solve shares the standard form of ``lp`` and warm
-    starts from the vertex it kept from the last optimal solve. ``levels``
-    is the extension's pair (s, t), which failures name. ``faces`` memoizes
-    the read-only centered point of each optimal face, keyed by the bytes of
-    the solve's ``x`` and ``tight``: besides the fixed constraints, they are
-    all that ``_center_on_face`` reads, and a vertex face's point is its
-    snapped x. It holds at most ``FACE_MEMO_SIZE`` faces.
+    ``weights`` (``_with_payoff``; checked in ``program``, not in ``attain``),
+    so every solve shares the standard form of ``lp`` and warm starts from
+    the vertex it kept. ``levels`` is the extension's pair (s, t), which
+    failures name. ``faces`` memoizes the read-only centered point of up to
+    ``FACE_MEMO_SIZE`` optimal faces, keyed by the bytes of the solve's ``x``
+    and ``tight``: besides the fixed constraints, they are all that
+    ``_center_on_face`` reads, and a vertex face's point is its snapped x.
 
-    ``table`` keeps, for ``evaluate``, the optimal bases the block's
-    evaluate solves have ended on: per (kept rows, basic columns), the
-    vertex record the solve left as its form's kept vertex (B^-1, the kept
-    rows and the read-only solution ``x``, which does not depend on the
-    objective); the constraints never change, so nothing is checked again.
-    The extension prices every entry of its live tables at once with the
-    simplex's own optimality test (``_TableStack``), and ``take`` reads the
-    block's verdicts: a hit is exactly a warm solve from that record that
-    stops after one pass; its value is that solve's ``c @ x``, and the record
-    becomes the form's kept vertex, as after that solve. The table is an LRU
-    of at most ``TABLE_SIZE`` entries. ``TABLE_SIZE`` misses in a row drop it
-    for good: the block's optimal bases outnumber it, and its tests would
-    only add cost. ``attain`` reads it for its warm starts and never fills it.
+    ``table`` keeps the optimal bases the block's evaluate solves have ended
+    on: per (kept rows, basic columns), the vertex record the solve left as
+    its form's kept vertex (B^-1, the kept rows and the read-only ``x``,
+    which no objective changes). The extension prices every entry of its
+    live tables at once with the simplex's own optimality test
+    (``_TableStack``), and ``take`` reads the block's verdicts: a hit is
+    exactly a warm solve from that record that stops after one pass, with
+    its value ``c @ x``, and the record becomes the form's kept vertex. The
+    table is an LRU of at most ``TABLE_SIZE`` entries; ``TABLE_SIZE`` misses
+    in a row drop it for good, as the block's optimal bases outnumber it.
+    ``attain`` reads it for its warm starts and never fills it.
     """
 
     poly: BlockPolytope
@@ -281,9 +280,8 @@ class _BlockProgram:
         return self.make_lp()
 
     def program(self, x_reps: np.ndarray) -> LinearProgram:
-        c = self.lp.c.copy()
-        c[:self.poly.n_f] = self.weights * x_reps
-        return self.lp.with_objective(c)
+        return self.lp.with_objective(
+            _with_payoff(self.lp.c, self.poly.n_f, self.weights, x_reps))
 
     def passing(self, rows: dict, priced: list) -> tuple | None:
         """(place, vertex record) of the first tabled basis optimal for the
@@ -327,40 +325,50 @@ class _BlockProgram:
             del self.table[next(iter(self.table))]
 
 
+def _with_payoff(c: np.ndarray, n_f: int, weights: np.ndarray, x_reps: np.ndarray):
+    """A copy of block objective(s) ``c`` with f part ``weights * x_reps``."""
+    c = c.copy()
+    c[..., :n_f] = weights * x_reps
+    return c
+
+
+# one block shape's programs: their ``lp.c``, weights, reps, ids and penalties c_j, stacked
+_Shape = namedtuple("_Shape", "blocks n_f n_vars c weights reps ids penalties")
+
+
 class _TableStack:
     """Every entry of an extension's live basis tables, stacked so that one
     optimality test per payoff prices them all; ``evaluate`` and ``attain``
     each price it once per call.
 
     Entries are grouped by the shape of their kept rows and their block's
-    number of density variables. A group stacks, per entry, the kept rows,
-    B^-1, the basic columns and the solution ``x``, and its block's penalty
-    objective, segment weights and representatives. The block programs of
-    an extension share one standard-form layout (sense max, every variable
-    bounded below), so a group's costs are its first form's ``cost``.
+    ``_Shape``; a group stacks, per entry, the kept rows, B^-1, the basic
+    columns, ``x`` and its block's rows of the shape's ``c``, weights and
+    reps, and prices with its first form's ``cost``, as an extension's
+    block programs share one standard-form layout (max, bounded below).
     ``rows[a]`` maps block ``a``'s table keys to their places in ``priced``;
     it is None for a dropped table. A hit only reorders a table, so the
     stack stands until a table gains, loses or drops entries.
     """
 
-    def __init__(self, programs: list[_BlockProgram]):
+    def __init__(self, programs: list[_BlockProgram], shapes: list[_Shape]):
         self.rows = [None if prog.misses >= TABLE_SIZE else {} for prog in programs]
         groups: dict = {}
-        for prog, rows in zip(programs, self.rows):
-            for key, vertex in prog.table.items() if rows is not None else ():
-                groups.setdefault((vertex.a.shape, prog.poly.n_f), []).append(
-                    (prog, rows, key, vertex))
+        for g, shape in enumerate(shapes):
+            for i, a in enumerate(shape.blocks):
+                for key, vertex in programs[a].table.items() if self.rows[a] is not None else ():
+                    groups.setdefault((vertex.a.shape, g), []).append((a, key, vertex, i))
         self.groups = []
         places = count()
-        for group in groups.values():
-            for _, rows, key, _ in group:
-                rows[key] = next(places)
-            progs, _, _, vertices = zip(*group)
-            self.groups.append((progs[0].lp._form, progs[0].poly.n_f, *map(np.array, (
+        for (_, g), group in groups.items():
+            for a, key, _, _ in group:
+                self.rows[a][key] = next(places)
+            blocks, _, vertices, at = zip(*group)
+            shape = shapes[g]
+            self.groups.append((programs[blocks[0]].lp._form, shape.n_f, *map(np.array, (
                 [v.a for v in vertices], [v.binv for v in vertices],
-                [v.cols for v in vertices], [v.x for v in vertices],
-                [p.lp.c for p in progs], [p.weights for p in progs],
-                [p.poly.seg.reps for p in progs]))))
+                [v.cols for v in vertices], [v.x for v in vertices])),
+                *(part.take(at, 0) for part in (shape.c, shape.weights, shape.reps))))
 
     def priced(self, x: np.ndarray) -> list:
         """Per entry, the value ``c @ x`` of the objective ``c`` of payoff
@@ -368,13 +376,16 @@ class _TableStack:
         stacked product has the bits of the one-entry product."""
         out = []
         for form, n_f, a, binv, cols, xs, c, weights, reps in self.groups:
-            c = c.copy()
-            c[:, :n_f] = weights * x[reps]
+            c = _with_payoff(c, n_f, weights, x[reps])
             cost = form.cost(c)
             _, optimal = _stacked_pricing(a, cost, cols, binv, form.twin, _cost_tol(cost))
             values = np.matmul(c[:, None], xs[:, :, None])[:, 0, 0]
             out += [v if ok else None for v, ok in zip(values.tolist(), optimal.tolist())]
         return out
+
+
+class _LpValues(RandomVariable):
+    """An extension's values: finite by construction, so not checked again."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,28 +399,17 @@ class Attainment:
 class ExtendedOperator:
     """The maximal extension of ``base`` dominated by ``bounds``.
 
-    Callable on every fine-level payoff; restriction to the original domain
-    reproduces the base operator. Evaluation results are memoized per payoff
-    vector in a least-recently-used memo of ``EVAL_MEMO_SIZE`` entries. On a
-    memo miss one stacked pass (``_TableStack``) prices every entry of every
-    live table of optimal bases with the simplex's optimality test for the
-    payoff, and each block's value is read off its first passing entry;
-    otherwise the block solves warm and tables the basis it ends on. A table
-    holds at most ``TABLE_SIZE`` bases, least recently used first out, and
-    ``TABLE_SIZE`` misses in a row drop it for good (see ``_BlockProgram``).
-    The first evaluate or attain builds the stack; an evaluate that changes
-    a table drops it, and the next call builds it anew.
-    ``attain`` solves every block program again, starting where it can on a
-    tabled basis that passes the stacked test (see ``attain``), and memoizes
-    per block the centered point of each optimal face it reaches, in a
-    least-recently-used memo of ``FACE_MEMO_SIZE`` faces. Each block
-    program's LP keeps its standard form and the vertex record of its last
-    optimal solve for the next warm solve, which returns that record's
-    solution as it is when its first pass finds it optimal; the table's
-    entries are those same records.
-    Every solve or table hit replaces the kept record and updates a memo or
-    table, so even a read (``evaluate`` or ``attain``) mutates the instance:
-    use it from one thread at a time.
+    Callable on every fine-level payoff, which must be finite; restriction to
+    the original domain reproduces the base operator. Values are memoized per
+    payoff in an LRU of ``EVAL_MEMO_SIZE``. On a miss one stacked pass
+    (``_TableStack``, built by the first evaluate or attain and dropped by an
+    evaluate that changes a table) prices every entry of the live tables of
+    optimal bases (``_BlockProgram``), and a block's value is read off its
+    first passing entry, or else it solves warm and tables the basis it ends
+    on. ``attain`` solves every block again and memoizes per block the
+    centered points of up to ``FACE_MEMO_SIZE`` optimal faces. A solve or
+    table hit replaces its form's kept vertex and updates a memo or table,
+    so even a read mutates the instance: use it from one thread at a time.
     """
 
     base: PolyhedralOperator
@@ -440,34 +440,44 @@ class ExtendedOperator:
     __call__ = evaluate
 
     def _solve(self, X: RandomVariable) -> RandomVariable:
-        """Each block's value at ``X``: off its table where one passed the
-        stacked test, else a warm solve that a live table then keeps."""
+        """Each block's value at the finite ``X``: off its table where one
+        passed the stacked test, else a warm solve that a live table keeps."""
+        if not isinstance(X, _LpValues):
+            _finite(X.values)
         priced = self._priced(X.values)
         stack = self._stack
         by_block = np.empty(len(self._programs))
         for a, (prog, rows) in enumerate(zip(self._programs, stack.rows)):
             value = None if rows is None else prog.take(rows, priced)
             if value is None:
-                res = self._solve_block(a, X.values)
+                res = self._solve_block(a, prog.program(X.values[prog.poly.seg.reps]))
                 if rows is not None:
                     prog.remember(res)
                     self._stack = None
                 value = res.value
             by_block[a] = value
-        return RandomVariable(
-            self.space._layout[self.level_a].broadcast(by_block), self.level_a)
+        return _LpValues(self.space._layout[self.level_a].broadcast(by_block), self.level_a)
 
     def _priced(self, x: np.ndarray) -> list:
         """The stacked test's verdicts for payoff ``x``; builds a missing stack."""
         if self._stack is None:
-            self._stack = _TableStack(self._programs)
+            self._stack = _TableStack(self._programs, self._shapes)
         return self._stack.priced(x)
 
-    def _solve_block(self, a: int, x: np.ndarray) -> LpResult:
-        prog = self._programs[a]
-        return _solved(solve_lp, "extension block program", prog.levels, a,
-                       prog.program(x[prog.poly.seg.reps]), warm=True,
-                       why="the sandwich precondition should rule this out")
+    def _solve_block(self, a: int, lp: LinearProgram) -> LpResult:
+        return _solved(solve_lp, "extension block program", self._programs[a].levels, a,
+                       lp, warm=True, why="the sandwich precondition should rule this out")
+
+    @cached_property
+    def _shapes(self) -> list[_Shape]:
+        """The block programs grouped by ``_Shape``, in the order of their first blocks."""
+        shapes: dict = {}
+        for a, prog in enumerate(self._programs):
+            shapes.setdefault((prog.poly.n_f, prog.poly.n_vars, prog.lp.n_vars), []).append(a)
+        return [_Shape(blocks, n_f, n_vars, *map(np.array, zip(*(
+            (p.lp.c, p.weights, p.poly.seg.reps, p.poly.seg.ids, -p.lp.c[n_vars:])
+            for p in (self._programs[a] for a in blocks)))))
+            for (n_f, n_vars, _), blocks in shapes.items()]
 
 
 def maximal_extension(op: PolyhedralOperator, bounds: BoundPair) -> ExtendedOperator:
@@ -523,34 +533,44 @@ def attain(ext: ExtendedOperator, X: RandomVariable) -> Attainment:
     memo; on a miss it is read off the block solve where
     ``LpResult.single_vertex`` holds, and centered on the face otherwise.
 
-    Each block solve is warm. The stacked test of ``evaluate`` prices the live
-    tables first: where a block's kept vertex is tabled and fails it, the
-    solve starts on the newest tabled basis that passes (``_BlockProgram.passing``)
-    and stops after one pass; otherwise it starts on the kept vertex. The
-    tables, their misses and the stack are left as they are.
+    The payoff is checked finite once (an extension's own values are not);
+    one product per ``_Shape`` fills a read-only matrix of objectives, whose
+    rows the warm block solves take unchecked, and densities and penalties
+    are scattered once per shape. Where a block's kept vertex is tabled and
+    fails ``evaluate``'s stacked test, its solve starts on the newest tabled
+    basis that passes (``_BlockProgram.passing``) and stops after one pass.
+    The tables, their misses and the stack are left as they are.
     """
     if X.level > ext.level_b:
         raise LevelError("payoff finer than the extension level")
+    if not isinstance(X, _LpValues):
+        _finite(X.values)
     space = ext.space
     fine, coarse = space._layout[ext.level_b], space._layout[ext.level_a]
     f_seg = np.empty(fine.probs.size)
-    values = np.empty(coarse.probs.size)
-    pen = np.empty(coarse.probs.size)
+    values, pen = np.empty(coarse.probs.size), np.empty(coarse.probs.size)
+    objectives, points = {}, [None] * len(ext._programs)
+    for shape in ext._shapes:
+        c = _with_payoff(shape.c, shape.n_f, shape.weights, X.values[shape.reps])
+        c.setflags(write=False)
+        objectives.update(zip(shape.blocks, c))
     priced = ext._priced(X.values)
     for a, (prog, rows) in enumerate(zip(ext._programs, ext._stack.rows)):
-        poly, form = prog.poly, prog.lp._form
+        form = prog.lp._form
         found = rows and prog.passing(rows, priced)
         if found and form.last.basis in rows:   # kept in the table: the first that passes
             form.last = found[1]
-        res = ext._solve_block(a, X.values)
-        z = _memoized(prog.faces, res.x.tobytes() + res.tight.tobytes(),
-                      FACE_MEMO_SIZE, partial(_center_on_face, prog, res, a))
+        res = ext._solve_block(a, prog.lp._derived(objectives[a]))
+        points[a] = _memoized(prog.faces, res.x.tobytes() + res.tight.tobytes(),
+                              FACE_MEMO_SIZE, partial(_center_on_face, prog, res, a))
         values[a] = res.value
-        f_seg[poly.seg.ids] = z[:poly.n_f]
-        pen[a] = float(-prog.lp.c[poly.n_vars:] @ z[poly.n_vars:])
+    for shape in ext._shapes:
+        z = np.array([points[a] for a in shape.blocks])
+        f_seg[shape.ids] = z[:, :shape.n_f]
+        pen[shape.blocks] = np.matmul(shape.penalties[:, None], z[:, shape.n_vars:, None])[:, 0, 0]
     return Attainment(
         density=RandomVariable(fine.broadcast(f_seg), ext.level_b),
-        value=RandomVariable(coarse.broadcast(values), ext.level_a),
+        value=_LpValues(coarse.broadcast(values), ext.level_a),
         penalty=PenaltyValue(space, ext.level_a, pen))
 
 

@@ -145,8 +145,12 @@ class LinearProgram:
 
     def with_objective(self, c) -> LinearProgram:
         """This program with objective ``c``, which alone is checked."""
+        return self._derived(_objective(c, self.n_vars))
+
+    def _derived(self, c: np.ndarray) -> LinearProgram:
+        """This program with ``c`` unchecked: a read-only finite ``n_vars`` vector."""
         lp = object.__new__(LinearProgram)
-        lp.__dict__.update(self.__dict__, _form=self._form, c=_objective(c, self.n_vars))
+        lp.__dict__.update(self.__dict__, _form=self._form, c=c)
         return lp
 
 

@@ -37,6 +37,12 @@ class MeasurabilityError(ValueError):
     """Values are not constant on the blocks of the declared level."""
 
 
+def _finite(values: np.ndarray) -> None:
+    """Raise ``MeasurabilityError`` unless every value is finite."""
+    if np.count_nonzero(np.isfinite(values)) != values.size:   # faster than .all()
+        raise MeasurabilityError("values must be finite")
+
+
 def _canonical_partition(blocks, n_atoms: int) -> tuple[tuple[int, ...], ...]:
     seen: set[int] = set()
     canon = []
@@ -223,8 +229,7 @@ class FilteredSpace:
         if vals.shape != (self.n_atoms,):
             raise MeasurabilityError(
                 f"values shape {vals.shape} does not match {self.n_atoms} atoms")
-        if not np.all(np.isfinite(vals)):
-            raise MeasurabilityError("values must be finite")
+        _finite(vals)
         lv = self.last_level if level is None else self.check_level(level)
         spread = self._layout[lv].spread(vals)
         bad = np.flatnonzero(spread > MEAS_TOL)

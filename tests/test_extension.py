@@ -1,5 +1,6 @@
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sandwichext import (
     LevelError,
     LpResult,
     LpStatusError,
+    MeasurabilityError,
     Piece,
     PolyhedralOperator,
     PolytopeError,
@@ -1060,24 +1062,6 @@ def test_block_program_equalities_are_independent_by_construction(source):
 
 
 @pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)
-def test_evaluate_off_the_tables_matches_a_table_free_extension(source, monkeypatch):
-    # the tables change how evaluate reaches a block's optimal basis, not
-    # what it returns. A twin extension with every table off gives the bits
-    # until a hit on an entry other than the kept pair: its warm solve may
-    # have pivoted to that entry's columns in another order, whose inverse
-    # rounds differently, and later warm solves restart from there
-    system = _tree_or_fixture(source)
-    ext, ref = extend_system(system), extend_system(system)
-    takes = _recorded_takes(monkeypatch)
-    for scale, op in _mixed_operations(system, np.random.default_rng(SEED + 7)):
-        for got, want in zip(op(ext), _table_free(monkeypatch, op, ref)):
-            if got.tobytes() != want.tobytes():
-                assert any(foreign for _, _, foreign in takes)
-                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
-    assert any(value is not None for _, value, _ in takes)
-
-
-@pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)
 def test_table_hits_are_the_bits_of_a_fresh_warm_solve(source, monkeypatch):
     # a block's verdict is the first entry, the kept pair first and then the
     # newest, whose basis the simplex's own test ``_pricing`` finds optimal,
@@ -1225,12 +1209,16 @@ def test_attain_leaves_the_tables_the_misses_and_the_stack_as_they_are(source, m
     assert None in stacks and any(stack is not None for stack in stacks)
 
 
-@pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)
-def test_attain_off_the_tables_matches_a_table_free_extension(source, monkeypatch):
-    # as evaluate's: a twin with every table off gives the bits until a
-    # start on a tabled entry other than the kept vertex (or a table hit on
-    # one), whose basis the twin's solve may reach with its columns in
-    # another order, or not at all on a tie; past it they agree to rounding
+def _against_a_table_free_twin(monkeypatch, source, seed, n_ops):
+    """Run ``_mixed_operations`` on an extension of ``source`` and on a twin
+    with every table off, and check that they give the same bits until the
+    first table read that can move them: an evaluate's hit on an entry other
+    than the kept vertex, or an attain that starts on one. Either may reach
+    its basis with the columns in another order than the twin's solve, whose
+    inverse rounds differently, or the twin may not reach it at all on a tie;
+    later warm solves restart from there, so past it the two agree to
+    rounding. Returns the recorded takes and, per attained block, whether
+    its start was switched."""
     system = _tree_or_fixture(source)
     ext, ref = extend_system(system), extend_system(system)
     takes, starts = _recorded_takes(monkeypatch), []
@@ -1241,12 +1229,126 @@ def test_attain_off_the_tables_matches_a_table_free_extension(source, monkeypatc
 
     _recorded_attains(monkeypatch, check)
     # the twin's tables are dropped before its attains read them
-    for scale, op in _mixed_operations(system, np.random.default_rng(SEED + 16), 48):
+    for scale, op in _mixed_operations(system, np.random.default_rng(seed), n_ops):
         for got, want in zip(op(ext), _table_free(monkeypatch, op, ref)):
             if got.tobytes() != want.tobytes():
                 assert any(starts) or any(foreign for _, _, foreign in takes)
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+    return takes, starts
+
+
+@pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)
+def test_evaluate_off_the_tables_matches_a_table_free_extension(source, monkeypatch):
+    # the tables change how evaluate reaches a block's optimal basis, not
+    # what it returns, up to the rounding of another column order
+    takes, _ = _against_a_table_free_twin(monkeypatch, source, SEED + 7, 24)
+    assert any(value is not None for _, value, _ in takes)
+
+
+@pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)
+def test_attain_off_the_tables_matches_a_table_free_extension(source, monkeypatch):
+    # nor do the tabled starts change what attain returns
+    _, starts = _against_a_table_free_twin(monkeypatch, source, SEED + 16, 48)
     assert any(starts) or source in NO_TABLED_STARTS
+
+
+@pytest.mark.parametrize("source", TABLE_SOURCES + ["two-shapes"], ids=source_id)
+def test_attain_assembles_each_block_off_its_own_solve_and_face_point(source, monkeypatch):
+    # attain fills its objectives and scatters densities and penalties once
+    # per group of blocks of one shape. Per block that is the bits of the
+    # block's own program, solve and memoized face point, assembled one
+    # block at a time: the density on the block's segments, the value, and
+    # the penalty -c_pen . z_theta of the theta part of the point. The
+    # sources have one shape per step; "two-shapes" has two
+    attained, solve = sandwichext.extension.attain, ExtendedOperator._solve_block
+    solves, checked = [], []
+
+    def recording_solve(ext, a, lp):
+        solves.append((a, lp, solve(ext, a, lp)))
+        return solves[-1][2]
+
+    def recording(ext, X):
+        solves.clear()
+        out = attained(ext, X)
+        space, fine = ext.space, ext.space._layout[ext.level_b]
+        f_seg = np.empty(fine.probs.size)
+        values, pen = np.empty(len(solves)), np.empty(len(solves))
+        assert [a for a, _, _ in solves] == list(range(len(ext._programs)))
+        for a, lp, res in solves:
+            prog = ext._programs[a]
+            poly = prog.poly
+            assert not lp.c.flags.writeable and lp._form is prog.lp._form
+            assert lp.c.tobytes() == prog.program(X.values[poly.seg.reps]).c.tobytes()
+            z = prog.faces[res.x.tobytes() + res.tight.tobytes()]
+            f_seg[poly.seg.ids] = z[:poly.n_f]
+            values[a] = res.value
+            pen[a] = float(-prog.lp.c[poly.n_vars:] @ z[poly.n_vars:])
+        assert out.density.values.tobytes() == fine.broadcast(f_seg).tobytes()
+        assert out.value.values.tobytes() == space._layout[ext.level_a].broadcast(
+            values).tobytes()
+        assert out.penalty.by_block.tobytes() == pen.tobytes()
+        checked.append(out)
+        return out
+
+    monkeypatch.setattr(ExtendedOperator, "_solve_block", recording_solve)
+    monkeypatch.setattr(sandwichext.dynamic, "attain", recording)
+    monkeypatch.setitem(globals(), "attain", recording)
+    rng = np.random.default_rng(SEED + 18)
+    if source == "two-shapes":
+        op, bounds = _two_shape_operator(rng)
+        ext = maximal_extension(op, bounds)
+        for _ in range(12):
+            ext.evaluate(op.space.rv(rng.normal(size=5)))
+            attain(ext, op.space.rv(rng.normal(size=5)))
+        assert len(ext._shapes) == 2
+    else:
+        system = _tree_or_fixture(source)
+        ext = extend_system(system)
+        for _, op in _mixed_operations(system, rng, 24):
+            op(ext)
+    assert checked
+
+
+def test_a_composition_checks_its_payoff_once(monkeypatch):
+    # every step past the first takes the extension's own values, finite by
+    # construction, so a composed evaluate or price checks only its payoff
+    checked = []
+    monkeypatch.setattr(sandwichext.extension, "_finite", checked.append)
+    system = _tree_or_fixture((2, 4, "linear"))
+    ext = extend_system(system)
+    space, s, t = system.space, system.grid[0], system.grid[-1]
+    rng = np.random.default_rng(SEED + 20)
+    for op in [partial(ext.evaluate, s, t), partial(price, ext, s, t)] * 3:
+        x = rng.normal(size=space.n_atoms)
+        op(space.rv(x, t))
+        assert [c.tobytes() for c in checked] == [x.tobytes()]
+        checked.clear()
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_payoffs_raise_the_measurability_error_at_every_entry(bad, warm):
+    # a payoff built directly, not through ``space.rv``, with an atom that
+    # is not finite: a step's evaluate, the system's evaluate, price and
+    # attain raise the error ``space.rv`` raises for it, whether the tables
+    # are empty or live (after 200 evaluates every block of the last step
+    # reads its value off a table), and no memo keeps an entry for it
+    system = _tree_or_fixture((2, 6, "linear"))
+    ext = extend_system(system)
+    space, s, t = system.space, system.grid[0], system.grid[-1]
+    step = ext.step(len(system.adjacent_pairs) - 1)
+    rng = np.random.default_rng(SEED + 19)
+    for _ in range(200 * warm):
+        ext.evaluate(s, t, space.rv(rng.normal(size=space.n_atoms), t))
+    assert all(prog.table for prog in step._programs) == warm
+    for atom in (0, 37, space.n_atoms - 1):
+        x = rng.normal(size=space.n_atoms)
+        x[atom] = bad
+        X = RandomVariable(x, t)
+        for call in (partial(step.evaluate, X), partial(step, X), partial(ext.evaluate, s, t, X),
+                     partial(price, ext, s, t, X), partial(attain, step, X)):
+            with pytest.raises(MeasurabilityError, match="^values must be finite$"):
+                call()
 
 
 def test_table_is_a_bounded_lru(monkeypatch):
@@ -1336,17 +1438,24 @@ def test_stacks_are_built_by_evaluate_from_the_live_tables():
     assert seen
 
 
+def _two_shape_operator(rng):
+    """An operator from level 2 to level 1 whose level-1 blocks hold 2 and 3
+    atoms, so that its block programs have two shapes, and its bounds."""
+    probs = np.array([0.1, 0.25, 0.2, 0.3, 0.15])
+    space = FilteredSpace(probs, [[list(range(5))], [[0, 1], [2, 3, 4]],
+                                  [[i] for i in range(5)]], [0, 1, 2])
+    op = random_polyhedral(space, 2, 1, rng,
+                           domain=span_closure(space, 2, 1, [space.rv(rng.normal(size=5))]))
+    return op, enclosing_bounds(space, 2, 1, op)
+
+
 def test_blocks_of_two_shapes_stack_in_two_groups_off_the_twin_bits(monkeypatch):
     # level-1 blocks of 2 and 3 atoms give block programs of two shapes, so
     # one extension's tables stack in two groups, priced in one pass; every
     # value is the bits of an extension without tables
-    probs = np.array([0.1, 0.25, 0.2, 0.3, 0.15])
-    space = FilteredSpace(probs, [[list(range(5))], [[0, 1], [2, 3, 4]],
-                                  [[i] for i in range(5)]], [0, 1, 2])
     rng = np.random.default_rng(SEED + 13)
-    op = random_polyhedral(space, 2, 1, rng,
-                           domain=span_closure(space, 2, 1, [space.rv(rng.normal(size=5))]))
-    bounds = enclosing_bounds(space, 2, 1, op)
+    op, bounds = _two_shape_operator(rng)
+    space = op.space
     ext, ref = maximal_extension(op, bounds), maximal_extension(op, bounds)
     takes = _recorded_takes(monkeypatch)
     centers = [rng.normal(size=5) for _ in range(3)]
