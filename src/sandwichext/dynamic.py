@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import (ExtendedOperator, PenaltyValue, _assemble, _mix_on_blocks,
-                        attain, minimal_penalty)
+from .extension import (ExtendedOperator, PenaltyValue, _assemble, _check_density,
+                        _mix_on_blocks, attain, minimal_penalty)
 from .operators import (VALUE_TOL, BoundPair, CheckEntry, DomainError,
                         PolyhedralOperator, ValidationReport, check_mM1, check_sandwich,
                         validate_operator)
@@ -327,12 +327,14 @@ def system_penalty(ext: ExtendedSystem, s: int, t: int,
                    Q: RandomVariable) -> PenaltyValue:
     """Minimal penalty the composed system assigns to a (s, t) density.
 
-    The density is factorized across the grid steps; each factor gets its
-    step's minimal penalty (+inf off the step polytope) and the cocycle sum
+    ``Q`` is checked as a density first (factoring maps a NaN mean to one),
+    then factorized across the grid steps; each factor gets its step's
+    minimal penalty (+inf off the step polytope) and the cocycle sum
     aggregates them at level s.
     """
     system = ext.system
     i, j = system.positions(s, t)
+    _check_density(system.space, s, t, Q)
     factors = factor_density(ext, s, t, Q)
     step_g = [f.values for f in factors]
     step_a = []

@@ -103,10 +103,11 @@ def _check_density(space: FilteredSpace, level_a: int, level_b: int,
     if f.level > level_b:
         raise DensityError(
             f"density declared at level {f.level}, finer than {level_b}")
-    if float(f.values.min()) < -tol:
-        raise DensityError(f"density has negative atom {float(f.values.min()):.3e}")
+    # written to fail on NaN: a NaN or -inf atom fails the minimum, a +inf one its block mean
+    if not float(f.values.min()) >= -tol:
+        raise DensityError(f"density has negative or NaN atom {float(f.values.min()):.3e}")
     ev = space._layout[level_a].means(f.values)
-    off = np.flatnonzero(np.abs(ev - 1.0) > tol)
+    off = np.flatnonzero(~(np.abs(ev - 1.0) <= tol))
     if off.size:
         raise DensityError(
             f"block {off[0]} expectation {ev[off[0]]:.12g} differs from 1")
@@ -246,7 +247,7 @@ class _BlockProgram:
     The (f, lift) part is the block's density polytope ``poly``. ``lp``, built
     and checked by ``make_lp`` on the first solve, holds the constraints and
     the objective's penalty part -c_j; a payoff sets only the f part, through
-    ``weights`` (``_with_payoff``; checked in ``program``, not in ``attain``),
+    ``weights`` (``_with_payoff``; the payoff is checked finite by the caller),
     so every solve shares the standard form of ``lp`` and warm starts from
     the vertex it kept. ``levels`` is the extension's pair (s, t), which
     failures name. ``faces`` memoizes the read-only centered point of up to
@@ -280,8 +281,7 @@ class _BlockProgram:
         return self.make_lp()
 
     def program(self, x_reps: np.ndarray) -> LinearProgram:
-        return self.lp.with_objective(
-            _with_payoff(self.lp.c, self.poly.n_f, self.weights, x_reps))
+        return self.lp._derived(_with_payoff(self.lp.c, self.poly.n_f, self.weights, x_reps))
 
     def passing(self, rows: dict, priced: list) -> tuple | None:
         """(place, vertex record) of the first tabled basis optimal for the
@@ -326,9 +326,10 @@ class _BlockProgram:
 
 
 def _with_payoff(c: np.ndarray, n_f: int, weights: np.ndarray, x_reps: np.ndarray):
-    """A copy of block objective(s) ``c`` with f part ``weights * x_reps``."""
+    """A read-only copy of block objective(s) ``c`` with f part ``weights * x_reps``."""
     c = c.copy()
     c[..., :n_f] = weights * x_reps
+    c.setflags(write=False)
     return c
 
 
@@ -551,9 +552,8 @@ def attain(ext: ExtendedOperator, X: RandomVariable) -> Attainment:
     values, pen = np.empty(coarse.probs.size), np.empty(coarse.probs.size)
     objectives, points = {}, [None] * len(ext._programs)
     for shape in ext._shapes:
-        c = _with_payoff(shape.c, shape.n_f, shape.weights, X.values[shape.reps])
-        c.setflags(write=False)
-        objectives.update(zip(shape.blocks, c))
+        objectives.update(zip(shape.blocks, _with_payoff(
+            shape.c, shape.n_f, shape.weights, X.values[shape.reps])))
     priced = ext._priced(X.values)
     for a, (prog, rows) in enumerate(zip(ext._programs, ext._stack.rows)):
         form = prog.lp._form

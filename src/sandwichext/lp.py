@@ -4,9 +4,10 @@ The solver is a two-phase primal simplex on the standard form min c.u,
 A u = b, u >= 0. The column with the most negative reduced cost enters
 (Dantzig); a run of degenerate pivots hands over to Bland's least-index rule
 until a pivot moves, so it cannot cycle. Problems in this package are tiny
-(tens of variables), so each pass inverts the basis matrix once and reuses
-the inverse for the duals, the entering column and the basic solution of the
-ratio test; there is no tableau drift to manage.
+(tens of variables), so a dense B^-1 gives the duals, the entering column and
+the ratio test's basic solution. A pivot updates it in product form (Dantzig
+& Orchard-Hays 1954); the simplex stops only on a fresh inverse of its final
+basis, so no update's drift reaches an output.
 
 Phase 1 starts each row on its slack where that keeps coefficient +1 and
 adds artificials for the other rows only; without them it is skipped.
@@ -14,19 +15,19 @@ adds artificials for the other rows only; without them it is skipped.
 A program's checked constraints and standard form are shared by every program
 ``with_objective`` derives, and the form keeps a ``_Vertex`` record of its last
 optimal solve: the basis, B^-1, the kept rows of the constraints and the
-read-only solution x, written only once x has passed the feasibility
-re-check. Those programs differ only in the objective, so that vertex stays
-feasible for all of them: a ``warm`` solve restarts phase 2 from it, with
-phase 1 skipped and no inversion. When the first pass finds the vertex
-optimal, the solve returns the record's x as it is, neither recomputed nor
-checked again; only a solve that pivots writes a new record. The record is
-one tuple, read once per solve and replaced whole, so programs sharing a
-form may be solved from several threads. ``_pricing`` is the optimality test
-each simplex pass makes: applied to a record and a new objective's
-``_StandardForm.cost``, it tells without a solve whether a warm solve from
-that record would stop at once, on the record's x. ``_stacked_pricing`` is
-the same test over a stack of records, each row with its own costs, and
-``cost`` and ``_cost_tol`` take such stacks too.
+read-only solution x, written only once x has passed the feasibility re-check.
+Those programs differ only in the objective, so that vertex stays feasible for
+all of them: a ``warm`` solve restarts phase 2 from it, with phase 1 skipped
+and the record's B^-1 as its first inverse. When the first pass finds the
+vertex optimal, the solve returns the record's x as it is, neither recomputed
+nor checked again; only a solve that pivots writes a new record. The record is
+one tuple, read once per solve and replaced whole, so programs sharing a form
+may be solved from several threads. ``_pricing`` is the optimality test each
+simplex pass makes: applied to a record and a new objective's
+``_StandardForm.cost``, it tells without a solve whether a warm solve from that
+record would stop at once, on the record's x. ``_stacked_pricing`` is the same
+test over a stack of records, each row with its own costs, and ``cost`` and
+``_cost_tol`` take such stacks too.
 
 Determinism: the same sequence of calls gives the same bytes. A warm solve
 may end on a different vertex of a non-unique optimum than a cold one, with
@@ -322,33 +323,40 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
     pricing, or Bland's while the last BLAND_AFTER pivots stepped <= FEAS_TOL.
     Each pass is ``_pricing``'s test with tol = ``_cost_tol(c)``, so an
     accepted vertex is within tol * |u*|_1 of an optimum u*.
+    A pivot updates B^-1 into a new array, never the given one; a pass that
+    would stop on an updated inverse inverts afresh and runs again uncounted.
     Returns (status, basis, B^-1, y, iterations, d, j), the basis an intp
     array: 'optimal' with d flagging reduced costs > tol, 'unbounded' with
     ray d and entering j. The basic solution is B^-1 b, left to the caller."""
     tol = _cost_tol(c)
-    it, stalled = start_iter, 0
+    it, stalled, updated = start_iter, 0, False
     basis = np.array(basis, dtype=np.intp)     # a list index is converted on every use
     while True:
         if it > MAX_ITER:
             raise LpError("simplex iteration cap exceeded")
-        it += 1
         if binv is None:
-            binv = np.linalg.inv(a[:, basis])
+            binv, updated = np.linalg.inv(a[:, basis]), False
         y, reduced, entering, optimal = _pricing(a, c, basis, binv, twin, tol,
                                                  stalled >= BLAND_AFTER)
+        d = None if optimal else binv @ a[:, entering]
+        # a few rows: the ratio test runs on Python floats
+        ratios = [] if optimal else [(x / di, bi, i) for i, (x, di, bi) in enumerate(
+            zip((binv @ b).tolist(), d.tolist(), basis.tolist())) if di > PIVOT_TOL]
+        if updated and not ratios:      # to stop: price the final basis on a fresh B^-1
+            binv = None
+            continue
+        it += 1
         if optimal:
             return "optimal", basis, binv, y, it, reduced > tol, None
-        d = binv @ a[:, entering]
-        # a few rows: the ratio test runs on Python floats
-        ratios = [(x / di, bi, i) for i, (x, di, bi) in enumerate(
-            zip((binv @ b).tolist(), d.tolist(), basis.tolist())) if di > PIVOT_TOL]
         if not ratios:
             return "unbounded", basis, binv, y, it, d, entering
         theta = min(ratios)[0]
         stalled = stalled + 1 if theta <= FEAS_TOL else 0
         # Bland: among minimal ratios leave the smallest basic variable index
-        basis[min(r[1:] for r in ratios if r[0] <= theta + PIVOT_TOL)[1]] = entering
-        binv = None
+        out = min(r[1:] for r in ratios if r[0] <= theta + PIVOT_TOL)[1]
+        basis[out] = entering
+        pivot, d[out] = d[out], d[out] - 1.0    # B^-1 - ((d - e_out) / d_out) B^-1[out]
+        binv, updated = binv - (d / pivot)[:, None] * binv[out], True
 
 
 def solve_lp(lp: LinearProgram, warm: bool = False) -> LpResult:

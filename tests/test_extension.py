@@ -37,6 +37,7 @@ from sandwichext import (
     price,
     solve_lp,
     span_closure,
+    system_penalty,
     verify_representation,
 )
 from sandwichext.extension import TABLE_SIZE, _BlockProgram, _mix_on_blocks
@@ -83,6 +84,24 @@ def test_conjugate_rejects_non_densities(two_atom):
     # the same vector passes with the check disabled
     out = conjugate(op, space.rv([1.2, 0.9]), check=False)
     assert out.by_block.shape == (1,)
+
+
+def test_non_finite_densities_raise_density_error():
+    # a NaN fails every ordered comparison, so the density check is written
+    # to fail on it; system_penalty checks its density before factoring it,
+    # which would map a NaN conditional mean to a factor of one
+    system = load_scenario(fixture_path("fix_refine.json")).system
+    ext = extend_system(system)
+    step = ext.step(0)
+    density = step.base.pieces[0].density
+    entries = (partial(conjugate, step.base), partial(minimal_penalty, step),
+               partial(system_penalty, ext, step.level_a, step.level_b))
+    for bad in (math.nan, math.inf, -math.inf):
+        values = density.values.copy()
+        values[0] = bad
+        for call in entries:
+            with pytest.raises(DensityError):
+                call(RandomVariable(values, density.level))
 
 
 def _tree_or_fixture(source):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (fixture_path, fresh_program, fresh_warm_solve, mapped_tight,
+from conftest import (ROOT, fixture_path, fresh_program, fresh_warm_solve, mapped_tight,
                       same_lp_result)
 from sandwichext import (LinearProgram, LpResult, extend_system, load_scenario, solve_lp,
                          support_function)
+import sandwichext.extension
 import sandwichext.lp
 from sandwichext.lp import InfeasibleRegionError, LpError, _cost_tol, _pricing, _stacked_pricing
 
@@ -911,3 +912,174 @@ def test_always_tight_marks_hold_at_scipy_optimum_and_fix_the_value():
             assert ext.status == 0
             assert direction * ext.fun == pytest.approx(res.value, abs=1e-7)
     assert marked > 0
+
+
+def _reinverting_simplex(a, b, c, basis, twin, start_iter=0, binv=None):
+    """The simplex with B^-1 inverted afresh on every pass, in place of the
+    product-form update between pivots: the reference whose bits the kernel
+    keeps, since it re-inverts before it stops."""
+    lp = sandwichext.lp
+    tol = _cost_tol(c)
+    it, stalled = start_iter, 0
+    basis = np.array(basis, dtype=np.intp)
+    while True:
+        it += 1
+        if binv is None:
+            binv = np.linalg.inv(a[:, basis])
+        y, reduced, entering, optimal = _pricing(a, c, basis, binv, twin, tol,
+                                                 stalled >= lp.BLAND_AFTER)
+        if optimal:
+            return "optimal", basis, binv, y, it, reduced > tol, None
+        d = binv @ a[:, entering]
+        ratios = [(x / di, bi, i) for i, (x, di, bi) in enumerate(
+            zip((binv @ b).tolist(), d.tolist(), basis.tolist())) if di > lp.PIVOT_TOL]
+        if not ratios:
+            return "unbounded", basis, binv, y, it, d, entering
+        theta = min(ratios)[0]
+        stalled = stalled + 1 if theta <= lp.FEAS_TOL else 0
+        basis[min(r[1:] for r in ratios if r[0] <= theta + lp.PIVOT_TOL)[1]] = entering
+        binv = None
+
+
+def _solved_with_kept_inverse(lp, warm=False):
+    """``solve_lp``'s result and the bytes of the B^-1 its form keeps after it."""
+    res = solve_lp(lp, warm=warm)
+    last = lp._form.last
+    return res, None if last is None else last.binv.tobytes()
+
+
+def _same_solve(a, b):
+    """``same_lp_result``, and the certificates and kept B^-1, bit for bit."""
+    (a, kept_a), (b, kept_b) = a, b
+    same_lp_result(a, b)
+    assert kept_a == kept_b
+    assert (a.certificate is None) == (b.certificate is None)
+    if a.certificate is not None:
+        assert a.certificate.keys() == b.certificate.keys()
+        for key, value in a.certificate.items():
+            assert np.asarray(value).tobytes() == np.asarray(b.certificate[key]).tobytes(), key
+
+
+def _box_budget_program(rng, n=12, pieces=3):
+    """A block program of wide-fan's size, 15 standard-form rows: ``n``
+    boxed densities under a budget, a simplex of ``pieces`` weights theta,
+    and one row matching the densities to the pieces' mix."""
+    p = rng.uniform(0.5, 1.5, n)
+    p /= p.sum()
+    g = rng.normal(size=(n, pieces))
+    g -= p @ g
+    dens = 1.0 + 0.4 * g / np.abs(g).max(axis=0)      # pieces in [0.6, 1.4], mean 1
+    match = rng.normal(size=n) * p
+    a_eq = np.zeros((3, n + pieces))
+    a_eq[0, :n], a_eq[1, n:], a_eq[2, :n], a_eq[2, n:] = p, 1.0, match, -(match @ dens)
+    bounds = [(lo, hi) for lo, hi in zip(rng.uniform(0.1, 0.6, n), rng.uniform(1.4, 3.0, n))]
+    return dict(c=np.zeros(n + pieces), sense="max", a_eq=a_eq, b_eq=np.array([1.0, 1.0, 0.0]),
+                bounds=bounds + [(0.0, math.inf)] * pieces), p
+
+
+def _box_budget_objectives(rng, p, pieces=3, k=20):
+    return [np.concatenate([rng.normal(size=p.size) * p, -rng.uniform(0.0, 0.5, pieces)])
+            for _ in range(k)]
+
+
+def test_product_form_solves_match_a_reinverting_simplex_bit_for_bit(monkeypatch):
+    # the kernel updates B^-1 between pivots and re-inverts before it stops,
+    # so every output is that of a simplex that inverts on every pass: cold
+    # solves of the mixed-rows programs (phase 1, infeasible and unbounded
+    # among them) and warm sequences of box-budget block programs
+    rng = np.random.default_rng(SEED + 8)
+    cold = [_mixed_program(rng) for _ in range(120)]
+    rng = np.random.default_rng(SEED + 13)
+    warm = []
+    for _ in range(6):
+        spec, p = _box_budget_program(rng)
+        warm.append((spec, _box_budget_objectives(rng, p)))
+
+    def run():
+        out = [_solved_with_kept_inverse(LinearProgram(**spec)) for spec in cold]
+        for spec, objectives in warm:
+            template = LinearProgram(**spec)
+            out += [_solved_with_kept_inverse(template.with_objective(c), warm=True)
+                    for c in objectives]
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sandwichext.lp, "_simplex", _reinverting_simplex)
+        reference = run()
+    results = run()
+    for a, b in zip(results, reference, strict=True):
+        _same_solve(a, b)
+    statuses = {res.status for res, _ in results}
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert sum(res.iterations >= 4 for res, _ in results[len(cold):]) >= 20
+
+
+def test_a_solve_inverts_once_if_it_pivots_and_never_otherwise(monkeypatch):
+    # slack starts and kept vertices give the simplex its first inverse: a
+    # solve that pivots k >= 1 times inverts once, to price its final basis
+    # afresh, and a warm solve that stops on its first pass inverts nothing
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda m: calls.append(m) or inv(m))
+    rng = np.random.default_rng(SEED + 14)
+    seen = set()
+    for _ in range(8):
+        n = int(rng.integers(4, 9))
+        lp = LinearProgram(c=rng.normal(size=n), sense="max",
+                           a_ub=rng.uniform(0.1, 1.0, size=(4, n)),
+                           b_ub=rng.uniform(1.0, 2.0, 4), bounds=[(0.0, 1.0)] * n)
+        assert not lp._form.need.any()                 # every row starts on its slack
+        calls.clear()
+        res = solve_lp(lp)
+        assert res.status == "optimal" and len(calls) == (res.iterations > 1)
+        seen.add(("slack", res.iterations > 1))
+        spec, p = _box_budget_program(rng)
+        template = LinearProgram(**spec)
+        solve_lp(template)                             # phase 1: the first kept vertex
+        for c in _box_budget_objectives(rng, p, k=6):
+            for _ in range(2):                         # the second solve stops at once
+                calls.clear()
+                res = solve_lp(template.with_objective(c), warm=True)
+                assert res.status == "optimal" and len(calls) == (res.iterations > 1)
+                seen.add(("warm", res.iterations > 1))
+    assert seen == {("slack", True), ("warm", True), ("warm", False)}
+
+
+def test_kept_and_tabled_inverses_are_never_written(monkeypatch):
+    # a pivot updates B^-1 into a new array: the kept vertex a warm solve
+    # starts on, shared with basis tables and other threads, keeps its bytes
+    # when the solve pivots away from it
+    rng = np.random.default_rng(SEED + 15)
+    spec, p = _box_budget_program(rng)
+    template = LinearProgram(**spec)
+    solve_lp(template)
+    kept, moved = [], 0
+    for c in _box_budget_objectives(rng, p, k=30):
+        last = template._form.last
+        kept.append((last, last.binv.tobytes()))
+        res = solve_lp(template.with_objective(c), warm=True)
+        moved += res.iterations > 1
+    assert moved >= 10
+    assert all(vertex.binv.tobytes() == before for vertex, before in kept)
+    # an extension's tabled vertices, through evaluates that pivot away from them
+    system = load_scenario(ROOT / "tests" / "golden" / "polyhedral_tree.json").system
+    ext = extend_system(system)
+    solve, pivots, tabled = sandwichext.extension.solve_lp, [], {}
+
+    def recording(lp, warm=False):
+        res = solve(lp, warm=warm)
+        pivots.append(res.iterations - 1)
+        return res
+
+    monkeypatch.setattr(sandwichext.extension, "solve_lp", recording)
+    for k in range(len(system.grid) - 1):
+        step = ext.step(k)
+        fine = system.space._layout[step.level_b]
+        for _ in range(40):
+            step.evaluate(system.space.rv(fine.broadcast(rng.normal(size=fine.probs.size)),
+                                          step.level_b))
+            for prog in step._programs:
+                for vertex in prog.table.values():
+                    tabled.setdefault(id(vertex), (vertex, vertex.binv.tobytes()))
+    assert sum(pivots) >= 40 and len(tabled) >= 8
+    assert all(vertex.binv.tobytes() == before for vertex, before in tabled.values())

@@ -15,3 +15,21 @@ def test_ab_of_a_checkout_against_itself_reports_identical_outputs():
     assert [line.split(":")[0] for line in out[1:]] == ["evaluate", "price"]
     assert " of 12 outputs" in out[1] and " of 4 outputs" in out[2]   # 3 evaluates a price
     assert all(line.endswith("outputs identical") for line in out[1:])
+
+
+def test_same_answers_is_deterministic_and_covers_every_stream():
+    # one digest per workload's plain and interleaved streams, then the
+    # reports; a second run in a new process prints the same lines
+    def run():
+        return subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "same_answers.py"), "--seeds", "1",
+             "--payoffs", "2"],
+            capture_output=True, text=True, check=True, timeout=120).stdout.splitlines()
+
+    first = run()
+    names = [line.rsplit(" ", 1)[0] for line in first]
+    assert names == [f"{name} seed 1{kind}" for name in
+                     ("deep-binary", "polyhedral-report", "wide-fan")
+                     for kind in ("", " interleaved")] + ["reports"]
+    assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in first)   # SHA-256 hex
+    assert run() == first
