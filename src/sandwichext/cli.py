@@ -9,10 +9,12 @@ sampled check.
 
 Exit status: 0 when all executed checks pass, 1 when a check fails, 2 on a
 schema or structural error (the message names the first failing JSON path,
-or the pair and block of an infeasible density polytope) or on a solver
-fault: an LP that came back with a status its construction rules out (the
-message names the LP, pair, block, piece and status), a malformed program or
-exceeded iteration cap (``LpError``) or a singular basis (``LinAlgError``).
+or the pair and block of an infeasible density polytope), on a SANDWICH_SEED
+that is not a nonnegative integer, a negative or NaN ``--tol``, an
+unwritable ``--output`` file, or on a solver fault: an LP that came back
+with a status its construction rules out (the message names the LP, pair,
+block, piece and status), a malformed program or exceeded iteration cap
+(``LpError``) or a singular basis (``LinAlgError``).
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ def _check_representation(scenario: Scenario, seed: int, tol) -> list:
     declared = scenario.system.declared_ops()
     for (s, t) in sorted(declared):
         rep = verify_representation(declared[(s, t)], seed=seed,
-                                    tol=tol if tol else 1e-7)
+                                    tol=1e-7 if tol is None else tol)
         entries += _from_report(f"representation_{s}_{t}.", rep)
     return entries
 
@@ -197,7 +199,7 @@ def _check_refine(scenario: Scenario, seed: int, tol, coarse_grid,
         sys_coarse = scenario.subsystem(coarse_grid)
     except ScenarioError as err:
         raise _Fault(str(err)) from err
-    vtol = tol if tol else 1e-8
+    vtol = 1e-8 if tol is None else tol
     fine_ext = ext_factory()
     try:
         rr = refine_and_compare(sys_coarse, scenario.system, seed=seed,
@@ -428,10 +430,20 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _seed() -> int:
+    """The SANDWICH_SEED environment variable, a nonnegative integer (default 0)."""
+    text = os.environ.get("SANDWICH_SEED") or "0"
+    if not text.strip().isdecimal():
+        raise _Fault(f"SANDWICH_SEED must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    seed = int(os.environ.get("SANDWICH_SEED", "0") or "0")
     try:
+        seed = _seed()
+        if args.tol is not None and not args.tol >= 0.0:
+            raise _Fault(f"--tol must be a nonnegative number, got {args.tol}")
         scenario = load_scenario(args.input)
         doc = _run_command(args, scenario, seed)
     except (_Fault, ScenarioError, OSError) as err:
@@ -442,9 +454,13 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     print(_render(doc))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+        except OSError as err:
+            print(f"sandwich: output error: {err}", file=sys.stderr)
+            return EXIT_INPUT
     return EXIT_OK if doc["passed"] else EXIT_CHECK_FAILED
 
 

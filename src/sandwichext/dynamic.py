@@ -253,8 +253,9 @@ class PriceResult:
 
 
 def _cocycle_sum(space: FilteredSpace, level_out: int, step_densities,
-                 step_penalties) -> np.ndarray:
-    """Per-block total penalty at level_out, weighted by running products.
+                 step_penalties) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block total penalty at level_out, weighted by running products,
+    and the running product of all the step densities (atomwise).
 
     step_densities and step_penalties are atomwise arrays per step, earliest
     step first; penalties may hold +inf. A step's penalty only counts where
@@ -266,7 +267,7 @@ def _cocycle_sum(space: FilteredSpace, level_out: int, step_densities,
     for g_vals, a_vals in zip(step_densities, step_penalties):
         acc = acc + _weighted(weight, a_vals)
         weight = weight * g_vals
-    return space._layout[level_out].means(acc)
+    return space._layout[level_out].means(acc), weight
 
 
 def _weighted(weight: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -295,13 +296,9 @@ def price(ext: ExtendedSystem, s: int, t: int, X: RandomVariable) -> PriceResult
         step_g[k - i] = att.density.values
         step_a[k - i] = att.penalty.atomwise()
         V = att.value
-    f_vals = np.ones(system.space.n_atoms)
-    for g in step_g:
-        f_vals = f_vals * g
-    penalty = PenaltyValue(system.space, s,
-                           _cocycle_sum(system.space, s, step_g, step_a))
+    penalty, f_vals = _cocycle_sum(system.space, s, step_g, step_a)
     return PriceResult(value=V, density=RandomVariable(f_vals, t),
-                       penalty=penalty)
+                       penalty=PenaltyValue(system.space, s, penalty))
 
 
 def factor_density(ext: ExtendedSystem, s: int, t: int,
@@ -341,7 +338,7 @@ def system_penalty(ext: ExtendedSystem, s: int, t: int,
     for k, f in zip(range(i, j), factors):
         step_a.append(minimal_penalty(ext.step(k), f).atomwise())
     return PenaltyValue(system.space, s,
-                        _cocycle_sum(system.space, s, step_g, step_a))
+                        _cocycle_sum(system.space, s, step_g, step_a)[0])
 
 
 # --------------------------------------------------------------------------
@@ -397,14 +394,11 @@ def check_cocycle_and_local(ext: ExtendedSystem, r: int, s: int, t: int,
     totals = []
     for step_g in samples:
         step_a = penalties(step_g)
-        lhs = _cocycle_sum(space, r, step_g, step_a)
+        lhs = _cocycle_sum(space, r, step_g, step_a)[0]
         totals.append(lhs)
-        a_rs = _cocycle_sum(space, r, step_g[:m - i], step_a[:m - i])
-        a_st = _cocycle_sum(space, s, step_g[m - i:], step_a[m - i:])
+        a_rs, weight = _cocycle_sum(space, r, step_g[:m - i], step_a[:m - i])
+        a_st = _cocycle_sum(space, s, step_g[m - i:], step_a[m - i:])[0]
         # E_Q[a_st | F_r] with the running product up to s as the weight
-        weight = np.ones(space.n_atoms)
-        for g in step_g[:m - i]:
-            weight = weight * g
         a_st_atoms = space._layout[s].broadcast(a_st)
         rhs = a_rs + space._layout[r].means(_weighted(weight, a_st_atoms))
         both_inf = np.isinf(lhs) & np.isinf(rhs)
@@ -429,7 +423,7 @@ def check_cocycle_and_local(ext: ExtendedSystem, r: int, s: int, t: int,
         g[block0] = q1[k - i][block0]
         spliced.append(g)
     p1, p2 = totals[0], totals[1 % len(samples)]
-    ps = _cocycle_sum(space, r, spliced, penalties(spliced))
+    ps = _cocycle_sum(space, r, spliced, penalties(spliced))[0]
     ok = np.array_equal(ps[0], p1[0]) and all(
         np.array_equal(ps[a], p2[a]) for a in range(1, n_blocks_r))
     detail = ("single block at the left level, splice degenerate"

@@ -98,23 +98,21 @@ class PenaltyValue:
         return RandomVariable(self.atomwise(), self.level_a)
 
 
-def _check_density(space: FilteredSpace, level_a: int, level_b: int,
-                   f: RandomVariable, tol: float = CONJ_TOL):
+def _check_density(space: FilteredSpace, level_a: int, level_b: int, f: RandomVariable):
     if f.level > level_b:
         raise DensityError(
             f"density declared at level {f.level}, finer than {level_b}")
     # written to fail on NaN: a NaN or -inf atom fails the minimum, a +inf one its block mean
-    if not float(f.values.min()) >= -tol:
+    if not float(f.values.min()) >= -CONJ_TOL:
         raise DensityError(f"density has negative or NaN atom {float(f.values.min()):.3e}")
     ev = space._layout[level_a].means(f.values)
-    off = np.flatnonzero(~(np.abs(ev - 1.0) <= tol))
+    off = np.flatnonzero(~(np.abs(ev - 1.0) <= CONJ_TOL))
     if off.size:
         raise DensityError(
             f"block {off[0]} expectation {ev[off[0]]:.12g} differs from 1")
 
 
-def conjugate(op: PolyhedralOperator, f: RandomVariable,
-              check: bool = True) -> PenaltyValue:
+def conjugate(op: PolyhedralOperator, f: RandomVariable) -> PenaltyValue:
     """Largest gap between pricing by f and the operator, over the domain.
 
     Per block this is sup over domain payoffs X of E[f X | block] - x(X),
@@ -124,8 +122,7 @@ def conjugate(op: PolyhedralOperator, f: RandomVariable,
     Each block's value comes from ``_block_conjugate``, which memoizes it in
     ``op``, so a conjugate mutates ``op``: use it from one thread at a time.
     """
-    if check:
-        _check_density(op.space, op.level_a, op.level_b, f)
+    _check_density(op.space, op.level_a, op.level_b, f)
     return PenaltyValue(op.space, op.level_a, [
         _block_conjugate(op, a, f.values) for a in range(len(op._conjugate_lps))])
 
@@ -157,8 +154,8 @@ def _block_conjugate(op: PolyhedralOperator, a: int, values: np.ndarray) -> floa
 # density polytope construction
 
 
-def _block_rows(bounds: BoundPair, sg: _Segments):
-    """H-description pieces over z = (f, lam, mu) for one block.
+def _block_rows(bounds: BoundPair, sg: _Segments) -> BlockPolytope:
+    """H-description over z = (f, lam, mu) of one block's densities.
 
     Density variables are per level_b segment of the block. A linear box top
     is clipped at pa / sp_i, which the budget and f >= 0 imply, so a block
@@ -189,7 +186,8 @@ def _block_rows(bounds: BoundPair, sg: _Segments):
         rows[range(n), 1, range(n)], rows[:, 1, n + nm:] = 1.0, -kM.T
         a_ub = rows.reshape(2 * n, n + n_lift)
         b_ub = np.zeros(2 * n)
-    return n_lift, a_eq, b_eq, a_ub, b_ub, var_bounds
+    return BlockPolytope(seg=sg, n_lift=n_lift, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                         var_bounds=tuple(var_bounds))
 
 
 def density_set(bounds: BoundPair) -> DensityPolytope:
@@ -202,22 +200,20 @@ def density_set(bounds: BoundPair) -> DensityPolytope:
     """
     blocks = []
     for a, sg in enumerate(bounds.space._segments(bounds.level_b, bounds.level_a)):
-        n_lift, a_eq, b_eq, a_ub, b_ub, var_bounds = _block_rows(bounds, sg)
+        bp = _block_rows(bounds, sg)
         if bounds.kind == "linear":
-            mean_lo, mean_hi = np.array(var_bounds).T @ a_eq[0] / sg.prob
+            mean_lo, mean_hi = np.array(bp.var_bounds).T @ bp.a_eq[0] / sg.prob
             empty = mean_lo > 1.0 + FEAS_TOL or mean_hi < 1.0 - FEAS_TOL
         else:
-            lp = LinearProgram(c=np.zeros(sg.ids.size + n_lift), sense="min", a_eq=a_eq,
-                               b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, bounds=var_bounds)
+            lp = LinearProgram(c=np.zeros(bp.n_vars), sense="min", a_eq=bp.a_eq, b_eq=bp.b_eq,
+                               a_ub=bp.a_ub, b_ub=bp.b_ub, bounds=bp.var_bounds)
             empty = _solved(solve_lp, "density set LP", (bounds.level_a, bounds.level_b), a, lp,
                             ok=("optimal", "infeasible")).status != "optimal"
         if empty:
             raise PolytopeError(
                 f"density polytope empty on block {a} of level {bounds.level_a}",
                 level_a=bounds.level_a, block=a)
-        blocks.append(BlockPolytope(
-            seg=sg, n_lift=n_lift, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-            var_bounds=tuple(var_bounds)))
+        blocks.append(bp)
     return DensityPolytope(bounds=bounds, blocks=tuple(blocks))
 
 
@@ -643,8 +639,7 @@ def _center_on_face(prog: _BlockProgram, res: LpResult, block: int) -> np.ndarra
     return z
 
 
-def minimal_penalty(ext: ExtendedOperator, f: RandomVariable,
-                    tol: float = 1e-9) -> PenaltyValue:
+def minimal_penalty(ext: ExtendedOperator, f: RandomVariable) -> PenaltyValue:
     """Conjugate of the extension over all fine-level payoffs.
 
     The extension is the inf-convolution of the base operator with the
@@ -657,7 +652,7 @@ def minimal_penalty(ext: ExtendedOperator, f: RandomVariable,
     _check_density(space, ext.level_a, ext.base.level_b, f)
     return PenaltyValue(space, ext.level_a, [
         _block_conjugate(ext.base, a, f.values) if member else math.inf
-        for a, member in enumerate(ext.polytope.block_members(f, tol))])
+        for a, member in enumerate(ext.polytope.block_members(f))])
 
 
 def verify_representation(op: PolyhedralOperator, n_payoffs: int = 20,

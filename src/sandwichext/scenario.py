@@ -100,11 +100,38 @@ def _expand(value, n: int, path: str) -> np.ndarray:
     return arr
 
 
-def _rv(space: FilteredSpace, values: np.ndarray, level: int,
-        path: str) -> RandomVariable:
+def _rv(space: FilteredSpace, value, level: int, path: str) -> RandomVariable:
+    """The document vector (or scalar) at ``path``, measurable at ``level``."""
+    values = _expand(value, space.n_atoms, path)
     try:
         return space.rv(values, level)
     except (MeasurabilityError, ValueError) as err:
+        raise ScenarioError(path, str(err)) from err
+
+
+def _pair(item: dict, grid: list, path: str, declared: dict, what: str) -> tuple[int, int]:
+    """The grid pair an operator or a bound pair is tagged with: increasing on
+    ``grid`` and not yet in ``declared``."""
+    s, t = int(item["from"]), int(item["to"])
+    if s not in grid or t not in grid or s >= t:
+        raise ScenarioError(path, f"pair ({s}, {t}) is not an increasing "
+                                  f"pair on grid {grid}")
+    if (s, t) in declared:
+        raise ScenarioError(path, f"duplicate {what} for pair ({s}, {t})")
+    return s, t
+
+
+def _system(space: FilteredSpace, grid, ops: dict, bounds: dict,
+            path: str) -> OperatorSystem:
+    """The system on ``grid`` of operators declared for its pairs: those of
+    adjacent pairs are its one-step operators, the others long ones."""
+    adjacent = set(zip(grid, grid[1:]))
+    try:
+        return OperatorSystem(
+            space, tuple(grid), bounds=bounds,
+            one_step_ops={pair: op for pair, op in ops.items() if pair in adjacent},
+            long_ops={pair: op for pair, op in ops.items() if pair not in adjacent})
+    except (GridError, SystemStructureError) as err:
         raise ScenarioError(path, str(err)) from err
 
 
@@ -133,8 +160,7 @@ class Scenario:
                 raise ScenarioError("$.payoffs", f"unknown payoff {spec!r}")
             return spec, _rv(self.space, self.payoffs[spec], level,
                              f"$.payoffs.{spec}")
-        vals = _expand(spec, self.space.n_atoms, "$.payoff")
-        return None, _rv(self.space, vals, level, "$.payoff")
+        return None, _rv(self.space, spec, level, "$.payoff")
 
     def subsystem(self, grid) -> OperatorSystem:
         """The declared system restricted to a sub-grid (for refinement runs).
@@ -145,29 +171,20 @@ class Scenario:
         """
         grid = tuple(int(g) for g in grid)
         declared = self.system.declared_ops()
-        one_step = {}
-        long_ops = {}
         pairs = [(s, t) for i, s in enumerate(grid) for t in grid[i + 1:]]
         for s, t in zip(grid, grid[1:]):
             if (s, t) not in declared:
                 raise ScenarioError(
                     "$.operators", f"sub-grid {list(grid)} needs an operator "
                     f"for pair ({s}, {t})")
-            one_step[(s, t)] = declared[(s, t)]
         for s, t in pairs:
             if (s, t) not in self.system.bounds:
                 raise ScenarioError(
                     "$.bounds", f"sub-grid {list(grid)} needs bounds "
                     f"for pair ({s}, {t})")
-        for pair, op in declared.items():
-            if pair in pairs and pair not in one_step:
-                long_ops[pair] = op
+        ops = {pair: op for pair, op in declared.items() if pair in pairs}
         bounds = {pair: self.system.bounds[pair] for pair in pairs}
-        try:
-            return OperatorSystem(self.space, grid, one_step_ops=one_step,
-                                  bounds=bounds, long_ops=long_ops)
-        except (GridError, SystemStructureError) as err:
-            raise ScenarioError("$.tasks", str(err)) from err
+        return _system(self.space, grid, ops, bounds, "$.tasks")
 
 
 def _build_space(block: dict) -> FilteredSpace:
@@ -199,28 +216,17 @@ def build_scenario(doc: dict) -> Scenario:
         lv = int(key)
         if not 0 <= lv < space.n_levels:
             raise ScenarioError(f"$.subspaces.{key}", f"level {lv} out of range")
-        generators[lv] = [
-            _rv(space, _expand(v, n, f"$.subspaces.{key}[{i}]"), lv,
-                f"$.subspaces.{key}[{i}]")
-            for i, v in enumerate(vecs)]
+        generators[lv] = [_rv(space, v, lv, f"$.subspaces.{key}[{i}]")
+                          for i, v in enumerate(vecs)]
 
     ops = {}
     for i, item in enumerate(doc["operators"]):
-        s, t = int(item["from"]), int(item["to"])
         path = f"$.operators[{i}]"
-        if s not in grid or t not in grid or s >= t:
-            raise ScenarioError(path, f"pair ({s}, {t}) is not an increasing "
-                                      f"pair on grid {grid}")
-        if (s, t) in ops:
-            raise ScenarioError(path, f"duplicate operator for pair ({s}, {t})")
+        s, t = _pair(item, grid, path, ops, "operator")
         pieces = []
         for j, pc in enumerate(item["pieces"]):
-            density = _rv(space, _expand(pc["density"], n,
-                                         f"{path}.pieces[{j}].density"),
-                          t, f"{path}.pieces[{j}].density")
-            penalty = _rv(space, _expand(pc["penalty"], n,
-                                         f"{path}.pieces[{j}].penalty"),
-                          s, f"{path}.pieces[{j}].penalty")
+            density = _rv(space, pc["density"], t, f"{path}.pieces[{j}].density")
+            penalty = _rv(space, pc["penalty"], s, f"{path}.pieces[{j}].penalty")
             pieces.append(Piece(density, penalty))
         domain = (span_closure(space, t, s, generators[t]) if t in generators
                   else full_space(space, t, s))
@@ -228,39 +234,23 @@ def build_scenario(doc: dict) -> Scenario:
 
     bounds = {}
     for i, item in enumerate(doc["bounds"]):
-        s, t = int(item["from"]), int(item["to"])
         path = f"$.bounds[{i}]"
-        if s not in grid or t not in grid or s >= t:
-            raise ScenarioError(path, f"pair ({s}, {t}) is not an increasing "
-                                      f"pair on grid {grid}")
-        if (s, t) in bounds:
-            raise ScenarioError(path, f"duplicate bounds for pair ({s}, {t})")
+        s, t = _pair(item, grid, path, bounds, "bounds")
         try:
             if item["kind"] == "linear":
-                m0 = _rv(space, _expand(item["m0"], n, f"{path}.m0"), t,
-                         f"{path}.m0")
-                M0 = _rv(space, _expand(item["M0"], n, f"{path}.M0"), t,
-                         f"{path}.M0")
+                m0 = _rv(space, item["m0"], t, f"{path}.m0")
+                M0 = _rv(space, item["M0"], t, f"{path}.M0")
                 bounds[(s, t)] = BoundPair.linear(space, t, s, m0, M0)
             else:
-                mk = [_rv(space, _expand(v, n, f"{path}.m_kernels[{j}]"), t,
-                          f"{path}.m_kernels[{j}]")
+                mk = [_rv(space, v, t, f"{path}.m_kernels[{j}]")
                       for j, v in enumerate(item["m_kernels"])]
-                Mk = [_rv(space, _expand(v, n, f"{path}.M_kernels[{j}]"), t,
-                          f"{path}.M_kernels[{j}]")
+                Mk = [_rv(space, v, t, f"{path}.M_kernels[{j}]")
                       for j, v in enumerate(item["M_kernels"])]
                 bounds[(s, t)] = BoundPair.polyhedral(space, t, s, mk, Mk)
         except BoundsError as err:
             raise ScenarioError(path, str(err)) from err
 
-    adjacent = set(zip(grid, grid[1:]))
-    one_step = {pair: op for pair, op in ops.items() if pair in adjacent}
-    long_ops = {pair: op for pair, op in ops.items() if pair not in adjacent}
-    try:
-        system = OperatorSystem(space, tuple(grid), one_step_ops=one_step,
-                                bounds=bounds, long_ops=long_ops)
-    except (GridError, SystemStructureError) as err:
-        raise ScenarioError("$.grid", str(err)) from err
+    system = _system(space, grid, ops, bounds, "$.grid")
 
     payoffs = {}
     for name, vec in (doc.get("payoffs") or {}).items():

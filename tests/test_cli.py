@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import sandwichext
+import sandwichext.cli
 import sandwichext.extension
 import sandwichext.operators
 from conftest import ROOT, fixture_path
@@ -466,3 +467,61 @@ def test_polytope_faults_name_the_pair():
         == "pair (1, 2)"
     assert _pair_label(sc, PolytopeError("empty", level_a=2, block=0)) \
         == "level 2"
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+@pytest.mark.parametrize("args", [
+    ["report", "--input", str(fixture_path("fix_b.json"))],
+    ["check", "--input", str(fixture_path("fix_c_linear.json")), "--suite", "cocycle"],
+    ["check", "--input", str(fixture_path("fix_a.json")), "--suite", "representation"],
+], ids=["report", "cocycle", "representation"])
+def test_bad_seed_env_exits_2_naming_the_variable(value, args, capsys, monkeypatch):
+    monkeypatch.setenv("SANDWICH_SEED", value)
+    rc = main(args)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("sandwich: input error: SANDWICH_SEED must be a "
+                            f"nonnegative integer, got {value!r}\n")
+
+
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    rc = main(["report", "--input", str(fixture_path("fix_a.json")), "--output", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and not out.exists()
+    assert captured.err.startswith("sandwich: output error: ")
+    assert captured.err.count("\n") == 1 and str(out) in captured.err
+
+
+@pytest.mark.parametrize("tol", ["-1e-9", "nan"])
+def test_negative_or_nan_tol_exits_2_naming_it(tol, capsys):
+    rc = main(["check", "--input", str(fixture_path("fix_a.json")),
+               "--suite", "representation", f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (f"sandwich: input error: --tol must be a nonnegative "
+                            f"number, got {float(tol)}\n")
+
+
+def test_zero_tol_reaches_the_checks(capsys, monkeypatch):
+    # --tol 0 is a tolerance of zero, not a request for the defaults
+    cli = sandwichext.cli
+    seen = []
+
+    def recording(check, key):
+        def run(*args, **kwargs):
+            seen.append((check.__name__, kwargs[key]))
+            return check(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(cli, "verify_representation",
+                        recording(cli.verify_representation, "tol"))
+    monkeypatch.setattr(cli, "refine_and_compare",
+                        recording(cli.refine_and_compare, "value_tol"))
+    for suite in ("representation", "refine"):
+        main(["check", "--input", str(fixture_path("fix_refine.json")),
+              "--suite", suite, "--tol", "0"])
+    main(["check", "--input", str(fixture_path("fix_refine.json")), "--suite", "refine"])
+    capsys.readouterr()
+    assert seen == [("verify_representation", 0.0)] * 3 + [
+        ("refine_and_compare", 0.0), ("refine_and_compare", 1e-8)]

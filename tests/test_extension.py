@@ -81,9 +81,6 @@ def test_conjugate_rejects_non_densities(two_atom):
         conjugate(op, space.rv([1.2, 0.9]))  # mean != 1
     with pytest.raises(DensityError):
         conjugate(op, space.rv([2.5, -0.5]))
-    # the same vector passes with the check disabled
-    out = conjugate(op, space.rv([1.2, 0.9]), check=False)
-    assert out.by_block.shape == (1,)
 
 
 def test_non_finite_densities_raise_density_error():

@@ -7,7 +7,7 @@ import pytest
 
 import sandwichext.scenario as scenario
 
-from conftest import fixture_path
+from conftest import ROOT, fixture_path
 from sandwichext import (
     ScenarioError,
     build_scenario,
@@ -230,3 +230,120 @@ def test_subsystem_missing_parts_rejected():
     with pytest.raises(ScenarioError) as exc:
         sc.subsystem([0, 1])  # drops the terminal level
     assert exc.value.path == "$.tasks"
+
+
+def _set(where, key, value):
+    """A document edit: ``doc`` -> ``where(doc)[key] = value``."""
+    def edit(doc):
+        where(doc)[key] = value
+    return edit
+
+
+def _append_copy(section, i):
+    return lambda doc: doc[section].append(copy.deepcopy(doc[section][i]))
+
+
+def _drop_bounds(s, t):
+    def edit(doc):
+        doc["bounds"] = [b for b in doc["bounds"] if (b["from"], b["to"]) != (s, t)]
+    return edit
+
+
+def _piece(op):
+    return lambda doc: doc["operators"][op]["pieces"][0]
+
+
+def _bounds(i):
+    return lambda doc: doc["bounds"][i]
+
+
+def _built(name, edit):
+    """A call that builds ``name`` (a fixture or a golden scenario) after ``edit``."""
+    def run():
+        path = (fixture_path(name) if name.startswith("fix_")
+                else ROOT / "tests" / "golden" / name)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        return build_scenario(doc)
+    return run
+
+
+def _then(build, call):
+    return lambda: call(build())
+
+
+_LIN = "fix_c_linear.json"
+_POLY = "polyhedral_tree.json"
+_NOT_1 = "values vary by {} on block (0, 1) of level 1"
+
+# every vector site of the reader, every pair check and every subsystem error:
+# (id, call that raises, the full ScenarioError message)
+READER_ERRORS = [
+    ("subspace-length", _built(_LIN, _set(lambda d: d, "subspaces", {"2": [[1.0, -1.0]]})),
+     "$.subspaces.2[0]: expected 4 entries, got 2"),
+    ("subspace-measurable",
+     _built(_LIN, _set(lambda d: d, "subspaces", {"1": [[1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]]})),
+     "$.subspaces.1[1]: " + _NOT_1.format("2.000e+00")),
+    ("density-length", _built(_LIN, _set(_piece(1), "density", [1.0, 1.0])),
+     "$.operators[1].pieces[0].density: expected 4 entries, got 2"),
+    ("density-measurable", _built(_LIN, _set(_piece(0), "density", [1.5, 0.5, 1.0, 1.0])),
+     "$.operators[0].pieces[0].density: " + _NOT_1.format("1.000e+00")),
+    ("penalty-length", _built(_LIN, _set(_piece(1), "penalty", [0.0, 0.0, 0.0])),
+     "$.operators[1].pieces[0].penalty: expected 4 entries, got 3"),
+    ("penalty-measurable", _built(_LIN, _set(_piece(0), "penalty", [0.0, 0.0, 0.1, 0.1])),
+     "$.operators[0].pieces[0].penalty: values vary by 1.000e-01 on block (0, 1, 2, 3) of level 0"),
+    ("m0-length", _built(_LIN, _set(_bounds(2), "m0", [0.5, 0.5])),
+     "$.bounds[2].m0: expected 4 entries, got 2"),
+    ("m0-measurable", _built(_LIN, _set(_bounds(0), "m0", [0.5, 0.6, 0.5, 0.5])),
+     "$.bounds[0].m0: " + _NOT_1.format("1.000e-01")),
+    ("M0-length", _built(_LIN, _set(_bounds(1), "M0", [2.0] * 5)),
+     "$.bounds[1].M0: expected 4 entries, got 5"),
+    ("M0-measurable", _built(_LIN, _set(_bounds(0), "M0", [2.0, 1.5, 2.0, 2.0])),
+     "$.bounds[0].M0: " + _NOT_1.format("5.000e-01")),
+    ("m-kernel-length", _built(_POLY, _set(lambda d: d["bounds"][0]["m_kernels"], 1, [1.0] * 3)),
+     "$.bounds[0].m_kernels[1]: expected 8 entries, got 3"),
+    ("m-kernel-measurable",
+     _built(_POLY, _set(lambda d: d["bounds"][0]["m_kernels"], 0, [0.5] + [0.75] * 7)),
+     "$.bounds[0].m_kernels[0]: values vary by 2.500e-01 on block (0, 1, 2, 3) of level 1"),
+    ("M-kernel-length", _built(_POLY, _set(lambda d: d["bounds"][1]["M_kernels"], 0, [2.0] * 9)),
+     "$.bounds[1].M_kernels[0]: expected 8 entries, got 9"),
+    ("M-kernel-measurable",
+     _built(_POLY, _set(lambda d: d["bounds"][0]["M_kernels"], 1, [2.0] * 7 + [3.0])),
+     "$.bounds[0].M_kernels[1]: values vary by 1.000e+00 on block (4, 5, 6, 7) of level 1"),
+    ("named-payoff-length", _built(_LIN, _set(lambda d: d["payoffs"], "bad", [1.0, 2.0, 3.0])),
+     "$.payoffs.bad: expected 4 entries, got 3"),
+    ("named-payoff-measurable", _then(_built(_LIN, lambda d: None), lambda sc: sc.payoff("unit_uu", 1)),
+     "$.payoffs.unit_uu: " + _NOT_1.format("1.000e+00")),
+    ("inline-payoff-length", _then(_built(_LIN, lambda d: None), lambda sc: sc.payoff([1.0, 0.0], 2)),
+     "$.payoff: expected 4 entries, got 2"),
+    ("inline-payoff-measurable",
+     _then(_built(_LIN, lambda d: None), lambda sc: sc.payoff([0.0, 0.0, 3.0, 1.0], 1)),
+     "$.payoff: values vary by 2.000e+00 on block (2, 3) of level 1"),
+    ("duplicate-operator", _built(_LIN, _append_copy("operators", 1)),
+     "$.operators[2]: duplicate operator for pair (1, 2)"),
+    ("duplicate-bounds", _built(_LIN, _append_copy("bounds", 0)),
+     "$.bounds[3]: duplicate bounds for pair (0, 1)"),
+    ("operator-off-grid", _built("fix_refine.json", _set(lambda d: d, "grid", [0, 2])),
+     "$.operators[0]: pair (0, 1) is not an increasing pair on grid [0, 2]"),
+    ("operator-decreasing", _built(_LIN, _set(lambda d: d["operators"][1], "to", 1)),
+     "$.operators[1]: pair (1, 1) is not an increasing pair on grid [0, 1, 2]"),
+    ("bounds-off-grid", _built(_LIN, _set(_bounds(2), "from", 2)),
+     "$.bounds[2]: pair (2, 2) is not an increasing pair on grid [0, 1, 2]"),
+    ("subsystem-operator", _then(_built(_LIN, lambda d: None), lambda sc: sc.subsystem([0, 2])),
+     "$.operators: sub-grid [0, 2] needs an operator for pair (0, 2)"),
+    ("subsystem-bounds",
+     _then(_built("fix_refine.json", _drop_bounds(0, 2)), lambda sc: sc.subsystem([0, 2])),
+     "$.bounds: sub-grid [0, 2] needs bounds for pair (0, 2)"),
+    ("subsystem-grid", _then(_built(_LIN, lambda d: None), lambda sc: sc.subsystem([0, 1])),
+     "$.tasks: grid must contain the first and last level"),
+]
+
+
+@pytest.mark.parametrize("call,message", [c[1:] for c in READER_ERRORS],
+                         ids=[c[0] for c in READER_ERRORS])
+def test_reader_errors_name_their_path_and_message(call, message):
+    with pytest.raises(ScenarioError) as exc:
+        call()
+    assert str(exc.value) == message
+    assert exc.value.path == message.split(": ", 1)[0]
