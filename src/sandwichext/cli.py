@@ -10,7 +10,7 @@ sampled check.
 Exit status: 0 when all executed checks pass, 1 when a check fails, 2 on a
 schema or structural error (the message names the first failing JSON path,
 or the pair and block of an infeasible density polytope), on a SANDWICH_SEED
-that is not a nonnegative integer, a negative or NaN ``--tol``, an
+that is not a nonnegative integer, a negative, infinite or NaN ``--tol``, an
 unwritable ``--output`` file, or on a solver fault: an LP that came back
 with a status its construction rules out (the message names the LP, pair,
 block, piece and status), a malformed program or exceeded iteration cap
@@ -442,8 +442,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         seed = _seed()
-        if args.tol is not None and not args.tol >= 0.0:
-            raise _Fault(f"--tol must be a nonnegative number, got {args.tol}")
+        if args.tol is not None and not 0.0 <= args.tol < math.inf:
+            raise _Fault(f"--tol must be a finite nonnegative number, got {args.tol}")
         scenario = load_scenario(args.input)
         doc = _run_command(args, scenario, seed)
     except (_Fault, ScenarioError, OSError) as err:

@@ -43,7 +43,8 @@ from itertools import count
 
 import numpy as np
 
-from .lp import FEAS_TOL, LinearProgram, LpResult, _cost_tol, _stacked_pricing, solve_lp
+from .lp import (FEAS_TOL, LinearProgram, LpResult, _cost_tol, _FirstPass, _stacked_pricing,
+                 solve_lp)
 from .operators import (BlockPolytope, BoundPair, DensityPolytope, CheckEntry,
                         PolyhedralOperator, PolytopeError, SandwichReport,
                         ValidationReport, _solved, check_sandwich)
@@ -283,8 +284,8 @@ class _BlockProgram:
         """(place, vertex record) of the first tabled basis optimal for the
         payoff, trying the form's kept vertex first, then the newest; None if
         none is. ``rows`` maps the table's keys to their places in ``priced``,
-        which holds an entry's value where its basis passed the test and None
-        where it failed. Changes nothing."""
+        which holds None where an entry's basis failed the test (see
+        ``_TableStack.priced``). Changes nothing."""
         last = self.lp._form.last
         kept = None if last is None else rows.get(last.basis)
         if kept is not None and priced[kept] is not None:
@@ -336,13 +337,15 @@ _Shape = namedtuple("_Shape", "blocks n_f n_vars c weights reps ids penalties")
 class _TableStack:
     """Every entry of an extension's live basis tables, stacked so that one
     optimality test per payoff prices them all; ``evaluate`` and ``attain``
-    each price it once per call.
+    each price it once per call, and only ``attain``'s test keeps each
+    passing entry's first pass, for the block solve that starts on it.
 
     Entries are grouped by the shape of their kept rows and their block's
     ``_Shape``; a group stacks, per entry, the kept rows, B^-1, the basic
     columns, ``x`` and its block's rows of the shape's ``c``, weights and
-    reps, and prices with its first form's ``cost``, as an extension's
-    block programs share one standard-form layout (max, bounded below).
+    reps, keeps the vertex records, and prices with its first form's
+    ``cost``, as an extension's block programs share one standard-form
+    layout (max, bounded below).
     ``rows[a]`` maps block ``a``'s table keys to their places in ``priced``;
     it is None for a dropped table. A hit only reorders a table, so the
     stack stands until a table gains, loses or drops entries.
@@ -365,19 +368,26 @@ class _TableStack:
             self.groups.append((programs[blocks[0]].lp._form, shape.n_f, *map(np.array, (
                 [v.a for v in vertices], [v.binv for v in vertices],
                 [v.cols for v in vertices], [v.x for v in vertices])),
-                *(part.take(at, 0) for part in (shape.c, shape.weights, shape.reps))))
+                *(part.take(at, 0) for part in (shape.c, shape.weights, shape.reps)), vertices))
 
-    def priced(self, x: np.ndarray) -> list:
-        """Per entry, the value ``c @ x`` of the objective ``c`` of payoff
-        ``x`` where ``_pricing`` finds its basis optimal, else None; each
-        stacked product has the bits of the one-entry product."""
+    def priced(self, x: np.ndarray, passes: bool = False) -> list:
+        """Per entry whose basis ``_pricing`` finds optimal for the objective
+        ``c`` of payoff ``x``, the value ``c @ x``, or with ``passes`` its
+        group's vertices, duals and flags and its row, which make its
+        ``_FirstPass``; None per entry that fails. Each stacked product has
+        the bits of the one-entry product."""
         out = []
-        for form, n_f, a, binv, cols, xs, c, weights, reps in self.groups:
+        for form, n_f, a, binv, cols, xs, c, weights, reps, vertices in self.groups:
             c = _with_payoff(c, n_f, weights, x[reps])
             cost = form.cost(c)
-            _, optimal = _stacked_pricing(a, cost, cols, binv, form.twin, _cost_tol(cost))
-            values = np.matmul(c[:, None], xs[:, :, None])[:, 0, 0]
-            out += [v if ok else None for v, ok in zip(values.tolist(), optimal.tolist())]
+            tol = _cost_tol(cost)
+            y, reduced, optimal = _stacked_pricing(a, cost, cols, binv, form.twin, tol)
+            if passes:
+                stacked = vertices, y, reduced > tol[:, None]
+                got = [(stacked, r) for r in range(len(vertices))]
+            else:
+                got = np.matmul(c[:, None], xs[:, :, None])[:, 0, 0].tolist()
+            out += [v if ok else None for v, ok in zip(got, optimal.tolist())]
         return out
 
 
@@ -455,11 +465,11 @@ class ExtendedOperator:
             by_block[a] = value
         return _LpValues(self.space._layout[self.level_a].broadcast(by_block), self.level_a)
 
-    def _priced(self, x: np.ndarray) -> list:
+    def _priced(self, x: np.ndarray, passes: bool = False) -> list:
         """The stacked test's verdicts for payoff ``x``; builds a missing stack."""
         if self._stack is None:
             self._stack = _TableStack(self._programs, self._shapes)
-        return self._stack.priced(x)
+        return self._stack.priced(x, passes)
 
     def _solve_block(self, a: int, lp: LinearProgram) -> LpResult:
         return _solved(solve_lp, "extension block program", self._programs[a].levels, a,
@@ -536,7 +546,10 @@ def attain(ext: ExtendedOperator, X: RandomVariable) -> Attainment:
     are scattered once per shape. Where a block's kept vertex is tabled and
     fails ``evaluate``'s stacked test, its solve starts on the newest tabled
     basis that passes (``_BlockProgram.passing``) and stops after one pass.
-    The tables, their misses and the stack are left as they are.
+    Where the start is such a passing entry, or the kept vertex itself, its
+    program carries the entry's first pass from the stacked test, which the
+    warm solve takes in place of pricing it again (``solve_lp``). The tables,
+    their misses and the stack are left as they are.
     """
     if X.level > ext.level_b:
         raise LevelError("payoff finer than the extension level")
@@ -550,13 +563,15 @@ def attain(ext: ExtendedOperator, X: RandomVariable) -> Attainment:
     for shape in ext._shapes:
         objectives.update(zip(shape.blocks, _with_payoff(
             shape.c, shape.n_f, shape.weights, X.values[shape.reps])))
-    priced = ext._priced(X.values)
+    priced = ext._priced(X.values, passes=True)
     for a, (prog, rows) in enumerate(zip(ext._programs, ext._stack.rows)):
         form = prog.lp._form
         found = rows and prog.passing(rows, priced)
+        first = None
         if found and form.last.basis in rows:   # kept in the table: the first that passes
-            form.last = found[1]
-        res = ext._solve_block(a, prog.lp._derived(objectives[a]))
+            (vertices, y, flags), r = priced[found[0]]
+            form.last, first = found[1], _FirstPass(vertices[r], y[r, 0], flags[r])
+        res = ext._solve_block(a, prog.lp._derived(objectives[a], first))
         points[a] = _memoized(prog.faces, res.x.tobytes() + res.tight.tobytes(),
                               FACE_MEMO_SIZE, partial(_center_on_face, prog, res, a))
         values[a] = res.value

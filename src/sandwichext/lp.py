@@ -27,7 +27,10 @@ simplex pass makes: applied to a record and a new objective's
 ``_StandardForm.cost``, it tells without a solve whether a warm solve from that
 record would stop at once, on the record's x. ``_stacked_pricing`` is the same
 test over a stack of records, each row with its own costs, and ``cost`` and
-``_cost_tol`` take such stacks too.
+``_cost_tol`` take such stacks too. A caller that ran that test on the kept
+record under a program's objective may attach the pass to the program
+(``_derived``, a ``_FirstPass``): a warm solve then returns from it without
+pricing again, and ignores a pass on any other record or on a cold solve.
 
 Determinism: the same sequence of calls gives the same bytes. A warm solve
 may end on a different vertex of a non-unique optimum than a cold one, with
@@ -110,6 +113,7 @@ class LinearProgram:
     a_ub: np.ndarray | None = None
     b_ub: np.ndarray | None = None
     bounds: tuple[tuple[float, float], ...] | None = None
+    _first = None       # the _FirstPass a derived program may carry, not a field
 
     def __post_init__(self):
         object.__setattr__(self, "c", _objective(self.c))
@@ -148,10 +152,11 @@ class LinearProgram:
         """This program with objective ``c``, which alone is checked."""
         return self._derived(_objective(c, self.n_vars))
 
-    def _derived(self, c: np.ndarray) -> LinearProgram:
-        """This program with ``c`` unchecked: a read-only finite ``n_vars`` vector."""
+    def _derived(self, c: np.ndarray, first: _FirstPass | None = None) -> LinearProgram:
+        """This program with ``c`` unchecked: a read-only finite ``n_vars``
+        vector; ``first`` is a first pass priced under ``c`` (see ``solve_lp``)."""
         lp = object.__new__(LinearProgram)
-        lp.__dict__.update(self.__dict__, _form=self._form, c=c)
+        lp.__dict__.update(self.__dict__, _form=self._form, c=c, _first=first)
         return lp
 
 
@@ -230,6 +235,16 @@ class _Vertex(NamedTuple):
     x: np.ndarray          # the read-only solution, which no objective changes
 
 
+class _FirstPass(NamedTuple):
+    """The simplex's first pass on a ``_Vertex`` record, priced by the caller
+    under the objective of the program it is attached to: ``_pricing``'s
+    duals y and the flags of reduced costs above the tolerance, bit for bit."""
+
+    vertex: _Vertex
+    y: np.ndarray
+    flags: np.ndarray
+
+
 @dataclass(frozen=True)
 class LpResult:
     """Outcome of ``solve_lp``.
@@ -304,8 +319,9 @@ def _stacked_pricing(a: np.ndarray, c: np.ndarray, basis: np.ndarray, binv: np.n
     """``_pricing``'s optimality test over a leading axis of rows, each row a
     basis of its own: constraint rows ``a[r]``, costs ``c[r]``, basic columns
     ``basis[r]``, inverse ``binv[r]`` and tolerance ``tol[r]``, with one
-    ``twin`` for all. Returns the reduced costs and the optimal flags, each
-    row's the bits of ``_pricing``'s: the stacked ``np.matmul`` runs the
+    ``twin`` for all. Returns the duals (row r's at ``[r, 0]``, as the
+    stacked product leaves them), the reduced costs and the optimal flags,
+    each row's the bits of ``_pricing``'s: the stacked ``np.matmul`` runs the
     same vector-matrix product per row.
     """
     at = np.arange(len(c))[:, None]
@@ -314,7 +330,7 @@ def _stacked_pricing(a: np.ndarray, c: np.ndarray, basis: np.ndarray, binv: np.n
     reduced[at, basis] = 0.0
     if twin is not None:
         reduced[at, twin[basis]] = 0.0
-    return reduced, reduced.min(axis=1) >= -tol
+    return y, reduced, reduced.min(axis=1) >= -tol
 
 
 def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
@@ -366,17 +382,27 @@ def solve_lp(lp: LinearProgram, warm: bool = False) -> LpResult:
     from its last optimal solve, if any, and returns that vertex's x if its
     first pass finds it optimal; otherwise, and without ``warm``, the solve
     is cold: phase 1, if a row needs it, then phase 2.
+
+    A program's ``_FirstPass`` on the kept vertex, which ``attain`` attaches
+    from its stacked table test and vouches was priced under ``lp.c``, is a
+    warm solve's first pass: it returns that one-pass result with no pricing.
+    A pass on any other vertex, or on a cold solve, is ignored.
     """
     form = lp._form
+    sgn = form.sgn
+    const = float(sgn * (lp.c @ form.shift))
+    last = form.last if warm else None   # read once: other solves replace it whole
+    first = lp._first
+    if first is not None and first.vertex is last:
+        return LpResult("optimal", float(lp.c @ last.x), last.x,
+                        float(sgn * (first.y @ last.b + const)), None, 1, last.basis,
+                        (first.flags, form))
     amat, bvec, n_u = form.amat, form.bvec, form.var.size
     m, n_s = amat.shape
-    sgn = form.sgn
     cost = form.cost(lp.c)
-    const = float(sgn * (lp.c @ form.shift))
 
     # --- phase 1, unless the kept vertex or the slacks are a feasible basis
     iters, binv = 0, None
-    last = form.last if warm else None   # read once: other solves replace it whole
     if last is not None:
         rows, basis, binv = last.basis[0], last.cols, last.binv
     elif not form.need.any():            # every row starts on its slack

@@ -38,7 +38,7 @@ class ScenarioError(ValueError):
 
 
 def _schema() -> dict:
-    text = resources.files("sandwichext").joinpath(
+    text = resources.files(__package__).joinpath(
         "schema/scenario.schema.json").read_text()
     return json.loads(text)
 

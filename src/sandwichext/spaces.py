@@ -146,7 +146,7 @@ class FilteredSpace:
         if np.any(probs <= 0.0):
             raise SpaceError("zero or negative probability atoms are rejected")
         if abs(probs.sum() - 1.0) > PROB_TOL:
-            raise SpaceError(f"probabilities sum to {probs.sum()!r}, not 1")
+            raise SpaceError(f"probabilities sum to {float(probs.sum())!r}, not 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 

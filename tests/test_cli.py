@@ -493,13 +493,13 @@ def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and str(out) in captured.err
 
 
-@pytest.mark.parametrize("tol", ["-1e-9", "nan"])
+@pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf"])
 def test_negative_or_nan_tol_exits_2_naming_it(tol, capsys):
     rc = main(["check", "--input", str(fixture_path("fix_a.json")),
                "--suite", "representation", f"--tol={tol}"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err == (f"sandwich: input error: --tol must be a nonnegative "
+    assert captured.err == (f"sandwich: input error: --tol must be a finite nonnegative "
                             f"number, got {float(tol)}\n")
 
 

@@ -1198,6 +1198,64 @@ def test_attain_starts_a_failed_tabled_kept_vertex_on_the_newest_passing_entry(
     assert switched or source in NO_TABLED_STARTS
 
 
+def _same_solve(got, want):
+    same_lp_result(got, want)
+    assert got.single_vertex == want.single_vertex
+
+
+@pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)
+def test_attain_solves_take_the_stacked_first_pass_only_on_the_kept_vertex(source, monkeypatch):
+    # a block solve whose program carries the stacked test's first pass on
+    # the kept vertex returns the bits of a plain warm solve from that
+    # vertex, and prices nothing itself; the same pass is ignored on a cold
+    # solve and once the kept vertex is another record, even an equal copy
+    lp_module = sandwichext.lp
+    pricing, cost = lp_module._pricing, lp_module._StandardForm.cost
+    priced = []
+
+    def counted(fn):
+        def run(*args):
+            priced.append(fn.__name__)
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(lp_module, "_pricing", counted(pricing))
+    monkeypatch.setattr(lp_module._StandardForm, "cost", counted(cost))
+    taken = []
+
+    def solved(lp, warm):
+        priced.clear()
+        return solve_lp(lp, warm=warm), list(priced)
+
+    def checked(lp, warm=False):
+        first, form = lp._first, lp._form
+        if first is None:
+            return solve_lp(lp, warm=warm)
+        assert warm
+        plain, kept = lp._derived(lp.c), form.last
+        for start, cold in ((first.vertex._replace(), False), (kept, True)):
+            form.last = start
+            res, calls = solved(lp, not cold)
+            form.last = start
+            _same_solve(res, solve_lp(plain, warm=not cold))
+            assert "_pricing" in calls
+            form.last = kept
+        res, calls = solved(lp, True)
+        if first.vertex is kept:
+            taken.append(res)
+            assert calls == [] and form.last is kept
+            assert res.iterations == 1 and res.x is kept.x
+        _same_solve(res, solve_lp(plain, warm=True))
+        return res
+
+    monkeypatch.setattr(sandwichext.extension, "solve_lp", checked)
+    system = _tree_or_fixture(source)
+    ext = extend_system(system)
+    for _, op in _mixed_operations(system, np.random.default_rng(SEED + 19), 32):
+        op(ext)
+    assert taken
+
+
 @pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)
 def test_attain_leaves_the_tables_the_misses_and_the_stack_as_they_are(source, monkeypatch):
     # attain reads the tables for its starts: it adds, reorders and drops

@@ -394,19 +394,20 @@ def stacked_bases(draw):
 @given(case=stacked_bases())
 def test_stacked_pricing_is_pricing_row_by_row(case):
     # the stacked test of the basis tables decides each row as the simplex's
-    # own test would: the same tolerance, reduced costs and optimal flag,
-    # bit for bit, with twins of basic free variables priced at 0 and a
+    # own test would: the same tolerance, duals, reduced costs and optimal
+    # flag, bit for bit, with twins of basic free variables priced at 0 and a
     # reduced cost exactly at -tol still optimal
     a, c, basis, binv, twin, tol = case
-    reduced, optimal = _stacked_pricing(a, c, basis, binv, twin, tol)
+    y, reduced, optimal = _stacked_pricing(a, c, basis, binv, twin, tol)
     for r in range(len(c)):
         assert np.float64(_cost_tol(c[r])).tobytes() == _cost_tol(c)[r].tobytes()
-        _, want, _, ok = _pricing(a[r], c[r], basis[r], binv[r], twin, tol[r])
+        want_y, want, _, ok = _pricing(a[r], c[r], basis[r], binv[r], twin, tol[r])
+        assert y[r, 0].tobytes() == want_y.tobytes()
         assert reduced[r].tobytes() == want.tobytes()
         assert optimal[r] == ok == (want.min() >= -tol[r])
         below = np.nextafter(tol[r], 0.0)
         assert (_stacked_pricing(a[r:r + 1], c[r:r + 1], basis[r:r + 1], binv[r:r + 1], twin,
-                                 np.array([below]))[1][0]
+                                 np.array([below]))[2][0]
                 == _pricing(a[r], c[r], basis[r], binv[r], twin, below)[3])
 
 

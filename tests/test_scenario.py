@@ -112,103 +112,16 @@ def test_schema_fast_path_matches_the_stock_validator(edit):
     assert str(exc.value) == f"{exc.value.path}: {errors[0].message}"
 
 
-def test_space_and_grid_rejections():
-    doc = load_doc("fix_a.json")
-    bad = copy.deepcopy(doc)
-    bad["space"]["probs"] = [0.5, 0.6]
-    with pytest.raises(ScenarioError) as exc:
-        build_scenario(bad)
-    assert exc.value.path == "$.space"
-
-    bad = copy.deepcopy(doc)
-    bad["space"]["atoms"] = ["only-one"]
-    with pytest.raises(ScenarioError) as exc:
-        build_scenario(bad)
-    assert exc.value.path == "$.space.atoms"
-
-    bad = copy.deepcopy(doc)
-    bad["grid"] = [0, 5]
-    with pytest.raises(ScenarioError) as exc:
-        build_scenario(bad)
-    assert exc.value.path == "$.grid[1]"
-
-    bad = copy.deepcopy(doc)
-    bad["subspaces"] = {"9": [[1.0, -1.0]]}
-    with pytest.raises(ScenarioError) as exc:
-        build_scenario(bad)
-    assert exc.value.path == "$.subspaces.9"
-
-
-def test_vector_expansion_checks():
-    doc = load_doc("fix_a.json")
-    bad = copy.deepcopy(doc)
-    bad["payoffs"]["bad"] = [1.0, 2.0, 3.0]
-    with pytest.raises(ScenarioError) as exc:
-        build_scenario(bad)
-    assert exc.value.path == "$.payoffs.bad"
-    assert "expected 2 entries" in str(exc.value)
-
-    sc = build_scenario(doc)
-    label, rv = sc.payoff(0.75, 1)
-    assert label is None
-    np.testing.assert_array_equal(rv.values, [0.75, 0.75])
-
-
-def test_operator_and_bounds_pair_rejections():
-    doc = load_doc("fix_a.json")
-    bad = copy.deepcopy(doc)
-    bad["operators"][0]["to"] = 0
-    with pytest.raises(ScenarioError) as exc:
-        build_scenario(bad)
-    assert exc.value.path == "$.operators[0]"
-    assert "increasing pair" in str(exc.value)
-
-    bad = copy.deepcopy(doc)
-    bad["operators"].append(copy.deepcopy(bad["operators"][0]))
-    with pytest.raises(ScenarioError) as exc:
-        build_scenario(bad)
-    assert exc.value.path == "$.operators[1]"
-    assert "duplicate" in str(exc.value)
-
-    bad = copy.deepcopy(doc)
-    bad["bounds"].append(copy.deepcopy(bad["bounds"][0]))
-    with pytest.raises(ScenarioError) as exc:
-        build_scenario(bad)
-    assert exc.value.path == "$.bounds[1]"
-
-    bad = copy.deepcopy(doc)
-    bad["bounds"][0]["m0"] = 2.0
-    bad["bounds"][0]["M0"] = 0.5
-    with pytest.raises(ScenarioError) as exc:
-        build_scenario(bad)
-    assert exc.value.path == "$.bounds[0]"
-
-
-def test_non_measurable_vectors_carry_their_path():
-    doc = load_doc("fix_c_linear.json")
-    bad = copy.deepcopy(doc)
-    # a (0, 1) density must be constant on the level-1 blocks
-    bad["operators"][0]["pieces"][0]["density"] = [1.5, 0.5, 1.0, 1.0]
-    with pytest.raises(ScenarioError) as exc:
-        build_scenario(bad)
-    assert exc.value.path == "$.operators[0].pieces[0].density"
-
-
-def test_payoff_resolution_paths():
+def test_payoffs_resolve_by_name_inline_vector_or_scalar():
+    # the reader's errors are in READER_ERRORS below; these are its answers
     sc = load_scenario(fixture_path("fix_c_linear.json"))
     label, rv = sc.payoff("unit_uu", 2)
     assert label == "unit_uu" and rv.level == 2
-    with pytest.raises(ScenarioError) as exc:
-        sc.payoff("no_such", 2)
-    assert exc.value.path == "$.payoffs"
     label, rv = sc.payoff([1.0, 0.0, 0.0, 0.0], 2)
     assert label is None
-    with pytest.raises(ScenarioError) as exc:
-        sc.payoff("unit_uu", 1)  # atom-level payoff is not level-1 measurable
-    assert exc.value.path == "$.payoffs.unit_uu"
-    with pytest.raises(ScenarioError) as exc:
-        sc.payoff([1.0, 0.0], 2)
-    assert exc.value.path == "$.payoff"
+    label, rv = load_scenario(fixture_path("fix_a.json")).payoff(0.75, 1)
+    assert label is None
+    np.testing.assert_array_equal(rv.values, [0.75, 0.75])
 
 
 def test_subsystem_reuses_declared_objects():
@@ -220,16 +133,6 @@ def test_subsystem_reuses_declared_objects():
     assert not sub.long_ops
     rep = refine_and_compare(sub, sc.system, n_payoffs=5, n_densities=4, seed=3)
     assert rep.report.entries
-
-
-def test_subsystem_missing_parts_rejected():
-    sc = load_scenario(fixture_path("fix_c_linear.json"))
-    with pytest.raises(ScenarioError) as exc:
-        sc.subsystem([0, 2])  # no (0, 2) operator declared
-    assert exc.value.path == "$.operators"
-    with pytest.raises(ScenarioError) as exc:
-        sc.subsystem([0, 1])  # drops the terminal level
-    assert exc.value.path == "$.tasks"
 
 
 def _set(where, key, value):
@@ -277,9 +180,18 @@ _LIN = "fix_c_linear.json"
 _POLY = "polyhedral_tree.json"
 _NOT_1 = "values vary by {} on block (0, 1) of level 1"
 
-# every vector site of the reader, every pair check and every subsystem error:
+# the space, grid and level checks, every vector site of the reader, every pair
+# check, the bound pair's own check and every subsystem error:
 # (id, call that raises, the full ScenarioError message)
 READER_ERRORS = [
+    ("space-probs", _built("fix_a.json", _set(lambda d: d["space"], "probs", [0.5, 0.6])),
+     "$.space: probabilities sum to 1.1, not 1"),
+    ("space-atoms", _built("fix_a.json", _set(lambda d: d["space"], "atoms", ["only-one"])),
+     "$.space.atoms: expected 2 atom names, got 1"),
+    ("grid-level", _built("fix_a.json", _set(lambda d: d, "grid", [0, 5])),
+     "$.grid[1]: level 5 out of range"),
+    ("subspace-level", _built("fix_a.json", _set(lambda d: d, "subspaces", {"9": [[1.0, -1.0]]})),
+     "$.subspaces.9: level 9 out of range"),
     ("subspace-length", _built(_LIN, _set(lambda d: d, "subspaces", {"2": [[1.0, -1.0]]})),
      "$.subspaces.2[0]: expected 4 entries, got 2"),
     ("subspace-measurable",
@@ -311,6 +223,8 @@ READER_ERRORS = [
     ("M-kernel-measurable",
      _built(_POLY, _set(lambda d: d["bounds"][0]["M_kernels"], 1, [2.0] * 7 + [3.0])),
      "$.bounds[0].M_kernels[1]: values vary by 1.000e+00 on block (4, 5, 6, 7) of level 1"),
+    ("named-payoff-unknown", _then(_built(_LIN, lambda d: None), lambda sc: sc.payoff("no_such", 2)),
+     "$.payoffs: unknown payoff 'no_such'"),
     ("named-payoff-length", _built(_LIN, _set(lambda d: d["payoffs"], "bad", [1.0, 2.0, 3.0])),
      "$.payoffs.bad: expected 4 entries, got 3"),
     ("named-payoff-measurable", _then(_built(_LIN, lambda d: None), lambda sc: sc.payoff("unit_uu", 1)),
@@ -330,6 +244,8 @@ READER_ERRORS = [
      "$.operators[1]: pair (1, 1) is not an increasing pair on grid [0, 1, 2]"),
     ("bounds-off-grid", _built(_LIN, _set(_bounds(2), "from", 2)),
      "$.bounds[2]: pair (2, 2) is not an increasing pair on grid [0, 1, 2]"),
+    ("bounds-crossed", _built("fix_a.json", lambda d: d["bounds"][0].update(m0=2.0, M0=0.5)),
+     "$.bounds[0]: m0 must not exceed M0"),
     ("subsystem-operator", _then(_built(_LIN, lambda d: None), lambda sc: sc.subsystem([0, 2])),
      "$.operators: sub-grid [0, 2] needs an operator for pair (0, 2)"),
     ("subsystem-bounds",

@@ -33,3 +33,16 @@ def test_same_answers_is_deterministic_and_covers_every_stream():
                      for kind in ("", " interleaved")] + ["reports"]
     assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in first)   # SHA-256 hex
     assert run() == first
+
+
+def test_ab_reports_of_a_checkout_against_itself_are_identical():
+    # one report per fixture, the golden tree and the generated scenario,
+    # each the same bytes from the library loaded under another name
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), "--reports", "--calls", "1"],
+        capture_output=True, text=True, check=True, timeout=300).stdout.splitlines()
+    assert out[0].endswith("reports of 7 inputs seed 1 gc on")
+    assert [line.split(":")[0] for line in out[1:]] == [
+        "fix_a.json", "fix_b.json", "fix_c_linear.json", "fix_c_restricted.json",
+        "fix_refine.json", "polyhedral_tree.json", "polyhedral-report-1.json"]
+    assert all(line.endswith(" of 1 outputs identical") for line in out[1:])
