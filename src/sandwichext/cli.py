@@ -456,8 +456,7 @@ def main(argv=None) -> int:
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+                fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         except OSError as err:
             print(f"sandwich: output error: {err}", file=sys.stderr)
             return EXIT_INPUT

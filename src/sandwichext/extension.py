@@ -543,9 +543,10 @@ def attain(ext: ExtendedOperator, X: RandomVariable) -> Attainment:
     The payoff is checked finite once (an extension's own values are not);
     one product per ``_Shape`` fills a read-only matrix of objectives, whose
     rows the warm block solves take unchecked, and densities and penalties
-    are scattered once per shape. Where a block's kept vertex is tabled and
-    fails ``evaluate``'s stacked test, its solve starts on the newest tabled
-    basis that passes (``_BlockProgram.passing``) and stops after one pass.
+    are scattered once per shape. A block's kept vertex is looked up in its
+    table once; where it is tabled and fails ``evaluate``'s stacked test, its
+    solve starts on the newest tabled basis that passes
+    (``_BlockProgram.passing``, run only then) and stops after one pass.
     Where the start is such a passing entry, or the kept vertex itself, its
     program carries the entry's first pass from the stacked test, which the
     warm solve takes in place of pricing it again (``solve_lp``). The tables,
@@ -565,12 +566,13 @@ def attain(ext: ExtendedOperator, X: RandomVariable) -> Attainment:
             shape.c, shape.n_f, shape.weights, X.values[shape.reps])))
     priced = ext._priced(X.values, passes=True)
     for a, (prog, rows) in enumerate(zip(ext._programs, ext._stack.rows)):
-        form = prog.lp._form
-        found = rows and prog.passing(rows, priced)
-        first = None
-        if found and form.last.basis in rows:   # kept in the table: the first that passes
-            (vertices, y, flags), r = priced[found[0]]
-            form.last, first = found[1], _FirstPass(vertices[r], y[r, 0], flags[r])
+        form, first = prog.lp._form, None
+        kept = rows.get(form.last.basis) if rows else None
+        if kept is not None:   # tabled: start on it if it passes, else on the newest that does
+            found = (kept, form.last) if priced[kept] is not None else prog.passing(rows, priced)
+            if found:
+                (vertices, y, flags), r = priced[found[0]]
+                form.last, first = found[1], _FirstPass(vertices[r], y[r, 0], flags[r])
         res = ext._solve_block(a, prog.lp._derived(objectives[a], first))
         points[a] = _memoized(prog.faces, res.x.tobytes() + res.tight.tobytes(),
                               FACE_MEMO_SIZE, partial(_center_on_face, prog, res, a))
@@ -591,7 +593,8 @@ def _center_on_face(prog: _BlockProgram, res: LpResult, block: int) -> np.ndarra
 
     The face holds every constraint ``res.tight`` marks with equality: those
     variables at their bounds, those ``a_ub`` rows as equalities. z0 is the
-    solve's x snapped to the marked bounds: the face when
+    solve's x snapped to the marked bounds, the read-only ``lo`` and ``hi``
+    that every solve of the block shares in its standard form: the face when
     ``res.single_vertex`` holds, returned with no SVD or LP. Else it is
     z = z0 + N w, N a null-space basis of the equalities over the other
     variables; without N it is the point z0 and no LP runs. Otherwise one LP
@@ -600,16 +603,15 @@ def _center_on_face(prog: _BlockProgram, res: LpResult, block: int) -> np.ndarra
     second maximizes the minimum of the others. The point is read-only, since
     ``attain`` memoizes it.
     """
-    lp = prog.lp
-    nv, n_f = lp.n_vars, prog.poly.n_f
-    lo, hi = np.array(lp.bounds).T
-    b_ub = np.zeros(0) if lp.b_ub is None else lp.b_ub
-    rows, at_lo, at_hi = np.split(res.tight, [b_ub.size, b_ub.size + nv])
+    lp, form = prog.lp, prog.lp._form
+    nv, n_f, m_ub, lo, hi = lp.n_vars, prog.poly.n_f, form.m_ub, form.lo, form.hi
+    tight = res.tight
+    rows, at_lo, at_hi = tight[:m_ub], tight[m_ub:m_ub + nv], tight[m_ub + nv:]
     z0 = np.where(at_lo, lo, np.where(at_hi, hi, res.x))
     z0.setflags(write=False)
     if res.single_vertex:
         return z0
-    a_ub = np.zeros((0, nv)) if lp.a_ub is None else lp.a_ub
+    a_ub, b_ub = form.ub
     free = ~(at_lo | at_hi)
     _, sv, vt = np.linalg.svd(np.vstack([lp.a_eq, a_ub[rows]])[:, free])
     rank = int((sv > EQ_RANK_TOL * max(1.0, sv.max(initial=0.0))).sum())

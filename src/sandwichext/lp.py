@@ -165,7 +165,9 @@ class _StandardForm:
 
     def __init__(self, lp: LinearProgram):
         n = lp.n_vars
-        self.lo, self.hi = lo, hi = np.array(lp.bounds, dtype=float).reshape(n, 2).T
+        bounds = np.array(lp.bounds, dtype=float).reshape(n, 2)
+        bounds.setflags(write=False)   # every derived program's and centered face's
+        self.lo, self.hi = lo, hi = bounds.T
         none = (np.zeros((0, n)), np.zeros(0))
         self.eq = a_eq, b_eq = none if lp.a_eq is None else (lp.a_eq, lp.b_eq)
         self.ub = a_ub, b_ub = none if lp.a_ub is None else (lp.a_ub, lp.b_ub)

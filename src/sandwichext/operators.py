@@ -548,6 +548,13 @@ class BlockPolytope:
     def n_vars(self) -> int:
         return self.n_f + self.n_lift
 
+    @cached_property
+    def f_box(self) -> np.ndarray:
+        """The density columns' bounds, read-only rows (lo, hi)."""
+        box = np.array(self.var_bounds[:self.n_f]).T
+        box.setflags(write=False)
+        return box
+
 
 @dataclass(frozen=True, eq=False)
 class DensityPolytope:
@@ -608,13 +615,14 @@ class DensityPolytope:
         bp = self.blocks[a]
         rows = bp.seg.rows
         fl = np.asarray(f_local, dtype=float)
-        if np.any(rows.spread(fl) > tol):
+        # written to fail on NaN, as ``extension._check_density`` is
+        if not np.all(rows.spread(fl) <= tol):
             return False
         fs = fl[rows.firsts]
-        if abs(float(rows.probs @ fs) / float(rows.probs.sum()) - 1.0) > tol:
+        if not abs(float(rows.probs @ fs) / float(rows.probs.sum()) - 1.0) <= tol:
             return False
-        lo, hi = np.array(bp.var_bounds[:bp.n_f]).T
-        if float((fs - lo).min()) < -tol or float((hi - fs).min()) < -tol:
+        lo, hi = bp.f_box
+        if not (float((fs - lo).min()) >= -tol and float((hi - fs).min()) >= -tol):
             return False
         return not bp.n_lift or self._kernel_excess(a, fs) <= tol
 

@@ -1326,6 +1326,40 @@ def test_attain_off_the_tables_matches_a_table_free_extension(source, monkeypatc
     assert any(starts) or source in NO_TABLED_STARTS
 
 
+@pytest.mark.parametrize("source", TABLE_SOURCES, ids=source_id)
+def test_block_forms_hold_the_programs_bounds_read_only(source):
+    # ``_center_on_face`` snaps a vertex face on its form's lo and hi, which
+    # every derived program and face shares: they are the bits of the
+    # program's bounds, and nothing can write them
+    for ext in extend_system(_tree_or_fixture(source)).extensions.values():
+        for prog in ext._programs:
+            form = prog.lp._form
+            lo, hi = np.array(prog.lp.bounds).T
+            assert form.lo.tobytes() == lo.tobytes() and form.hi.tobytes() == hi.tobytes()
+            assert not form.lo.flags.writeable and not form.hi.flags.writeable
+
+
+@pytest.mark.parametrize("source", ["fix_c_linear.json", "fix_refine.json", GOLDEN_TREE,
+                                    (2, 3, "polyhedral")], ids=source_id)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_densities_with_an_atom_that_is_not_finite_are_not_members(source, bad):
+    # the unit density is a member of every block; with one atom that is not
+    # finite, the block that holds it fails its spread, budget or box test,
+    # before any membership LP, and every other block stays a member
+    system = _tree_or_fixture(source)
+    n = system.space.n_atoms
+    for ext in extend_system(system).extensions.values():
+        poly = ext.polytope
+        level = poly.bounds.level_b
+        assert all(poly.block_members(RandomVariable(np.ones(n), level)))
+        for atom in (0, n - 1):
+            f = np.ones(n)
+            f[atom] = bad
+            assert not poly.contains_density(RandomVariable(f, level))
+            assert list(poly.block_members(RandomVariable(f, level))) == [
+                atom not in bp.seg.atoms for bp in poly.blocks]
+
+
 @pytest.mark.parametrize("source", TABLE_SOURCES + ["two-shapes"], ids=source_id)
 def test_attain_assembles_each_block_off_its_own_solve_and_face_point(source, monkeypatch):
     # attain fills its objectives and scatters densities and penalties once

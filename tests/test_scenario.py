@@ -135,7 +135,7 @@ def test_subsystem_reuses_declared_objects():
     assert rep.report.entries
 
 
-def _set(where, key, value):
+def _put(where, key, value):
     """A document edit: ``doc`` -> ``where(doc)[key] = value``."""
     def edit(doc):
         where(doc)[key] = value
@@ -184,48 +184,48 @@ _NOT_1 = "values vary by {} on block (0, 1) of level 1"
 # check, the bound pair's own check and every subsystem error:
 # (id, call that raises, the full ScenarioError message)
 READER_ERRORS = [
-    ("space-probs", _built("fix_a.json", _set(lambda d: d["space"], "probs", [0.5, 0.6])),
+    ("space-probs", _built("fix_a.json", _put(lambda d: d["space"], "probs", [0.5, 0.6])),
      "$.space: probabilities sum to 1.1, not 1"),
-    ("space-atoms", _built("fix_a.json", _set(lambda d: d["space"], "atoms", ["only-one"])),
+    ("space-atoms", _built("fix_a.json", _put(lambda d: d["space"], "atoms", ["only-one"])),
      "$.space.atoms: expected 2 atom names, got 1"),
-    ("grid-level", _built("fix_a.json", _set(lambda d: d, "grid", [0, 5])),
+    ("grid-level", _built("fix_a.json", _put(lambda d: d, "grid", [0, 5])),
      "$.grid[1]: level 5 out of range"),
-    ("subspace-level", _built("fix_a.json", _set(lambda d: d, "subspaces", {"9": [[1.0, -1.0]]})),
+    ("subspace-level", _built("fix_a.json", _put(lambda d: d, "subspaces", {"9": [[1.0, -1.0]]})),
      "$.subspaces.9: level 9 out of range"),
-    ("subspace-length", _built(_LIN, _set(lambda d: d, "subspaces", {"2": [[1.0, -1.0]]})),
+    ("subspace-length", _built(_LIN, _put(lambda d: d, "subspaces", {"2": [[1.0, -1.0]]})),
      "$.subspaces.2[0]: expected 4 entries, got 2"),
     ("subspace-measurable",
-     _built(_LIN, _set(lambda d: d, "subspaces", {"1": [[1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]]})),
+     _built(_LIN, _put(lambda d: d, "subspaces", {"1": [[1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]]})),
      "$.subspaces.1[1]: " + _NOT_1.format("2.000e+00")),
-    ("density-length", _built(_LIN, _set(_piece(1), "density", [1.0, 1.0])),
+    ("density-length", _built(_LIN, _put(_piece(1), "density", [1.0, 1.0])),
      "$.operators[1].pieces[0].density: expected 4 entries, got 2"),
-    ("density-measurable", _built(_LIN, _set(_piece(0), "density", [1.5, 0.5, 1.0, 1.0])),
+    ("density-measurable", _built(_LIN, _put(_piece(0), "density", [1.5, 0.5, 1.0, 1.0])),
      "$.operators[0].pieces[0].density: " + _NOT_1.format("1.000e+00")),
-    ("penalty-length", _built(_LIN, _set(_piece(1), "penalty", [0.0, 0.0, 0.0])),
+    ("penalty-length", _built(_LIN, _put(_piece(1), "penalty", [0.0, 0.0, 0.0])),
      "$.operators[1].pieces[0].penalty: expected 4 entries, got 3"),
-    ("penalty-measurable", _built(_LIN, _set(_piece(0), "penalty", [0.0, 0.0, 0.1, 0.1])),
+    ("penalty-measurable", _built(_LIN, _put(_piece(0), "penalty", [0.0, 0.0, 0.1, 0.1])),
      "$.operators[0].pieces[0].penalty: values vary by 1.000e-01 on block (0, 1, 2, 3) of level 0"),
-    ("m0-length", _built(_LIN, _set(_bounds(2), "m0", [0.5, 0.5])),
+    ("m0-length", _built(_LIN, _put(_bounds(2), "m0", [0.5, 0.5])),
      "$.bounds[2].m0: expected 4 entries, got 2"),
-    ("m0-measurable", _built(_LIN, _set(_bounds(0), "m0", [0.5, 0.6, 0.5, 0.5])),
+    ("m0-measurable", _built(_LIN, _put(_bounds(0), "m0", [0.5, 0.6, 0.5, 0.5])),
      "$.bounds[0].m0: " + _NOT_1.format("1.000e-01")),
-    ("M0-length", _built(_LIN, _set(_bounds(1), "M0", [2.0] * 5)),
+    ("M0-length", _built(_LIN, _put(_bounds(1), "M0", [2.0] * 5)),
      "$.bounds[1].M0: expected 4 entries, got 5"),
-    ("M0-measurable", _built(_LIN, _set(_bounds(0), "M0", [2.0, 1.5, 2.0, 2.0])),
+    ("M0-measurable", _built(_LIN, _put(_bounds(0), "M0", [2.0, 1.5, 2.0, 2.0])),
      "$.bounds[0].M0: " + _NOT_1.format("5.000e-01")),
-    ("m-kernel-length", _built(_POLY, _set(lambda d: d["bounds"][0]["m_kernels"], 1, [1.0] * 3)),
+    ("m-kernel-length", _built(_POLY, _put(lambda d: d["bounds"][0]["m_kernels"], 1, [1.0] * 3)),
      "$.bounds[0].m_kernels[1]: expected 8 entries, got 3"),
     ("m-kernel-measurable",
-     _built(_POLY, _set(lambda d: d["bounds"][0]["m_kernels"], 0, [0.5] + [0.75] * 7)),
+     _built(_POLY, _put(lambda d: d["bounds"][0]["m_kernels"], 0, [0.5] + [0.75] * 7)),
      "$.bounds[0].m_kernels[0]: values vary by 2.500e-01 on block (0, 1, 2, 3) of level 1"),
-    ("M-kernel-length", _built(_POLY, _set(lambda d: d["bounds"][1]["M_kernels"], 0, [2.0] * 9)),
+    ("M-kernel-length", _built(_POLY, _put(lambda d: d["bounds"][1]["M_kernels"], 0, [2.0] * 9)),
      "$.bounds[1].M_kernels[0]: expected 8 entries, got 9"),
     ("M-kernel-measurable",
-     _built(_POLY, _set(lambda d: d["bounds"][0]["M_kernels"], 1, [2.0] * 7 + [3.0])),
+     _built(_POLY, _put(lambda d: d["bounds"][0]["M_kernels"], 1, [2.0] * 7 + [3.0])),
      "$.bounds[0].M_kernels[1]: values vary by 1.000e+00 on block (4, 5, 6, 7) of level 1"),
     ("named-payoff-unknown", _then(_built(_LIN, lambda d: None), lambda sc: sc.payoff("no_such", 2)),
      "$.payoffs: unknown payoff 'no_such'"),
-    ("named-payoff-length", _built(_LIN, _set(lambda d: d["payoffs"], "bad", [1.0, 2.0, 3.0])),
+    ("named-payoff-length", _built(_LIN, _put(lambda d: d["payoffs"], "bad", [1.0, 2.0, 3.0])),
      "$.payoffs.bad: expected 4 entries, got 3"),
     ("named-payoff-measurable", _then(_built(_LIN, lambda d: None), lambda sc: sc.payoff("unit_uu", 1)),
      "$.payoffs.unit_uu: " + _NOT_1.format("1.000e+00")),
@@ -238,11 +238,11 @@ READER_ERRORS = [
      "$.operators[2]: duplicate operator for pair (1, 2)"),
     ("duplicate-bounds", _built(_LIN, _append_copy("bounds", 0)),
      "$.bounds[3]: duplicate bounds for pair (0, 1)"),
-    ("operator-off-grid", _built("fix_refine.json", _set(lambda d: d, "grid", [0, 2])),
+    ("operator-off-grid", _built("fix_refine.json", _put(lambda d: d, "grid", [0, 2])),
      "$.operators[0]: pair (0, 1) is not an increasing pair on grid [0, 2]"),
-    ("operator-decreasing", _built(_LIN, _set(lambda d: d["operators"][1], "to", 1)),
+    ("operator-decreasing", _built(_LIN, _put(lambda d: d["operators"][1], "to", 1)),
      "$.operators[1]: pair (1, 1) is not an increasing pair on grid [0, 1, 2]"),
-    ("bounds-off-grid", _built(_LIN, _set(_bounds(2), "from", 2)),
+    ("bounds-off-grid", _built(_LIN, _put(_bounds(2), "from", 2)),
      "$.bounds[2]: pair (2, 2) is not an increasing pair on grid [0, 1, 2]"),
     ("bounds-crossed", _built("fix_a.json", lambda d: d["bounds"][0].update(m0=2.0, M0=0.5)),
      "$.bounds[0]: m0 must not exceed M0"),

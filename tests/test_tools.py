@@ -17,6 +17,21 @@ def test_ab_of_a_checkout_against_itself_reports_identical_outputs():
     assert all(line.endswith("outputs identical") for line in out[1:])
 
 
+def test_ab_of_several_workloads_prints_a_block_per_workload():
+    # one command sizes a change on every workload named: a header naming
+    # the workload, then its evaluate and price lines, in the order given
+    names = ["wide-fan", "deep-binary", "polyhedral-report"]
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), "--workload", *names,
+         "--calls", "2", "--no-gc"],
+        capture_output=True, text=True, check=True, timeout=300).stdout.splitlines()
+    assert len(out) == 3 * len(names)
+    for name, (head, evaluate, price) in zip(names, zip(*[iter(out)] * 3)):
+        assert f" workload {name} shape Shape(" in head and head.endswith("seed 1 gc off")
+        assert evaluate.startswith("evaluate:") and " of 6 outputs identical" in evaluate
+        assert price.startswith("price:") and price.endswith(" of 2 outputs identical")
+
+
 def test_same_answers_is_deterministic_and_covers_every_stream():
     # one digest per workload's plain and interleaved streams, then the
     # reports; a second run in a new process prints the same lines

@@ -1,21 +1,22 @@
 """In-process A/B timing of this checkout's library against another checkout's.
 
-    python3 tools/ab.py BASE [--workload deep-binary | --shape 2 6 linear]
+    python3 tools/ab.py BASE [--workload deep-binary [wide-fan ...] | --shape 2 6 linear]
                         [--calls 200] [--no-gc]
     python3 tools/ab.py BASE --reports [--calls 20] [--no-gc]
 
 BASE is the root of the other checkout. Its ``src/sandwichext`` is loaded
 under a second package name, and ``bench/treegen.py`` builds the same system
 (seed ``SEED``) in both packages, of a ``bench/run.py`` workload's shape or
-of ``--shape``. Each round takes ``EVALS`` evaluates and then one price of
-the (0, T) pair on fresh seeded payoffs. Every call runs on both extensions,
-the base first on the even calls of its kind and this checkout first on the
-odd ones, timed by ``time.perf_counter``; ``--no-gc`` turns the garbage
-collector off while it runs. Per kind of call the tool prints the mean and
-the median of the per-call ratios (this checkout over the base), how many
-calls this checkout won, and whether every output (values; densities and
-penalties of prices) was bit-identical. One BLAS thread, as in the
-benchmark.
+of ``--shape``. ``--workload`` takes one or more names; each workload is
+timed in turn and gets a header line and a block of lines of its own. Each
+round takes ``EVALS`` evaluates and then one price of the (0, T) pair on
+fresh seeded payoffs. Every call runs on both extensions, the base first on
+the even calls of its kind and this checkout first on the odd ones, timed
+by ``time.perf_counter``; ``--no-gc`` turns the garbage collector off while
+it runs. Per kind of call the tool prints the mean and the median of the
+per-call ratios (this checkout over the base), how many calls this checkout
+won, and whether every output (values; densities and penalties of prices)
+was bit-identical. One BLAS thread, as in the benchmark.
 
 With ``--reports`` the calls are in-process ``sandwich report`` runs
 (``SANDWICH_SEED`` 0, as in the benchmark), ``--calls`` rounds of one per
@@ -108,11 +109,35 @@ def timed(packages, runs, run) -> dict:
     return {key: (ratios, identical[key]) for key, ratios in seconds.items()}
 
 
+def sections(args, packages, tmp: pathlib.Path):
+    """(header, runs, run) per block of lines: one per workload or for
+    ``--shape``, or one for ``--reports``."""
+    if args.reports:
+        bench.OUT = tmp     # where the workload writes its scenario
+        inputs = [*sorted(bench.FIXTURES.glob("*.json")),
+                  ROOT / "tests" / "golden" / "polyhedral_tree.json",
+                  bench.Bench("polyhedral-report", SEED).scenario_path]
+        yield (f"reports of {len(inputs)} inputs",
+               [(path.name, path) for _ in range(args.calls or 20) for path in inputs],
+               lambda sx, path: report(sx, path, tmp / "report.json"))
+        return
+    shapes = ([("", treegen.Shape(int(args.shape[0]), int(args.shape[1]), args.shape[2]))]
+              if args.shape else [(f"workload {name} ", bench.WORKLOADS[name].shape)
+                                  for name in args.workload])
+    for label, shape in shapes:
+        spec, _, _ = treegen.accepted_system(bench.sx, shape, SEED)
+        exts = {sx: sx.extend_system(treegen.build_system(sx, spec)) for sx in packages}
+        yield (f"{label}shape {shape}",
+               [(kind, (kind, x)) for kind, x in calls(shape, args.calls or 200)],
+               lambda sx, kind_x, exts=exts, T=shape.T: call(sx, exts[sx], *kind_x, T))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=pathlib.Path, help="root of the other checkout")
     which = parser.add_mutually_exclusive_group()
-    which.add_argument("--workload", choices=sorted(bench.WORKLOADS), default="deep-binary")
+    which.add_argument("--workload", nargs="+", choices=sorted(bench.WORKLOADS),
+                       default=["deep-binary"])
     which.add_argument("--shape", nargs=3, metavar=("B", "T", "BOUNDS"))
     which.add_argument("--reports", action="store_true", help="time sandwich report instead")
     parser.add_argument("--calls", type=int, help="prices, or report rounds; rounds of calls "
@@ -121,38 +146,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     packages = [load_as(args.base.resolve(), "sandwichext_base"), bench.sx]
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = pathlib.Path(tmp)
-        if args.reports:
-            bench.OUT = tmp     # where the workload writes its scenario
-            inputs = [*sorted(bench.FIXTURES.glob("*.json")),
-                      ROOT / "tests" / "golden" / "polyhedral_tree.json",
-                      bench.Bench("polyhedral-report", SEED).scenario_path]
-            runs = [(path.name, path) for _ in range(args.calls or 20) for path in inputs]
-            head = f"reports of {len(inputs)} inputs"
-
-            def run(sx, path):
-                return report(sx, path, tmp / "report.json")
-        else:
-            shape = (bench.WORKLOADS[args.workload].shape if args.shape is None else
-                     treegen.Shape(int(args.shape[0]), int(args.shape[1]), args.shape[2]))
-            spec, _, _ = treegen.accepted_system(bench.sx, shape, SEED)
-            exts = {sx: sx.extend_system(treegen.build_system(sx, spec)) for sx in packages}
-            runs = ((kind, (kind, x)) for kind, x in calls(shape, args.calls or 200))
-            head = f"shape {shape}"
-
-            def run(sx, kind_x):
-                return call(sx, exts[sx], *kind_x, shape.T)
-        gc.collect()
-        if args.no_gc:
-            gc.disable()
-        results = timed(packages, runs, run)
-        gc.enable()
-    print(f"base {args.base} {head} seed {SEED} gc {'off' if args.no_gc else 'on'}")
-    for key, (ratios, identical) in results.items():
-        won = sum(r < 1.0 for r in ratios)
-        print(f"{key}: mean ratio {statistics.fmean(ratios):.3f} median "
-              f"{statistics.median(ratios):.3f} won {won} of {len(ratios)} "
-              f"outputs {'identical' if identical else 'DIFFER'}")
+        for head, runs, run in sections(args, packages, pathlib.Path(tmp)):
+            gc.collect()
+            if args.no_gc:
+                gc.disable()
+            results = timed(packages, runs, run)
+            gc.enable()
+            print(f"base {args.base} {head} seed {SEED} gc {'off' if args.no_gc else 'on'}")
+            for key, (ratios, identical) in results.items():
+                won = sum(r < 1.0 for r in ratios)
+                print(f"{key}: mean ratio {statistics.fmean(ratios):.3f} median "
+                      f"{statistics.median(ratios):.3f} won {won} of {len(ratios)} "
+                      f"outputs {'identical' if identical else 'DIFFER'}", flush=True)
     return 0
 
 
