@@ -6,7 +6,7 @@ time-consistent composition of one-step extensions over a level grid,
 with penalty cocycles and grid-refinement comparisons.
 """
 
-from .dynamic import (ExtendedSystem, GridError, OperatorSystem, PriceResult,
+from .dynamic import (ExtendedSystem, GridError, OperatorSystem,
                       RefinementReport, SystemStructureError,
                       SystemValidationError, check_cocycle_and_local,
                       extend_system, factor_density, price,
@@ -35,7 +35,7 @@ __all__ = [
     "DensityPolytope", "DomainError", "ExtendedOperator", "ExtendedSystem",
     "FilteredSpace", "GridError", "LevelError", "LinearProgram", "LpResult",
     "LpStatusError", "MeasurabilityError", "OperatorSystem", "PenaltyValue", "Piece",
-    "PolyhedralOperator", "PolytopeError", "PriceResult", "RandomVariable",
+    "PolyhedralOperator", "PolytopeError", "RandomVariable",
     "RefinementReport", "SandwichReport", "SandwichViolation",
     "Scenario", "ScenarioError", "SCHEMA_VERSION", "SpaceError", "Subspace",
     "SystemStructureError", "SystemValidationError", "ValidationReport",

@@ -28,7 +28,7 @@ from functools import cache
 
 import numpy as np
 
-from .dynamic import (ExtendedSystem, SystemStructureError,
+from .dynamic import (ExtendedSystem, OperatorSystem, SystemStructureError,
                       SystemValidationError, check_cocycle_and_local,
                       extend_system, price, refine_and_compare,
                       validate_system)
@@ -42,17 +42,17 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 
-_N_COCYCLE_SAMPLES = 20
-
 
 class _Fault(Exception):
     """Structural problem discovered while running; maps to exit status 2."""
 
 
 class _ValidationStop(Exception):
-    """System validation failed where a valid system was required."""
+    """Validation of ``system`` failed where a valid system was required:
+    the declared system, or a refine task's coarse subsystem."""
 
-    def __init__(self, report: ValidationReport):
+    def __init__(self, system: OperatorSystem, report: ValidationReport):
+        self.system = system
         self.report = report
         super().__init__("system validation failed")
 
@@ -86,10 +86,10 @@ def _from_report(prefix: str, report) -> list:
 # section runners
 
 
-def _section_validate(scenario: Scenario, report: ValidationReport) -> dict:
+def _section_validate(system: OperatorSystem, report: ValidationReport) -> dict:
     """Per-operator axiom rows, then the rows of the system's validation."""
     entries = []
-    declared = scenario.system.declared_ops()
+    declared = system.declared_ops()
     for (s, t) in sorted(declared):
         rep = validate_operator(declared[(s, t)])
         entries += _from_report(f"op_{s}_{t}.", rep)
@@ -109,7 +109,7 @@ def _extend_or_stop(scenario: Scenario) -> ExtendedSystem:
     try:
         return extend_system(scenario.system)
     except SystemValidationError as err:
-        raise _ValidationStop(err.report) from err
+        raise _ValidationStop(scenario.system, err.report) from err
     except SystemStructureError as err:
         raise _Fault(str(err)) from err
     except PolytopeError as err:
@@ -184,8 +184,7 @@ def _check_cocycle(scenario: Scenario, ext: ExtendedSystem, seed: int) -> list:
                        "grid has fewer than three levels")]
     entries = []
     for r, s, t in triples:
-        rep = check_cocycle_and_local(ext, r, s, t,
-                                      n_samples=_N_COCYCLE_SAMPLES, seed=seed)
+        rep = check_cocycle_and_local(ext, r, s, t, seed=seed)
         entries += _from_report(f"cocycle_{r}_{s}_{t}.", rep)
     return entries
 
@@ -206,7 +205,7 @@ def _check_refine(scenario: Scenario, seed: int, tol, coarse_grid,
                                 value_tol=vtol, penalty_tol=vtol,
                                 fine_ext=fine_ext)
     except SystemValidationError as err:
-        raise _ValidationStop(err.report) from err
+        raise _ValidationStop(sys_coarse, err.report) from err
     except PolytopeError as err:
         raise _Fault(f"{_pair_label(scenario, err)}: {err}") from err
     except ValueError as err:
@@ -239,15 +238,6 @@ def _section_check(scenario: Scenario, suite: str, seed: int, tol,
             "passed": all(e["passed"] for e in entries)}
 
 
-_SKIPPED_NOTE = "system validation failed; dependent sections skipped"
-
-
-def _failed_validation_section(report: ValidationReport) -> dict:
-    entries = _from_report("", report)
-    return {"command": "validate", "entries": entries, "passed": False,
-            "note": _SKIPPED_NOTE}
-
-
 # --------------------------------------------------------------------------
 # task orchestration
 
@@ -277,7 +267,7 @@ def _run_command(args, scenario: Scenario, seed: int) -> dict:
                 report = validate_system(scenario.system)
             except SystemStructureError as err:
                 raise _Fault(str(err)) from err
-            sections.append(_section_validate(scenario, report))
+            sections.append(_section_validate(scenario.system, report))
         elif args.command == "extend":
             sections.append(_section_extend(scenario, ext_factory()))
         elif args.command == "price":
@@ -289,10 +279,12 @@ def _run_command(args, scenario: Scenario, seed: int) -> dict:
             sections.append(_section_check(scenario, args.suite, seed,
                                            args.tol, coarse, ext_factory))
         else:
-            sections += _report_sections(scenario, seed, args.tol, ext_factory)
             doc["scenario"] = scenario.raw
+            sections += _report_sections(scenario, seed, args.tol, ext_factory)
     except _ValidationStop as stop:
-        sections.append(_failed_validation_section(stop.report))
+        section = _section_validate(stop.system, stop.report)
+        section["note"] = "system validation failed; dependent sections skipped"
+        sections.append(section)
     doc["sections"] = sections
     doc["passed"] = all(sec["passed"] for sec in sections)
     return doc
@@ -300,18 +292,13 @@ def _run_command(args, scenario: Scenario, seed: int) -> dict:
 
 def _report_sections(scenario: Scenario, seed: int, tol, ext_factory) -> list:
     """Validate and extend once; the validate section shows that validation."""
-    try:
-        ext = ext_factory()
-    except _ValidationStop as stop:
-        section = _section_validate(scenario, stop.report)
-        section["note"] = _SKIPPED_NOTE
-        return [section]
-    sections = [_section_validate(scenario, ext.report),
+    ext = ext_factory()
+    sections = [_section_validate(ext.system, ext.report),
                 _section_extend(scenario, ext)]
     for task in scenario.tasks:
         cmd = task.get("command")
         if cmd == "price":
-            sections.append(_section_price(scenario, ext_factory(),
+            sections.append(_section_price(scenario, ext,
                                            int(task["from"]), int(task["to"]),
                                            task["payoff"]))
         elif cmd == "check":

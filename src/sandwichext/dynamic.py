@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import (ExtendedOperator, PenaltyValue, _assemble, _check_density,
-                        _mix_on_blocks, attain, minimal_penalty)
+from .extension import (Attainment, ExtendedOperator, PenaltyValue, _assemble,
+                        _check_density, _mix_on_blocks, attain, minimal_penalty)
 from .operators import (VALUE_TOL, BoundPair, CheckEntry, DomainError,
                         PolyhedralOperator, ValidationReport, check_mM1, check_sandwich,
                         validate_operator)
@@ -245,13 +245,6 @@ def extend_system(system: OperatorSystem) -> ExtendedSystem:
     return ExtendedSystem(system=system, extensions=exts, report=report)
 
 
-@dataclass(frozen=True, eq=False)
-class PriceResult:
-    value: RandomVariable
-    density: RandomVariable
-    penalty: PenaltyValue
-
-
 def _cocycle_sum(space: FilteredSpace, level_out: int, step_densities,
                  step_penalties) -> tuple[np.ndarray, np.ndarray]:
     """Per-block total penalty at level_out, weighted by running products,
@@ -278,7 +271,7 @@ def _weighted(weight: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def price(ext: ExtendedSystem, s: int, t: int, X: RandomVariable) -> PriceResult:
+def price(ext: ExtendedSystem, s: int, t: int, X: RandomVariable) -> Attainment:
     """Composed value, the attaining product density, and its cocycle penalty.
 
     The backward pass attains each step at the tail value; the product of
@@ -297,8 +290,8 @@ def price(ext: ExtendedSystem, s: int, t: int, X: RandomVariable) -> PriceResult
         step_a[k - i] = att.penalty.atomwise()
         V = att.value
     penalty, f_vals = _cocycle_sum(system.space, s, step_g, step_a)
-    return PriceResult(value=V, density=RandomVariable(f_vals, t),
-                       penalty=PenaltyValue(system.space, s, penalty))
+    return Attainment(value=V, density=RandomVariable(f_vals, t),
+                      penalty=PenaltyValue(system.space, s, penalty))
 
 
 def factor_density(ext: ExtendedSystem, s: int, t: int,
@@ -442,7 +435,6 @@ class RefinementReport:
     report: ValidationReport
     max_decrease: float
     witness_pair: tuple[int, int] | None
-    witness_payoff: RandomVariable | None
 
     @property
     def passed(self) -> bool:
@@ -505,7 +497,6 @@ def refine_and_compare(sys_coarse: OperatorSystem, sys_fine: OperatorSystem,
     entries = []
     max_dec = 0.0
     wit_pair = None
-    wit_payoff = None
     for (s, t) in sys_coarse.all_pairs:
         worst_up = 0.0
         for _ in range(n_payoffs):
@@ -517,7 +508,6 @@ def refine_and_compare(sys_coarse: OperatorSystem, sys_fine: OperatorSystem,
             if dec > max_dec:
                 max_dec = dec
                 wit_pair = (s, t)
-                wit_payoff = X
         entries.append(CheckEntry(
             f"values_monotone_{s}_{t}", worst_up <= value_tol,
             f"max fine excess {worst_up:.3e} over {n_payoffs} payoffs"))
@@ -544,6 +534,5 @@ def refine_and_compare(sys_coarse: OperatorSystem, sys_fine: OperatorSystem,
         "strict_decrease_witnessed", max_dec > 1e-6,
         f"largest decrease {max_dec:.6g}"
         + (f" on pair {wit_pair}" if wit_pair else "")))
-    return RefinementReport(ValidationReport(tuple(entries)),
-                            max_dec, wit_pair, wit_payoff)
+    return RefinementReport(ValidationReport(tuple(entries)), max_dec, wit_pair)
 

@@ -576,22 +576,15 @@ class DensityPolytope:
     blocks: tuple[BlockPolytope, ...]
 
     @property
-    def space(self) -> FilteredSpace:
-        return self.bounds.space
-
-    @property
     def level_a(self) -> int:
         return self.bounds.level_a
 
     @cached_property
-    def _membership_lps(self) -> tuple[LinearProgram | None, ...]:
+    def _membership_lps(self) -> tuple[LinearProgram, ...]:
         """Per block, the constraints of ``_kernel_excess``'s LP over (v, y);
-        None for a block without lifted multipliers."""
+        built only for polyhedral bounds, whose blocks all lift multipliers."""
         lps = []
         for bp in self.blocks:
-            if not bp.n_lift:
-                lps.append(None)
-                continue
             n = bp.n_f
             a_eq, g = bp.a_eq[1:, n:], bp.a_ub[:, n:]
             k, r = a_eq.shape[0], g.shape[0]
@@ -615,8 +608,8 @@ class DensityPolytope:
         bp = self.blocks[a]
         rows = bp.seg.rows
         fl = np.asarray(f_local, dtype=float)
-        # written to fail on NaN, as ``extension._check_density`` is
-        if not np.all(rows.spread(fl) <= tol):
+        # a non-finite atom fails before the spread could take inf - inf
+        if not (np.all(np.isfinite(fl)) and np.all(rows.spread(fl) <= tol)):
             return False
         fs = fl[rows.firsts]
         if not abs(float(rows.probs @ fs) / float(rows.probs.sum()) - 1.0) <= tol:

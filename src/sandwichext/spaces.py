@@ -203,9 +203,6 @@ class FilteredSpace:
     def block_of(self, level: int, atom: int) -> int:
         return int(self._layout[self.check_level(level)].index[atom])
 
-    def block_prob(self, level: int, block: int) -> float:
-        return float(self._layout[self.check_level(level)].probs[block])
-
     def _segments(self, level_b: int, level_a: int) -> tuple[_Segments, ...]:
         """Segment map of the level_b blocks inside each level_a block, cached."""
         key = (level_b, level_a)

@@ -65,14 +65,6 @@ class Subspace:
     def block_dim(self, a: int) -> int:
         return self.block_bases[a].shape[1]
 
-    def project_block(self, a: int, local_values: np.ndarray) -> np.ndarray:
-        """Weighted projection of a local vector onto the block span."""
-        block = self.space.blocks(self.level_a)[a]
-        w = self.space.probs[list(block)]
-        mat = self.block_bases[a]
-        coeffs = mat.T @ (w * local_values)
-        return mat @ coeffs
-
     def contains(self, X: RandomVariable, tol: float = MEMBER_TOL) -> bool:
         """Membership test: weighted residual norm below ``tol`` relative to X.
 

@@ -16,7 +16,8 @@ import sandwichext.cli
 import sandwichext.extension
 import sandwichext.operators
 from conftest import ROOT, fixture_path
-from sandwichext import LpResult, PolytopeError, load_scenario
+from sandwichext import (CheckEntry, LpResult, PolytopeError, ValidationReport,
+                         load_scenario)
 from sandwichext.lp import LpError
 from sandwichext.cli import _pair_label, main
 
@@ -243,6 +244,93 @@ def test_failing_validation_report_keeps_operator_rows(tmp_path, capsys):
     rows = {e["name"]: e["passed"] for e in section["entries"]}
     assert rows["op_0_1.densities_nonnegative"] is False
     assert rows["operator_axioms_0_1"] is False
+
+
+SKIPPED_NOTE = "system validation failed; dependent sections skipped"
+
+
+def _with_skipped_note(validate_out: str) -> str:
+    """``validate``'s text with the skipped note under its table."""
+    return validate_out.replace("\n\nresult: FAIL", f"\n{SKIPPED_NOTE}\n\nresult: FAIL")
+
+
+@pytest.mark.parametrize("command", [
+    ["extend"],
+    ["price", "--from", "0", "--to", "1", "--payoff", "up2"],
+    ["check", "--suite", "cocycle"],
+], ids=["extend", "price", "check-cocycle"])
+def test_failed_validation_prints_the_validate_rows(command, tmp_path, capsys):
+    doc = load_doc("fix_a.json")
+    doc["operators"][0]["pieces"][0]["density"] = -1.0
+    path = write_doc(tmp_path, doc)
+    rc, validated = run_to_json(["validate", "--input", path], tmp_path, "v.json")
+    validate_out = capsys.readouterr().out
+    assert rc == 1
+    rc, stopped = run_to_json([command[0], "--input", path, *command[1:]],
+                              tmp_path, "c.json")
+    out = capsys.readouterr().out
+    assert rc == 1 and stopped["passed"] is False
+    assert stopped["sections"] == [{**validated["sections"][0], "note": SKIPPED_NOTE}]
+    assert out == _with_skipped_note(validate_out)
+
+
+def _fail_validation_on_grid(monkeypatch, grid):
+    """Validation of any system on ``grid`` gains one failing entry."""
+    real = sandwichext.validate_system
+
+    def failing(system):
+        rep = real(system)
+        if system.grid != grid:
+            return rep
+        return ValidationReport(rep.entries + (CheckEntry("forced", False, "on purpose"),))
+
+    monkeypatch.setattr("sandwichext.dynamic.validate_system", failing)
+    monkeypatch.setattr("sandwichext.cli.validate_system", failing)
+
+
+def test_failed_coarse_validation_prints_the_coarse_systems_rows(tmp_path, capsys,
+                                                                 monkeypatch):
+    # a coarse subsystem of a valid scenario runs a subset of its checks and
+    # so passes; one forced failure on the coarse grid (0, 2) reaches the
+    # refine task's stop, which prints the rows ``validate`` prints for a
+    # scenario declared on that grid alone
+    _fail_validation_on_grid(monkeypatch, (0, 2))
+    coarse = load_doc("fix_refine.json")
+    coarse["grid"] = [0, 2]
+    for key in ("operators", "bounds"):
+        coarse[key] = [x for x in coarse[key] if (x["from"], x["to"]) == (0, 2)]
+    coarse["tasks"] = []
+    rc, validated = run_to_json(["validate", "--input", write_doc(tmp_path, coarse)],
+                                tmp_path, "v.json")
+    validate_out = capsys.readouterr().out
+    assert rc == 1
+    expected = [{**validated["sections"][0], "note": SKIPPED_NOTE}]
+    assert {e["name"].split(".")[0] for e in expected[0]["entries"]
+            if e["name"].startswith("op_")} == {"op_0_2"}
+
+    path = str(fixture_path("fix_refine.json"))
+    rc, checked = run_to_json(["check", "--input", path, "--suite", "refine"],
+                              tmp_path, "c.json")
+    assert capsys.readouterr().out == _with_skipped_note(validate_out)
+    assert rc == 1 and checked["sections"] == expected
+    rc, reported = run_to_json(["report", "--input", path], tmp_path, "r.json")
+    assert capsys.readouterr().out == _with_skipped_note(validate_out)
+    assert rc == 1 and reported["sections"] == expected
+    assert reported["scenario"] == load_doc("fix_refine.json")
+
+
+def test_refine_without_a_coarse_grid_uses_the_end_levels(tmp_path, capsys):
+    doc = load_doc("fix_refine.json")
+    doc["tasks"] = [t for t in doc["tasks"] if t.get("suite") != "refine"]
+    rc, fallback = run_to_json(["check", "--input", write_doc(tmp_path, doc),
+                                "--suite", "refine"], tmp_path, "f.json")
+    # fix_refine's refine task declares the same (0, 2) coarse grid
+    rc2, declared = run_to_json(["check", "--input", str(fixture_path("fix_refine.json")),
+                                 "--suite", "refine"], tmp_path, "d.json")
+    capsys.readouterr()
+    assert rc == rc2 == 0
+    assert fallback["sections"][0]["coarse_grid"] == [0, 2]
+    assert fallback["sections"] == declared["sections"]
 
 
 def test_sandwich_violation_reports_witness(tmp_path, capsys):

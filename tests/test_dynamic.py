@@ -120,6 +120,25 @@ def test_long_op_consistency_checked():
     assert not exc.value.report.passed
 
 
+def test_long_domain_outside_the_terminal_domain_fails_nesting():
+    # the terminal (1, 2) operator acts on the level-1 measurable payoffs
+    # only, which a long (0, 2) operator on every level-2 payoff overflows
+    space = binomial_space()
+    terminal = PolyhedralOperator(span_closure(space, 2, 1, []), (
+        Piece(space.rv(np.ones(4)), space.rv(np.zeros(4), level=1)),))
+    bnds = {(0, 1): box(space, 0, 1, 0.5, 2.0),
+            (1, 2): box(space, 1, 2, 0.5, 2.0),
+            (0, 2): box(space, 0, 2, 0.25, 4.0)}
+    system = OperatorSystem(space, (0, 1, 2),
+                            {(0, 1): unit_op(space, 0, 1), (1, 2): terminal},
+                            bnds, long_ops={(0, 2): unit_op(space, 0, 2)})
+    rep = validate_system(system)
+    assert {e.name for e in rep.failures()} == {"domains_nested"}
+    with pytest.raises(SystemValidationError) as exc:
+        extend_system(system)
+    assert [e.name for e in exc.value.report.failures()] == ["domains_nested"]
+
+
 def test_composed_price_on_full_domains_is_expectation(linear_system):
     # full domains leave no room to extend: matching against every basis
     # vector pins the unit density, so the composed price is E[X]

@@ -41,7 +41,6 @@ def test_construction_normalizes_blocks():
     assert space.blocks(1) == ((0,), (1,), (2,))
     assert space.last_level == 1
     assert space.block_of(0, 2) == 0
-    assert space.block_prob(0, 0) == pytest.approx(1.0, abs=TOL)
 
 
 def test_construction_rejects_bad_data():

@@ -107,16 +107,6 @@ def test_coefficients_round_trip():
         np.testing.assert_allclose(mat @ back, x.values, atol=TOL)
 
 
-def test_project_block_is_conditional_projection():
-    rng = np.random.default_rng(SEED + 1)
-    space = binom()
-    sub = span_closure(space, 2, 1, [space.rv([1.0, -1.0, 0.0, 0.0])])
-    x = rng.normal(size=4)
-    proj = sub.project_block(1, x[[2, 3]])
-    # block {2,3} holds constants only, so the projection is the block mean
-    np.testing.assert_allclose(proj, np.full(2, x[2:].mean()), atol=TOL)
-
-
 def test_generator_level_guard():
     space = binom()
     with pytest.raises(LevelError):
