@@ -37,9 +37,10 @@ may end on a different vertex of a non-unique optimum than a cold one, with
 the same optimal value.
 
 Status is a strict trichotomy. Optimal results carry the dual objective and
-the always-tight constraints from the final basis, unbounded results an
-improving ray in the original variables, infeasible results a Farkas-style
-aggregated certificate that is verified numerically before being returned.
+the always-tight constraints from the final basis, each formed when read,
+unbounded results an improving ray in the original variables, infeasible
+results a Farkas-style aggregated certificate that is verified numerically
+before being returned.
 
 ``support_function`` maximizes E[f W | block] over the density polytope
 {m0 <= f <= M0, E[f | block] = 1} by the continuous-knapsack greedy: atoms
@@ -259,17 +260,28 @@ class LpResult:
     returns the kept vertex's own array. ``tight`` marks, per
     ``a_ub`` row, lower bound and upper bound, what every optimum holds with
     equality: the standard-form column is priced above the tolerance. Each
-    read scatters it anew from the standard form's columns.
+    read scatters it anew from the standard form's columns, and each read of
+    ``dual_objective`` forms it anew from the final duals.
     """
 
     status: str                       # "optimal" | "unbounded" | "infeasible"
     value: float
     x: np.ndarray | None = None
-    dual_objective: float | None = None
     certificate: dict | None = None
     iterations: int = 0
     basis: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     _priced: tuple | None = field(default=None, repr=False, compare=False)
+    _dual: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def dual_objective(self) -> float | None:
+        """y.b over the kept rows plus the objective's constant c.shift, in the
+        program's sense: the optimal value up to rounding; None unless optimal."""
+        if self._dual is None:
+            return None
+        y, b, lp = self._dual           # the duals, the kept rows' b and the program
+        sgn = lp._form.sgn
+        return float(sgn * (y @ b + float(sgn * (lp.c @ lp._form.shift))))
 
     @property
     def tight(self) -> np.ndarray | None:
@@ -341,11 +353,12 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
     pricing, or Bland's while the last BLAND_AFTER pivots stepped <= FEAS_TOL.
     Each pass is ``_pricing``'s test with tol = ``_cost_tol(c)``, so an
     accepted vertex is within tol * |u*|_1 of an optimum u*.
-    A pivot updates B^-1 into a new array, never the given one; a pass that
-    would stop on an updated inverse inverts afresh and runs again uncounted.
-    Returns (status, basis, B^-1, y, iterations, d, j), the basis an intp
-    array: 'optimal' with d flagging reduced costs > tol, 'unbounded' with
-    ray d and entering j. The basic solution is B^-1 b, left to the caller."""
+    A pivot updates B^-1 in product form into a new array, never the given
+    one; a pass that would stop on an updated inverse inverts afresh and runs
+    again uncounted. Returns (status, basis, B^-1, y, iterations, d, j), the
+    basis an intp array: 'optimal' with d flagging reduced costs > tol,
+    'unbounded' with ray d and entering j. The basic solution B^-1 b and the
+    dual objective y.b are left to the caller."""
     tol = _cost_tol(c)
     it, stalled, updated = start_iter, 0, False
     basis = np.array(basis, dtype=np.intp)     # a list index is converted on every use
@@ -357,9 +370,9 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
         y, reduced, entering, optimal = _pricing(a, c, basis, binv, twin, tol,
                                                  stalled >= BLAND_AFTER)
         d = None if optimal else binv @ a[:, entering]
-        # a few rows: the ratio test runs on Python floats
-        ratios = [] if optimal else [(x / di, bi, i) for i, (x, di, bi) in enumerate(
-            zip((binv @ b).tolist(), d.tolist(), basis.tolist())) if di > PIVOT_TOL]
+        # a few rows: the ratio test runs on Python floats, (ratio, row) pairs
+        ratios = [] if optimal else [(x / di, i) for i, (x, di) in enumerate(
+            zip((binv @ b).tolist(), d.tolist())) if di > PIVOT_TOL]
         if updated and not ratios:      # to stop: price the final basis on a fresh B^-1
             binv = None
             continue
@@ -371,10 +384,12 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
         theta = min(ratios)[0]
         stalled = stalled + 1 if theta <= FEAS_TOL else 0
         # Bland: among minimal ratios leave the smallest basic variable index
-        out = min(r[1:] for r in ratios if r[0] <= theta + PIVOT_TOL)[1]
+        ties = [i for r, i in ratios if r <= theta + PIVOT_TOL]
+        out = ties[0] if len(ties) == 1 else min(ties, key=basis.tolist().__getitem__)
         basis[out] = entering
         pivot, d[out] = d[out], d[out] - 1.0    # B^-1 - ((d - e_out) / d_out) B^-1[out]
-        binv, updated = binv - (d / pivot)[:, None] * binv[out], True
+        d /= pivot
+        binv, updated = binv - np.multiply.outer(d, binv[out]), True
 
 
 def solve_lp(lp: LinearProgram, warm: bool = False) -> LpResult:
@@ -391,14 +406,11 @@ def solve_lp(lp: LinearProgram, warm: bool = False) -> LpResult:
     A pass on any other vertex, or on a cold solve, is ignored.
     """
     form = lp._form
-    sgn = form.sgn
-    const = float(sgn * (lp.c @ form.shift))
     last = form.last if warm else None   # read once: other solves replace it whole
     first = lp._first
     if first is not None and first.vertex is last:
-        return LpResult("optimal", float(lp.c @ last.x), last.x,
-                        float(sgn * (first.y @ last.b + const)), None, 1, last.basis,
-                        (first.flags, form))
+        return LpResult("optimal", float(lp.c @ last.x), last.x, None, 1, last.basis,
+                        (first.flags, form), (first.y, last.b, lp))
     amat, bvec, n_u = form.amat, form.bvec, form.var.size
     m, n_s = amat.shape
     cost = form.cost(lp.c)
@@ -418,7 +430,7 @@ def solve_lp(lp: LinearProgram, warm: bool = False) -> LpResult:
             raise LpError("phase 1 reported unbounded")
         if float(c1[basis] @ (binv1 @ bvec)) > FEAS_TOL:
             cert = _farkas_certificate(form, y)
-            return LpResult("infeasible", math.nan, None, None, cert, iters)
+            return LpResult("infeasible", math.nan, None, cert, iters)
         # Drive artificials out or drop redundant rows. The phase-1 objective
         # above already certifies feasibility, yet an ill-conditioned basis
         # can park artificial pairs at small nonzero levels of opposite sign,
@@ -452,20 +464,23 @@ def solve_lp(lp: LinearProgram, warm: bool = False) -> LpResult:
             ray_u[enter] = 1.0
             ray_u[basis] = -d
             cert = {"kind": "ray", "ray": form.umat @ ray_u[:n_u], "from_point": x_here}
-            return LpResult("unbounded", -sgn * _INF, None, None, cert, iters)
+            return LpResult("unbounded", -form.sgn * _INF, None, cert, iters)
         # loud failure beats a silently corrupted answer: a basis bad enough to
-        # break feasibility at the scale of the data is a bug, not an outcome
+        # break feasibility at the scale of the data is a bug, not an outcome.
+        # The bound term comes first: a NaN or inf in x makes it NaN or inf,
+        # max keeps a leading NaN, and NaN fails the test below.
         (a_eq, b_eq), (a_ub, b_ub) = form.eq, form.ub
-        resid = max(np.abs(a_eq @ x_here - b_eq).max(initial=0.0),
-                    (a_ub @ x_here - b_ub).max(initial=0.0),
-                    (form.lo - x_here).max(), (x_here - form.hi).max(), 0.0)
-        if resid > form.resid_tol:
+        resid = max(np.maximum(form.lo - x_here, x_here - form.hi).max(),
+                    np.abs(a_eq @ x_here - b_eq).max(initial=0.0))
+        if form.m_ub:
+            resid = max(resid, (a_ub @ x_here - b_ub).max())
+        if not resid <= form.resid_tol:
             raise LpError(f"optimal basis fails feasibility re-check ({resid:.3e})")
         x_here.setflags(write=False)
         vertex = _Vertex((tuple(rows), tuple(basis.tolist())), binv, a2, b2, basis, x_here)
     form.last = vertex
-    return LpResult("optimal", float(lp.c @ vertex.x), vertex.x, float(sgn * (y @ b2 + const)),
-                    None, iters, vertex.basis, (d, form))
+    return LpResult("optimal", float(lp.c @ vertex.x), vertex.x, None, iters, vertex.basis,
+                    (d, form), (y, b2, lp))
 
 
 def _farkas_certificate(form: _StandardForm, y_std: np.ndarray) -> dict:

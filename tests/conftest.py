@@ -79,9 +79,10 @@ def fresh_warm_solve(lp, basis):
     path: the simplex's phase 2 (``_simplex``) from the vertex on ``basis``,
     given B^-1 of its basic columns, and the result read off where it ends:
     u[cols] = B^-1 b, x = shift + umat @ u, ``c @ x``, its passes, duals and
-    marks. A first pass that finds the vertex optimal ends on it after one
-    pass, with that x. A ``basis`` of None is no kept vertex, so the solve
-    is cold."""
+    marks, the duals kept for the dual objective as ``solve_lp`` keeps them.
+    A first pass that finds the vertex optimal ends on it after one pass,
+    with that x. A ``basis`` of None is no kept vertex, so the solve is
+    cold."""
     fresh = fresh_program(lp)
     if basis is None:
         return solve_lp(fresh, warm=True)
@@ -96,9 +97,8 @@ def fresh_warm_solve(lp, basis):
     u[cols] = binv @ b
     x = form.shift + form.umat @ u[:form.var.size]
     x.setflags(write=False)
-    const = float(form.sgn * (fresh.c @ form.shift))
-    return LpResult("optimal", float(fresh.c @ x), x, float(form.sgn * (y @ b + const)),
-                    None, passes, (tuple(rows), tuple(cols.tolist())), (marks, form))
+    return LpResult("optimal", float(fresh.c @ x), x, None, passes,
+                    (tuple(rows), tuple(cols.tolist())), (marks, form), (y, b, fresh))
 
 
 def fixture_path(name: str) -> pathlib.Path:

@@ -723,6 +723,33 @@ def test_block_and_centering_solver_faults_are_typed_and_located(error, monkeypa
             assert info.value.__cause__ is error
 
 
+def test_a_nan_basis_inverse_in_a_block_solve_is_named(monkeypatch):
+    # a block solve whose simplex hands back a B^-1 with a NaN column ends
+    # on an x of NaNs; its re-check fails, and the failure names the block
+    # program, the pair and the block instead of returning NaN values
+    system = load_scenario(fixture_path("fix_refine.json")).system
+    step = extend_system(system).step(1)
+    simplex = sandwichext.lp._simplex
+
+    def with_nan(*args, **kwargs):
+        status, basis, binv, *rest = simplex(*args, **kwargs)
+        binv = binv.copy()
+        binv[:, 0] = np.nan
+        return (status, basis, binv, *rest)
+
+    monkeypatch.setattr(sandwichext.lp, "_simplex", with_nan)
+    X = system.space.rv(np.random.default_rng(SEED).normal(size=system.space.n_atoms) * 10,
+                        step.level_b)
+    levels = (step.level_a, step.level_b)
+    with pytest.raises(LpStatusError, match=(
+            rf"^pair \({levels[0]}, {levels[1]}\): extension block program on block 0 of "
+            rf"level {levels[0]} came back LpError; optimal basis fails feasibility "
+            rf"re-check \(nan\)$")) as info:
+        step.evaluate(X)
+    assert (info.value.lp, info.value.levels, info.value.block, info.value.status) == (
+        "extension block program", levels, 0, "LpError")
+
+
 @pytest.mark.parametrize("error", [LpError("simplex iteration cap exceeded"),
                                    np.linalg.LinAlgError("Singular matrix")],
                          ids=["LpError", "LinAlgError"])

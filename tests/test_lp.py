@@ -13,7 +13,8 @@ from sandwichext import (LinearProgram, LpResult, extend_system, load_scenario, 
                          support_function)
 import sandwichext.extension
 import sandwichext.lp
-from sandwichext.lp import InfeasibleRegionError, LpError, _cost_tol, _pricing, _stacked_pricing
+from sandwichext.lp import (InfeasibleRegionError, LpError, _cost_tol, _FirstPass, _pricing,
+                            _stacked_pricing)
 
 VALUE_TOL = 1e-10
 DUAL_TOL = 1e-8
@@ -726,6 +727,58 @@ def test_a_solve_reads_the_kept_pair_once():
     assert form.reads == 1
 
 
+def _eager_dual_objective(lp):
+    """The dual objective as ``solve_lp`` formed it on every optimal solve,
+    from the duals y = c_B B^-1 of the vertex the form now keeps, computed as
+    ``_pricing`` computes them."""
+    form, vertex = lp._form, lp._form.last
+    y = form.cost(lp.c)[vertex.cols] @ vertex.binv
+    const = float(form.sgn * (lp.c @ form.shift))
+    return float(form.sgn * (y @ vertex.b + const))
+
+
+def test_the_dual_objective_is_formed_on_read_with_the_eager_bits():
+    # every kind of optimal solve, cold from the slacks or through phase 1,
+    # warm on its first pass or pivoting, and on a first pass attached to
+    # the program, reads the bits of the formula once evaluated in the
+    # solve, and reads them again after later solves replace the kept
+    # vertex; infeasible and unbounded results have none
+    rng = np.random.default_rng(SEED + 17)
+    seen, read = set(), []
+
+    def optimal(res, lp, kind):
+        if res.status != "optimal":
+            assert res.dual_objective is None
+            seen.add(res.status)
+            return False
+        read.append((res, np.float64(_eager_dual_objective(lp)).tobytes()))
+        assert np.float64(res.dual_objective).tobytes() == read[-1][1]
+        seen.add(kind)
+        return True
+
+    for spec in [*_upper_row_programs(rng, 10), *(_mixed_program(rng) for _ in range(60))]:
+        template = LinearProgram(**spec)
+        if not optimal(solve_lp(template), template,
+                       "phase 1" if template._form.need.any() else "slack start"):
+            continue
+        for c in _nearby_objectives(rng, template.c):
+            lp = template.with_objective(c)
+            res = solve_lp(lp, warm=True)
+            if not optimal(res, lp, "one pass" if res.iterations == 1 else "pivoting"):
+                continue
+            form, kept = lp._form, lp._form.last
+            cost = form.cost(lp.c)
+            tol = _cost_tol(cost)
+            y, reduced, _, passed = _pricing(kept.a, cost, kept.cols, kept.binv, form.twin, tol)
+            assert passed
+            res = solve_lp(template._derived(lp.c, _FirstPass(kept, y, reduced > tol)), warm=True)
+            assert res.iterations == 1 and res.x is kept.x
+            optimal(res, lp, "first pass")
+    assert seen == {"slack start", "phase 1", "one pass", "pivoting", "first pass",
+                    "infeasible", "unbounded"}
+    assert all(np.float64(res.dual_objective).tobytes() == bits for res, bits in read)
+
+
 def _bits(res):
     """The fields ``same_lp_result`` compares, as one hashable key."""
     arrays = (res.x, res.tight)
@@ -852,6 +905,38 @@ def test_a_perturbed_basis_inverse_fails_the_recheck_at_any_scale(monkeypatch):
                 solve_lp(LinearProgram(**spec))
 
 
+def _upper_row_programs(rng, n_programs):
+    """Maximizations over variables in [0, 1] under nonnegative upper rows:
+    every row starts on its slack, and there is no equality row."""
+    for _ in range(n_programs):
+        n = int(rng.integers(4, 9))
+        yield dict(c=rng.normal(size=n), sense="max", a_ub=rng.uniform(0.1, 1.0, size=(4, n)),
+                   b_ub=rng.uniform(1.0, 2.0, 4), bounds=[(0.0, 1.0)] * n)
+
+
+def test_a_nan_in_the_basis_inverse_fails_the_recheck(monkeypatch):
+    # a NaN in one column of B^-1 makes every basic variable NaN, and x
+    # with them, which came back "optimal" while NaN residuals compared
+    # below the tolerance; it fails the re-check whichever term (equality
+    # rows, upper rows or bounds) it reaches, in any column, at any scale
+    simplex = sandwichext.lp._simplex
+    column = 0
+
+    def with_nan(*args, **kwargs):
+        status, basis, binv, *rest = simplex(*args, **kwargs)
+        binv = binv.copy()
+        binv[:, column % len(binv)] = np.nan
+        return (status, basis, binv, *rest)
+
+    monkeypatch.setattr(sandwichext.lp, "_simplex", with_nan)
+    rng = np.random.default_rng(SEED + 16)
+    specs = [*_planted_programs(rng, 1.0, 8), *_planted_programs(rng, 1e12, 8),
+             *_upper_row_programs(rng, 8)]
+    for column, spec in enumerate(specs):
+        with pytest.raises(LpError, match=r"feasibility re-check \(nan\)"):
+            solve_lp(LinearProgram(**spec))
+
+
 def _face_programs(rng):
     """Random programs whose optimal face is often more than a vertex: the
     objective is a row normal, a bound direction, or has repeated entries."""
@@ -915,11 +1000,14 @@ def test_always_tight_marks_hold_at_scipy_optimum_and_fix_the_value():
     assert marked > 0
 
 
-def _reinverting_simplex(a, b, c, basis, twin, start_iter=0, binv=None):
+def _reinverting_simplex(a, b, c, basis, twin, start_iter=0, binv=None, seen=None):
     """The simplex with B^-1 inverted afresh on every pass, in place of the
     product-form update between pivots: the reference whose bits the kernel
-    keeps, since it re-inverts before it stops."""
+    keeps, since it re-inverts before it stops. ``seen`` collects the rules
+    the run reached: "bland", a "tie" of ratios within PIVOT_TOL and an
+    "unbounded ray after a pivot"."""
     lp = sandwichext.lp
+    seen = set() if seen is None else seen
     tol = _cost_tol(c)
     it, stalled = start_iter, 0
     basis = np.array(basis, dtype=np.intp)
@@ -927,6 +1015,8 @@ def _reinverting_simplex(a, b, c, basis, twin, start_iter=0, binv=None):
         it += 1
         if binv is None:
             binv = np.linalg.inv(a[:, basis])
+        if stalled >= lp.BLAND_AFTER:
+            seen.add("bland")
         y, reduced, entering, optimal = _pricing(a, c, basis, binv, twin, tol,
                                                  stalled >= lp.BLAND_AFTER)
         if optimal:
@@ -935,10 +1025,15 @@ def _reinverting_simplex(a, b, c, basis, twin, start_iter=0, binv=None):
         ratios = [(x / di, bi, i) for i, (x, di, bi) in enumerate(
             zip((binv @ b).tolist(), d.tolist(), basis.tolist())) if di > lp.PIVOT_TOL]
         if not ratios:
+            if it > start_iter + 1:
+                seen.add("unbounded ray after a pivot")
             return "unbounded", basis, binv, y, it, d, entering
         theta = min(ratios)[0]
         stalled = stalled + 1 if theta <= lp.FEAS_TOL else 0
-        basis[min(r[1:] for r in ratios if r[0] <= theta + lp.PIVOT_TOL)[1]] = entering
+        ties = [r[1:] for r in ratios if r[0] <= theta + lp.PIVOT_TOL]
+        if len(ties) > 1:
+            seen.add("tie")
+        basis[min(ties)[1]] = entering
         binv = None
 
 
@@ -1013,6 +1108,50 @@ def test_product_form_solves_match_a_reinverting_simplex_bit_for_bit(monkeypatch
     statuses = {res.status for res, _ in results}
     assert statuses == {"optimal", "infeasible", "unbounded"}
     assert sum(res.iterations >= 4 for res, _ in results[len(cold):]) >= 20
+
+
+def _slack_start_programs(rng):
+    """Programs whose rows all start on their slacks and that reach the
+    simplex's rarer rules: Beale's cycling program (Bland's rule), a vertex
+    where three rows tie exactly and one where they tie within PIVOT_TOL, a
+    tie whose later row holds the lesser basic column, a ray found after a
+    pivot, and small-integer programs full of ties."""
+    beale = dict(c=[-0.75, 20.0, -0.5, 6.0],
+                 a_ub=[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+                 b_ub=[0.0, 0.0, 1.0])
+    tied = dict(c=[-1.0, -1.0, -1.0],
+                a_ub=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                      [1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]], b_ub=[1.0] * 6)
+    near = dict(tied, b_ub=[1.0, 1.0, 1.0, 1.0 + 4e-12, 1.0, 1.0 - 3e-12])
+    swapped = dict(c=[-1.0, -1.0, 0.0], a_ub=[[0.0, 2.0, 2.0], [2.0, 1.0, 0.0]], b_ub=[2.0, 1.0])
+    ray = dict(c=[-1.0, -2.0], a_ub=[[0.0, 1.0], [-1.0, 0.0]], b_ub=[1.0, 5.0])
+    yield from (beale, tied, near, swapped, ray)
+    for _ in range(40):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        yield dict(c=rng.integers(-3, 2, size=n).astype(float),
+                   a_ub=rng.integers(-1, 3, size=(m, n)).astype(float),
+                   b_ub=rng.integers(0, 3, size=m).astype(float))
+
+
+def test_product_form_pivots_match_a_reinverting_simplex_on_every_rule():
+    # the simplex itself, from the slack basis, against the reference that
+    # re-inverts on every pass: Bland's rule, ties within PIVOT_TOL and
+    # rays after a pivot give the same status, basis, B^-1, duals, passes,
+    # flags or ray, and entering column
+    rng = np.random.default_rng(SEED + 18)
+    seen = set()
+    for spec in _slack_start_programs(rng):
+        lp = LinearProgram(**spec)
+        form = lp._form
+        assert not form.need.any()
+        args = (form.amat, form.bvec, form.cost(lp.c), form.start.tolist(), form.twin, 0,
+                np.eye(form.amat.shape[0]))
+        got, want = sandwichext.lp._simplex(*args), _reinverting_simplex(*args, seen)
+        assert (got[0], got[4], got[6]) == (want[0], want[4], want[6])
+        for mine, ref in zip(got[1:4] + got[5:6], want[1:4] + want[5:6]):
+            assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
+        seen.add(got[0])
+    assert seen == {"optimal", "unbounded", "bland", "tie", "unbounded ray after a pivot"}
 
 
 def test_a_solve_inverts_once_if_it_pivots_and_never_otherwise(monkeypatch):

@@ -6,30 +6,33 @@ from conftest import ROOT
 
 def test_ab_of_a_checkout_against_itself_reports_identical_outputs():
     # an A/A run: the checkout's library loaded a second time under another
-    # package name gives the same bits on every evaluate and price
+    # package name gives the same bits on every evaluate, price and set-up
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), "--shape", "2", "2",
          "linear", "--calls", "4", "--no-gc"],
         capture_output=True, text=True, check=True, timeout=120).stdout.splitlines()
     assert out[0].endswith("seed 1 gc off")
-    assert [line.split(":")[0] for line in out[1:]] == ["evaluate", "price"]
-    assert " of 12 outputs" in out[1] and " of 4 outputs" in out[2]   # 3 evaluates a price
+    assert [line.split(":")[0] for line in out[1:]] == ["evaluate", "price", "setup"]
+    # 3 evaluates, a price and a set-up per round
+    assert " of 12 outputs" in out[1] and " of 4 outputs" in out[2] and " of 4 outputs" in out[3]
     assert all(line.endswith("outputs identical") for line in out[1:])
 
 
 def test_ab_of_several_workloads_prints_a_block_per_workload():
     # one command sizes a change on every workload named: a header naming
-    # the workload, then its evaluate and price lines, in the order given
+    # the workload, then its evaluate, price and set-up lines, in the order
+    # given
     names = ["wide-fan", "deep-binary", "polyhedral-report"]
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), "--workload", *names,
          "--calls", "2", "--no-gc"],
         capture_output=True, text=True, check=True, timeout=300).stdout.splitlines()
-    assert len(out) == 3 * len(names)
-    for name, (head, evaluate, price) in zip(names, zip(*[iter(out)] * 3)):
+    assert len(out) == 4 * len(names)
+    for name, (head, evaluate, price, setup) in zip(names, zip(*[iter(out)] * 4)):
         assert f" workload {name} shape Shape(" in head and head.endswith("seed 1 gc off")
         assert evaluate.startswith("evaluate:") and " of 6 outputs identical" in evaluate
         assert price.startswith("price:") and price.endswith(" of 2 outputs identical")
+        assert setup.startswith("setup:") and setup.endswith(" of 2 outputs identical")
 
 
 def test_same_answers_is_deterministic_and_covers_every_stream():

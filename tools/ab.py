@@ -10,13 +10,17 @@ under a second package name, and ``bench/treegen.py`` builds the same system
 of ``--shape``. ``--workload`` takes one or more names; each workload is
 timed in turn and gets a header line and a block of lines of its own. Each
 round takes ``EVALS`` evaluates and then one price of the (0, T) pair on
-fresh seeded payoffs. Every call runs on both extensions, the base first on
-the even calls of its kind and this checkout first on the odd ones, timed
-by ``time.perf_counter``; ``--no-gc`` turns the garbage collector off while
-it runs. Per kind of call the tool prints the mean and the median of the
-per-call ratios (this checkout over the base), how many calls this checkout
-won, and whether every output (values; densities and penalties of prices)
-was bit-identical. One BLAS thread, as in the benchmark.
+fresh seeded payoffs, and then one set-up: the operation ``bench/run.py``'s
+``setup_s`` times, the generated arrays (or, for a workload that reports on
+its scenario, that scenario file) to a new extended system. Every call runs
+in both packages, the base first on the even calls of its kind and this
+checkout first on the odd ones, timed by ``time.perf_counter``; ``--no-gc``
+turns the garbage collector off while it runs. Per kind of call the tool
+prints the mean and the median of the per-call ratios (this checkout over
+the base), how many calls this checkout won, and whether every output
+(values; densities and penalties of prices; for set-ups, the values of one
+untimed evaluate on the new system) was bit-identical. One BLAS thread, as
+in the benchmark.
 
 With ``--reports`` the calls are in-process ``sandwich report`` runs
 (``SANDWICH_SEED`` 0, as in the benchmark), ``--calls`` rounds of one per
@@ -63,11 +67,13 @@ def load_as(root: pathlib.Path, name: str):
 
 
 def calls(shape, rounds: int):
-    """(kind, payoff) per call: ``EVALS`` evaluates, then one price, per round."""
+    """(kind, payoff) per call: ``EVALS`` evaluates, then one price, then one
+    set-up with payoff None, per round."""
     rng = np.random.default_rng([SEED, 2])
     for _ in range(rounds):
         for kind in ["evaluate"] * EVALS + ["price"]:
             yield kind, rng.normal(0.0, 1.0, shape.n_atoms)
+        yield "setup", None
 
 
 def call(sx, ext, kind: str, x: np.ndarray, T: int) -> tuple[float, bytes]:
@@ -81,6 +87,19 @@ def call(sx, ext, kind: str, x: np.ndarray, T: int) -> tuple[float, bytes]:
         parts = [res.value.values, res.density.values, res.penalty.by_block]
     seconds = time.perf_counter() - start
     return seconds, b"".join(part.tobytes() for part in parts)
+
+
+def setup(sx, source, T: int) -> tuple[float, bytes]:
+    """Seconds of one set-up from ``source``, a scenario file or a treegen
+    spec, and the values of one evaluate on the system it built, as bytes."""
+    start = time.perf_counter()
+    if isinstance(source, pathlib.Path):
+        ext = sx.extend_system(sx.load_scenario(source).system)
+    else:
+        ext = sx.extend_system(treegen.build_system(sx, source))
+    seconds = time.perf_counter() - start
+    x = np.random.default_rng([SEED, 3]).normal(0.0, 1.0, ext.space.n_atoms)
+    return seconds, ext.evaluate(0, T, ext.space.rv(x, T)).values.tobytes()
 
 
 def report(sx, path: pathlib.Path, out_file: pathlib.Path) -> tuple[float, bytes]:
@@ -112,8 +131,8 @@ def timed(packages, runs, run) -> dict:
 def sections(args, packages, tmp: pathlib.Path):
     """(header, runs, run) per block of lines: one per workload or for
     ``--shape``, or one for ``--reports``."""
+    bench.OUT = tmp         # where a workload writes its scenario
     if args.reports:
-        bench.OUT = tmp     # where the workload writes its scenario
         inputs = [*sorted(bench.FIXTURES.glob("*.json")),
                   ROOT / "tests" / "golden" / "polyhedral_tree.json",
                   bench.Bench("polyhedral-report", SEED).scenario_path]
@@ -121,15 +140,25 @@ def sections(args, packages, tmp: pathlib.Path):
                [(path.name, path) for _ in range(args.calls or 20) for path in inputs],
                lambda sx, path: report(sx, path, tmp / "report.json"))
         return
-    shapes = ([("", treegen.Shape(int(args.shape[0]), int(args.shape[1]), args.shape[2]))]
-              if args.shape else [(f"workload {name} ", bench.WORKLOADS[name].shape)
-                                  for name in args.workload])
-    for label, shape in shapes:
+    if args.shape:
+        shape = treegen.Shape(int(args.shape[0]), int(args.shape[1]), args.shape[2])
         spec, _, _ = treegen.accepted_system(bench.sx, shape, SEED)
+        systems = [("", shape, spec, spec)]
+    else:
+        systems = []
+        for name in args.workload:
+            case = bench.Bench(name, SEED)      # the benchmark's system and set-up
+            source = case.scenario_path if case.wl.scenario_report else case.spec
+            systems.append((f"workload {name} ", case.wl.shape, case.spec, source))
+    for label, shape, spec, source in systems:
         exts = {sx: sx.extend_system(treegen.build_system(sx, spec)) for sx in packages}
+
+        def run(sx, kind_x, exts=exts, T=shape.T, source=source):
+            kind, x = kind_x
+            return setup(sx, source, T) if kind == "setup" else call(sx, exts[sx], kind, x, T)
+
         yield (f"{label}shape {shape}",
-               [(kind, (kind, x)) for kind, x in calls(shape, args.calls or 200)],
-               lambda sx, kind_x, exts=exts, T=shape.T: call(sx, exts[sx], *kind_x, T))
+               [(kind, (kind, x)) for kind, x in calls(shape, args.calls or 200)], run)
 
 
 def main(argv=None) -> int:
